@@ -96,12 +96,19 @@ class FrozenTOLIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_index(cls, index: TOLIndex) -> "FrozenTOLIndex":
+    def from_index(
+        cls, index: TOLIndex, *, edges: bool = True
+    ) -> "FrozenTOLIndex":
         """Snapshot a live :class:`TOLIndex` (which stays usable).
 
         A rank-translation repack: interned ids are mapped to level ranks
         through one flat table, and each vertex's already-sorted id buffer
         becomes a sorted rank slice after a small per-vertex sort.
+
+        ``edges=False`` leaves out the DAG edge list, skipping a copy of
+        the graph and a sort of its |E| edges.  The snapshot answers
+        queries the same but cannot be thawed back into a live index;
+        shared-memory publishing wants exactly that.
         """
         labeling = index.labeling
         vertex_of = list(labeling.order)  # highest level first -> id 0
@@ -111,26 +118,27 @@ class FrozenTOLIndex:
         rank_of = [0] * labeling.interner.capacity
         for rank, v in enumerate(vertex_of):
             rank_of[intern_ids[v]] = rank
+        rank = rank_of.__getitem__
 
         def pack(buffers) -> tuple[array, array]:
             """CSR-pack one side's id buffers into (offsets, labels)."""
             offsets = array("l", [0])
             labels = array("i")
             for v in vertex_of:
-                ranks = sorted(rank_of[u] for u in buffers[intern_ids[v]])
-                labels.extend(ranks)
+                labels.extend(sorted(map(rank, buffers[intern_ids[v]])))
                 offsets.append(len(labels))
             return offsets, labels
 
         in_offsets, in_labels = pack(labeling.in_ids)
         out_offsets, out_labels = pack(labeling.out_ids)
-        graph = index.graph_copy()
-        edges = tuple(
-            sorted((id_of[t], id_of[h]) for t, h in graph.edges())
-        )
+        edge_ids = None
+        if edges:
+            edge_ids = tuple(sorted(
+                (id_of[t], id_of[h]) for t, h in index.graph_copy().edges()
+            ))
         return cls(
             id_of, vertex_of, in_offsets, in_labels, out_offsets, out_labels,
-            edges,
+            edge_ids,
         )
 
     def thaw(self) -> TOLIndex:
@@ -288,6 +296,6 @@ class FrozenTOLIndex:
         )
 
 
-def freeze(index: TOLIndex) -> FrozenTOLIndex:
+def freeze(index: TOLIndex, *, edges: bool = True) -> FrozenTOLIndex:
     """Shorthand for :meth:`FrozenTOLIndex.from_index`."""
-    return FrozenTOLIndex.from_index(index)
+    return FrozenTOLIndex.from_index(index, edges=edges)

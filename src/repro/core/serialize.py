@@ -532,14 +532,16 @@ def pack_frozen(frozen, meta: Optional[dict] = None, *,
                 include_edges: bool = True) -> bytes:
     """Serialize a :class:`FrozenTOLIndex` to TOLF pack bytes.
 
-    ``include_edges=False`` drops the DAG edge section (readers that only
-    answer queries never touch adjacency); such a pack cannot be thawed
-    back into a live index.
+    The edge section holds whatever edges *frozen* carries: none for a
+    snapshot frozen with ``edges=False``
+    (:meth:`~repro.core.frozen.FrozenTOLIndex.from_index`), and none when
+    ``include_edges=False``.  Readers that only answer queries never
+    touch adjacency; a pack without edges cannot be thawed back into a
+    live index.
     """
     meta_doc = dict(meta or {})
-    meta_doc["vertex_of"] = [
-        json.loads(json.dumps(v)) for v in frozen._vertex_of
-    ]
+    # JSON writes tuples as arrays, so the vertex table encodes as is.
+    meta_doc["vertex_of"] = frozen._vertex_of
     meta_blob = json.dumps(
         meta_doc, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
@@ -645,11 +647,10 @@ def unpack_frozen(buf, *, verify: bool = True):
     return frozen, meta
 
 
-def save_pack(path: PathLike, frozen, meta: Optional[dict] = None, *,
-              include_edges: bool = True) -> None:
+def save_pack(path: PathLike, frozen, meta: Optional[dict] = None) -> None:
     """Atomically write a TOLF pack (tmp file + rename)."""
     path = Path(path)
-    blob = pack_frozen(frozen, meta, include_edges=include_edges)
+    blob = pack_frozen(frozen, meta)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
     os.replace(tmp, path)

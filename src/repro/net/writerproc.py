@@ -142,7 +142,6 @@ def run_writer_process(
     wal: Optional[str] = None,
     fsync: str = "batch",
     checkpoint_every: int = 256,
-    publish_interval: float = 0.2,
     grace_period: float = 5.0,
     max_pending: int = 4096,
     max_batch: int = 1024,
@@ -221,7 +220,7 @@ def run_writer_process(
                 lambda: loop.call_soon_threadsafe(stopping.set)
             )
             await server.start()
-            publisher.start(publish_interval)
+            publisher.start()
             if flight is not None:
                 flight.start()
             await stopping.wait()

@@ -300,6 +300,12 @@ def render_health(payload: dict) -> str:
             f"(grace {snapshot['grace_period_s']}s), "
             f"{snapshot.get('worker_restarts', 0)} worker restarts"
         )
+        last = snapshot.get("last_publish")
+        if last:
+            lines.append(
+                f"  last publish {last['ms']:.1f}ms (freeze "
+                f"{last['freeze_ms']:.1f}ms, pack {last['pack_ms']:.1f}ms)"
+            )
         for w in snapshot.get("workers", ()):
             w_age = w.get("snapshot_age_s")
             w_age_text = f"{w_age:.1f}s" if w_age is not None else "-"

@@ -14,7 +14,8 @@ Two small pieces, both deliberately boring:
   derived results (cached answers) with the epoch they were computed at.
   Anything stamped with an older epoch is stale by definition, which is
   what lets the query cache invalidate lazily in O(1) per write
-  (:mod:`repro.service.cache`).
+  (:mod:`repro.service.cache`).  It doubles as the change signal that
+  wakes the shared-memory publisher (:mod:`repro.shm.publisher`).
 """
 
 from __future__ import annotations
@@ -142,31 +143,57 @@ class RWLock:
 
 
 class EpochCounter:
-    """A thread-safe monotonic version counter.
+    """A thread-safe monotonic version counter that wakes its waiters.
 
     ``value`` reads the current epoch; :meth:`bump` advances it by one and
     returns the new epoch.  The serving layer bumps once per successful
     index mutation while holding the write lock, so within any read-locked
     section the epoch is constant.
+
+    Every bump, and every :meth:`signal` (a state change that does not
+    move the epoch, such as the degraded flag flipping), advances a
+    separate change count and wakes :meth:`wait_changed` callers — the
+    shared-memory publisher sleeps there instead of polling.
     """
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_lock", "_cond", "_value", "_changes")
 
     def __init__(self, start: int = 0) -> None:
         self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._value = start
+        self._changes = 0
 
     @property
     def value(self) -> int:
         """The current epoch."""
-        with self._lock:
+        with self._lock:  # the plain lock: cheaper than the condition
             return self._value
 
     def bump(self) -> int:
-        """Advance the epoch by one; return the new value."""
-        with self._lock:
+        """Advance the epoch by one, wake waiters; return the new value."""
+        with self._cond:
             self._value += 1
+            self._changes += 1
+            self._cond.notify_all()
             return self._value
+
+    def signal(self) -> None:
+        """Wake waiters without moving the epoch."""
+        with self._cond:
+            self._changes += 1
+            self._cond.notify_all()
+
+    def wait_changed(self, seen: int, timeout: Optional[float] = None) -> int:
+        """Block until the change count differs from *seen* or *timeout*
+        passes.
+
+        Returns the change count at wake-up; pass it back as *seen* next
+        time so that nothing signalled in between is missed.
+        """
+        with self._cond:
+            self._cond.wait_for(lambda: self._changes != seen, timeout)
+            return self._changes
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.value})"

@@ -502,11 +502,17 @@ class DurabilityManager:
         self.wal.sync()
         return seqs
 
+    @property
+    def checkpoint_due(self) -> bool:
+        """Whether the uncovered WAL suffix reached the threshold."""
+        return bool(self._checkpoint_every) and (
+            self.wal.last_seq - self._checkpointed_seq
+            >= self._checkpoint_every
+        )
+
     def maybe_checkpoint(self, graph: DiGraph, meta: dict) -> Optional[Path]:
-        """Checkpoint if the uncovered WAL suffix reached the threshold."""
-        if not self._checkpoint_every:
-            return None
-        if self.wal.last_seq - self._checkpointed_seq < self._checkpoint_every:
+        """Checkpoint if :attr:`checkpoint_due`."""
+        if not self.checkpoint_due:
             return None
         return self.checkpoint(graph, meta)
 

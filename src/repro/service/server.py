@@ -806,7 +806,13 @@ class ReachabilityService:
             )
 
     def _maybe_checkpoint(self) -> None:
-        """Hand the manager a mirror snapshot; called under the flush mutex."""
+        """Checkpoint a mirror copy if one is due; called under the flush mutex.
+
+        The mirror is copied only when the manager's threshold says a
+        checkpoint will be written, not on every flush.
+        """
+        if not self._durability.checkpoint_due:
+            return
         with self._mirror_lock:
             snapshot = self._mirror.copy()
             meta = {
@@ -814,7 +820,7 @@ class ReachabilityService:
                 "epoch": self._epoch.value,
             }
         try:
-            self._durability.maybe_checkpoint(snapshot, meta)
+            self._durability.checkpoint(snapshot, meta)
         except OSError:
             self._metrics.registry.incr("checkpoint.errors")
 
@@ -866,7 +872,9 @@ class ReachabilityService:
 
     def exit_degraded(self) -> None:
         """Resume serving from the index."""
-        self._degraded.clear()
+        if self._degraded.is_set():
+            self._degraded.clear()
+            self._epoch.signal()
 
     def _trip_degraded(self, reason: str) -> None:
         """Enter degraded mode; on the edge, dump the flight recorder.
@@ -878,6 +886,7 @@ class ReachabilityService:
         already = self._degraded.is_set()
         self._degraded.set()
         if not already:
+            self._epoch.signal()
             obs_trace.event("service.degraded_enter", reason=reason)
             if self._flight is not None:
                 self._flight.auto_dump("degraded", reason=reason)
@@ -938,7 +947,7 @@ class ReachabilityService:
                 self._index = new_index
                 with self._mirror_lock:
                     epoch = self._epoch.bump()
-            self._degraded.clear()
+            self.exit_degraded()
             self._metrics.registry.incr("service.rebuilds")
         return epoch
 
@@ -950,6 +959,20 @@ class ReachabilityService:
     def epoch(self) -> int:
         """Current index version (number of successful mutations)."""
         return self._epoch.value
+
+    def wait_changed(self, seen: int, timeout: Optional[float] = None) -> int:
+        """Block until the epoch moves or the degraded flag flips.
+
+        *seen* is the change count a previous call returned; with any
+        other value (``-1`` to start) the call returns at once.  Gives up
+        after *timeout* seconds.  Returns the current change count.  The
+        shared-memory publisher waits here instead of polling on a timer.
+        """
+        return self._epoch.wait_changed(seen, timeout)
+
+    def wake_waiters(self) -> None:
+        """Wake every :meth:`wait_changed` caller (e.g. to shut it down)."""
+        self._epoch.signal()
 
     @property
     def metrics(self) -> ServiceMetrics:
@@ -1024,13 +1047,14 @@ class ReachabilityService:
         Taken under the read lock so the frozen index, the component map
         and the epoch describe the same instant; the shared-memory
         publisher (:class:`repro.shm.publisher.SnapshotPublisher`) packs
-        this triple into an immutable segment for reader processes.
+        this triple into an immutable segment for reader processes.  The
+        frozen index carries no DAG edges: readers only answer queries.
         """
         from ..core.frozen import freeze
 
         with self._rwlock.read_locked():
             epoch = self._epoch.value
-            frozen = freeze(self._index.tol)
+            frozen = freeze(self._index.tol, edges=False)
             component_of = dict(self._index.condensation.component_of)
         return frozen, component_of, epoch
 

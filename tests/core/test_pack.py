@@ -92,6 +92,14 @@ class TestPackRoundTrip:
         assert thawed._edges == ()
         assert thawed.query("a", "h") == fig1_frozen.query("a", "h")
 
+    def test_freeze_without_edges_packs_like_include_edges_false(self):
+        index = TOLIndex.build(random_dag(40, 100, seed=8), order="butterfly-u")
+        bare = freeze(index, edges=False)
+        assert bare._edges == ()
+        assert pack_frozen(bare) == pack_frozen(
+            freeze(index), include_edges=False
+        )
+
     def test_thaw_after_round_trip_is_updatable(self, fig1_frozen):
         thawed, _ = unpack_frozen(pack_frozen(fig1_frozen))
         live = thawed.thaw()
@@ -110,6 +118,53 @@ class TestPackRoundTrip:
         thawed, _ = unpack_frozen(pack_frozen(frozen))
         assert thawed.num_vertices == 0
         assert thawed.size() == 0
+
+
+class TestNonIntVertices:
+    """Tuple, str and int vertices side by side, nested tuples included."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        graph = DiGraph()
+        edges = [
+            (("a", 1), "b"), ("b", 3), (3, ("c", (2, "d"))),
+            (("a", 1), "e"), ("e", 7), (7, ("c", (2, "d"))),
+        ]
+        for tail, head in edges:
+            graph.add_edge(tail, head)
+        return graph, freeze(TOLIndex.build(graph, order="butterfly-u"))
+
+    def test_round_trip_keeps_vertex_of_and_answers(self, mixed):
+        graph, frozen = mixed
+        thawed, meta = unpack_frozen(pack_frozen(frozen))
+        assert thawed._vertex_of == frozen._vertex_of
+        assert [hashable_vertex(v) for v in meta["vertex_of"]] == list(
+            frozen._vertex_of
+        )
+        for s, t in all_pairs(list(graph.vertices())):
+            assert thawed.query(s, t) == frozen.query(s, t), (s, t)
+            assert thawed.query(s, t) == bidirectional_reachable(graph, s, t)
+
+    def test_meta_bytes_match_per_vertex_json_round_trip(self, mixed):
+        import json
+        import struct
+
+        _, frozen = mixed
+        meta = {"epoch": 3, "vertices": [["a", 1], "b"]}
+        blob = pack_frozen(frozen, meta)
+        # The encoding this format has always written: each vertex
+        # normalised through its own JSON round trip first.
+        doc = dict(meta)
+        doc["vertex_of"] = [
+            json.loads(json.dumps(v)) for v in frozen._vertex_of
+        ]
+        expected = json.dumps(
+            doc, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+        assert blob.endswith(expected)
+        # Header: magic, version, flags, n, |in|, |out|, |E|, meta_len.
+        meta_len = struct.unpack_from("<q", blob, 40)[0]
+        assert meta_len == len(expected)
 
 
 def _bare(out_labels, in_labels):

@@ -36,7 +36,7 @@ from repro.service.updates import UpdateOp
 from repro.shm.control import pid_alive
 from repro.shm.janitor import list_families, reap_orphans
 
-WORKERS_ARGS = ["--workers", "2", "--publish-interval", "0.05"]
+WORKERS_ARGS = ["--workers", "2"]
 
 #: How long a writer failover may take end to end (SIGKILL detection,
 #: respawn, WAL replay, republish) before the test calls it stuck.

@@ -24,7 +24,7 @@ from repro.net.client import ReachabilityClient
 from repro.net.loadgen import spawned_server
 from repro.service.updates import UpdateOp
 
-WORKERS_ARGS = ["--workers", "2", "--publish-interval", "0.05"]
+WORKERS_ARGS = ["--workers", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,7 @@ class TestMultiProcessServing:
                 assert snapshot["bytes"] > 0
                 assert snapshot["worker_restarts"] == 0
                 assert len(snapshot["workers"]) == 2
+                assert snapshot["last_publish"]["ms"] > 0.0
             exit_code = server.terminate()
         assert exit_code == 0, "SIGTERM drain must exit cleanly"
 

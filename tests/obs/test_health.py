@@ -158,6 +158,23 @@ class TestRenderHealth:
         assert "wal: lag" in text
         assert "cache:" in text
 
+    def test_renders_last_publish_split(self):
+        from repro.shm.publisher import SnapshotPublisher
+
+        service = ReachabilityService(chain())
+        publisher = SnapshotPublisher(service)
+        try:
+            publisher.publish()
+            service.shm_publisher = publisher
+            payload = collect_health(service)
+            assert set(payload["snapshot"]["last_publish"]) == {
+                "ms", "freeze_ms", "pack_ms",
+            }
+            text = render_health(payload)
+        finally:
+            publisher.close()
+        assert "last publish" in text and "freeze" in text and "pack" in text
+
     def test_renders_stale_index(self):
         service = ReachabilityService(chain())
         payload = collect_health(service)

@@ -14,6 +14,8 @@ import pytest
 
 from repro.errors import SerializationError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import random_dag
+from repro.graph.traversal import bidirectional_reachable
 from repro.service.durability import (
     CheckpointStore,
     DurabilityManager,
@@ -21,6 +23,7 @@ from repro.service.durability import (
     recover_state,
 )
 from repro.service.faults import FaultInjector, InjectedCrash
+from repro.service.server import ReachabilityService
 from repro.service.updates import UpdateOp
 
 
@@ -242,6 +245,53 @@ class TestDurabilityManager:
         assert again.checkpointed_seq == 1
         assert again.wal.last_seq == 1
         again.close()
+
+
+class TestServiceCheckpointCadence:
+    def test_mirror_copied_only_when_a_checkpoint_is_due(
+        self, tmp_path, monkeypatch
+    ):
+        graph = random_dag(30, 60, seed=4)
+        mgr = DurabilityManager(tmp_path, checkpoint_every=4, fsync="never")
+        service = ReachabilityService(graph.copy(), durability=mgr)
+        copies = []
+        original = DiGraph.copy
+
+        def counting_copy(self):
+            copies.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DiGraph, "copy", counting_copy)
+        ops = [UpdateOp.insert_vertex(f"n{i}", in_neighbors=[i])
+               for i in range(4)]
+        for op in ops[:3]:
+            service.apply(op)  # flush_threshold 1: one flush per op
+        assert copies == []
+        assert mgr.checkpointed_seq == 0
+
+        service.apply(ops[3])  # crosses the threshold
+        assert len(copies) == 1
+        assert mgr.checkpointed_seq == 4
+        assert mgr.wal.records() == []
+        monkeypatch.undo()
+        mgr.close()
+
+        for op in ops:
+            op.apply_to_graph(graph)
+        recovered = ReachabilityService.recover(tmp_path, fsync="never")
+        try:
+            report = recovered.last_recovery
+            assert report.checkpoint_seq == 4
+            assert report.replayed == 0
+            assert report.graph == graph
+            vertices = sorted(graph.vertices(), key=str)
+            for s in vertices:
+                for t in vertices:
+                    assert recovered.query(s, t) == bidirectional_reachable(
+                        graph, s, t
+                    ), (s, t)
+        finally:
+            recovered.durability.close()
 
 
 class TestRecoverState:

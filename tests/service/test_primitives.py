@@ -1,5 +1,6 @@
 """Tests for the serving-layer primitives: RWLock and EpochCounter."""
 
+import sys
 import threading
 import time
 
@@ -127,3 +128,47 @@ class TestEpochCounter:
         for t in threads:
             t.join(timeout=30)
         assert epoch.value == 4000
+
+    def test_wait_changed_wakes_on_bump_and_signal(self):
+        epoch = EpochCounter()
+        seen = epoch.wait_changed(-1, timeout=0)  # current change count
+        assert epoch.wait_changed(seen, timeout=0.01) == seen  # timed out
+        epoch.bump()
+        seen = epoch.wait_changed(seen, timeout=5)
+        assert seen == 1
+        epoch.signal()
+        assert epoch.wait_changed(seen, timeout=5) == 2
+        assert epoch.value == 1  # a signal does not move the epoch
+
+    def test_waiter_never_misses_the_last_change(self):
+        epoch = EpochCounter()
+        total = 6 * 300
+        observed = []
+
+        def waiter():
+            # No timeout: a lost wake-up leaves this thread blocked.
+            seen = -1
+            while seen != total:
+                seen = epoch.wait_changed(seen)
+                observed.append(seen)
+
+        def bump_many():
+            for _ in range(300):
+                epoch.bump()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            watch = threading.Thread(target=waiter, daemon=True)
+            watch.start()
+            threads = [threading.Thread(target=bump_many) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            watch.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not watch.is_alive()
+        assert epoch.value == total
+        assert observed == sorted(observed)
