@@ -12,7 +12,7 @@ immutable :class:`~repro.core.frozen.FrozenTOLIndex` attached over a
 * :mod:`~repro.shm.publisher` — writer side: freeze the live index
   under the read lock, pack it (TOLF bytes), copy into a fresh data
   segment, bump the control block, unlink retired segments after a
-  grace period.  Attach mode re-binds a respawned writer to the
+  grace period or once two newer ones have retired.  Attach mode re-binds a respawned writer to the
   surviving control block after failover;
 * :mod:`~repro.shm.reader` — reader side: attach, re-attach when the
   generation advances, fall back to the last good snapshot when the

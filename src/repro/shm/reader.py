@@ -12,8 +12,8 @@ i64 read of the control block's generation cell; only when it moved does
 the reader take the slow path — seqlock-read the triple, attach the new
 segment, verify the pack CRC once, swap, and close the old mapping (the
 publisher may have already unlinked the old *name*; the mapping itself
-stays valid until closed).  An attach can race the grace-period unlink
-(``FileNotFoundError``): the control block then already names a newer
+stays valid until closed).  An attach can race the unlink of a retired
+segment (``FileNotFoundError``): the control block then already names a newer
 generation, so the reader simply retries.
 
 Hardening (the failure model in docs/robustness.md):
@@ -143,7 +143,7 @@ class SnapshotReader:
             try:
                 shm = attach_segment(segment_name(self._base, generation))
             except FileNotFoundError as exc:
-                # Raced the grace-period unlink; the control block now
+                # Raced a retired segment's unlink; the control block now
                 # names a newer generation — retry reads it.
                 last_error = exc
                 self.attach_failures += 1
