@@ -26,12 +26,12 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ --quick -q
 
 # Update-kernel headline at full scale: refreshes BENCH_update.json and
-# gates the flat engine at >= 1.5x the object engine on churn throughput.
+# gates the mean insert/delete at <= 1/4 of a full rebuild of the graph.
 bench-update:
 	$(PYTHON) -m pytest benchmarks/bench_update_kernels.py -q
 
 # cProfile of butterfly_build on random_dag(5000, 20000), top 25 by
-# cumulative time (see benchmarks/profile_build.py for --engine/--prune).
+# cumulative time (see benchmarks/profile_build.py for --order/--prune).
 profile:
 	$(PYTHON) benchmarks/profile_build.py
 

@@ -62,7 +62,7 @@ def _graph_and_order():
 
 
 def _uninstrumented_build(graph, order):
-    """``butterfly_build`` (CSR engine) with every tracing call deleted.
+    """``butterfly_build`` with every tracing call deleted.
 
     A line-for-line replica of ``butterfly._build_csr``'s pruned path —
     same snapshot, same flat-array peeling loop — minus the span/event

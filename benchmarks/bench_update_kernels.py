@@ -1,17 +1,17 @@
-"""Update-kernel throughput — flat CSR engine vs legacy object engine.
+"""Update-kernel throughput against a from-scratch rebuild.
 
-The Section-5 update algorithms (Algorithms 1–4) now run on preallocated
-scratch arrays (``engine="csr"``, :mod:`repro.core.scratch`); the
-original dict/set implementation survives as ``engine="object"`` for
-differential testing.  This bench measures steady-state
-``insert_vertex`` / ``delete_vertex`` throughput for both engines on the
-same churn workload and emits the repo-root ``BENCH_update.json``
-headline — inserts/sec and deletes/sec for the flat engine, with the
-speedup over the object engine.
+The Section-5 update algorithms (Algorithms 1–4) run on preallocated
+scratch arrays (:mod:`repro.core.scratch`).  This bench measures
+steady-state ``insert_vertex`` / ``delete_vertex`` throughput on a churn
+workload and emits the repo-root ``BENCH_update.json`` headline —
+inserts/sec and deletes/sec — together with the cost of one full
+``TOLIndex.build`` of the base graph, timed in the same process on the
+same host, interleaved with the churn reps.
 
-It doubles as the CI regression gate (``bench-update`` step): the flat
-engine must stay ≥ ``MIN_SPEEDUP``× the object engine at the measured
-scale.
+It doubles as the CI regression gate (``bench-update`` step): the mean
+cost of one update must stay at most ``1 / MIN_REBUILD_OVER_UPDATE`` of
+a rebuild — the paper's premise for maintaining the index dynamically
+instead of rebuilding it.
 
 Workload shape: the base DAG stays fixed; each rep inserts a batch of
 fresh vertices (in-neighbors sampled below a random topological position
@@ -44,17 +44,17 @@ HEADLINE_SIZE = (150, 600) if QUICK else (1200, 4800)
 #: Vertices inserted+deleted per rep.
 BATCH = 30 if QUICK else 150
 
-#: Min-of-N repetitions per engine (quick runs are short enough that
-#: scheduler noise needs more samples to quiet down).
+#: Min-of-N repetitions (quick runs are short enough that scheduler
+#: noise needs more samples to quiet down).
 REPS = 9 if QUICK else 5
 
-#: CI gate: flat-engine churn throughput (inserts + deletes, the whole
-#: differential workload) must be at least this multiple of the object
-#: engine's.  The gate is on the combined time — the per-op insert and
-#: delete speedups are published in the headline but individually ride
+#: CI gate: one full rebuild of the base graph must cost at least this
+#: many mean updates (inserts and deletes alike, the whole churn
+#: workload).  The gate is on the combined time — the per-op insert and
+#: delete rates are published in the headline but individually ride
 #: timed regions of a few milliseconds at ``--quick`` scale, too small
 #: to gate on without flaking.
-MIN_SPEEDUP = 1.5
+MIN_REBUILD_OVER_UPDATE = 4.0
 
 
 def _churn_plan(graph, batch, seed):
@@ -100,7 +100,7 @@ def _churn_rep(index, plan):
 
 
 def _time_churn(index, plan, reps):
-    """Best-of-*reps* ``(insert_seconds, delete_seconds)`` for one engine."""
+    """Best-of-*reps* ``(insert_seconds, delete_seconds)``."""
     best_ins = best_del = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -115,64 +115,50 @@ def _time_churn(index, plan, reps):
     return best_ins, best_del
 
 
+def _time_build(graph):
+    """Wall seconds for one ``TOLIndex.build`` (copy + order + Butterfly)."""
+    start = time.perf_counter()
+    TOLIndex.build(graph, order="butterfly-u")
+    return time.perf_counter() - start
+
+
 def test_update_headline(benchmark):
-    """Emit ``BENCH_update.json`` and gate the flat engine on the ratio."""
+    """Emit ``BENCH_update.json`` and gate updates against a rebuild."""
     num_vertices, num_edges = HEADLINE_SIZE
     graph = random_dag(num_vertices, num_edges, seed=0)
     plan = _churn_plan(graph, BATCH, seed=7)
 
-    # Engines are timed in interleaved rounds (csr rep, object rep, csr
-    # rep, ...) so slow machine drift — CI neighbors, thermal throttling
-    # — lands on both sides of the ratio instead of one.  The first,
-    # untimed warmup rep also grows the csr engine's scratch buffers to
-    # their steady-state size, which is the state this bench measures.
-    indexes, sizes, best = {}, {}, {}
-    for engine in ("csr", "object"):
-        index = TOLIndex.build(graph, order="butterfly-u", engine=engine)
-        indexes[engine] = index
-        sizes[engine] = index.size()
-        _churn_rep(index, plan)  # warmup, untimed
-        best[engine] = [float("inf"), float("inf")]
+    # Churn and rebuild are timed in interleaved rounds (churn rep,
+    # rebuild, churn rep, ...) so slow machine drift — CI neighbors,
+    # thermal throttling — lands on both sides of the ratio instead of
+    # one.  The first, untimed warmup rep also grows the scratch buffers
+    # to their steady-state size, which is the state this bench measures.
+    index = TOLIndex.build(graph, order="butterfly-u")
+    size = index.size()
+    _churn_rep(index, plan)  # warmup, untimed
+    ins_s = del_s = build_s = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(REPS):
-            for engine, index in indexes.items():
-                ins_s, del_s = _churn_rep(index, plan)
-                best[engine][0] = min(best[engine][0], ins_s)
-                best[engine][1] = min(best[engine][1], del_s)
+            rep_ins, rep_del = _churn_rep(index, plan)
+            ins_s = min(ins_s, rep_ins)
+            del_s = min(del_s, rep_del)
+            build_s = min(build_s, _time_build(graph))
     finally:
         if gc_was_enabled:
             gc.enable()
+    assert index.size() == size, "churn must restore the index"
 
-    engines = {}
-    for engine, (ins_s, del_s) in best.items():
-        assert indexes[engine].size() == sizes[engine], (
-            "churn must restore the index"
-        )
-        engines[engine] = {
-            "insert_seconds": round(ins_s, 6),
-            "delete_seconds": round(del_s, 6),
-            "inserts_per_second": round(BATCH / ins_s, 1),
-            "deletes_per_second": round(BATCH / del_s, 1),
-        }
-
-    flat, obj = engines["csr"], engines["object"]
-    insert_speedup = obj["insert_seconds"] / flat["insert_seconds"]
-    delete_speedup = obj["delete_seconds"] / flat["delete_seconds"]
-    update_speedup = (obj["insert_seconds"] + obj["delete_seconds"]) / (
-        flat["insert_seconds"] + flat["delete_seconds"]
-    )
+    update_s = (ins_s + del_s) / (2 * BATCH)
+    rebuild_over_update = build_s / update_s
     headline = {
-        "engine": "csr",
         "num_vertices": num_vertices,
         "num_edges": num_edges,
         "batch": BATCH,
-        "inserts_per_second": flat["inserts_per_second"],
-        "deletes_per_second": flat["deletes_per_second"],
-        "insert_speedup_vs_object": round(insert_speedup, 3),
-        "delete_speedup_vs_object": round(delete_speedup, 3),
-        "update_speedup_vs_object": round(update_speedup, 3),
+        "inserts_per_second": round(BATCH / ins_s, 1),
+        "deletes_per_second": round(BATCH / del_s, 1),
+        "rebuild_over_update": round(rebuild_over_update, 3),
     }
     payload = {
         "benchmark": "flat-update-kernels",
@@ -183,11 +169,15 @@ def test_update_headline(benchmark):
             f"min-of-{REPS} wall seconds, gc paused; one rep inserts "
             f"{BATCH} vertices (1-3 in/out neighbors each) then deletes "
             f"them, restoring the base index; id space fixed via "
-            f"free-list reuse"
+            f"free-list reuse; rebuild = one TOLIndex.build of the base "
+            f"graph, interleaved with the reps; rebuild_over_update = "
+            f"rebuild seconds / mean seconds per insert or delete"
         ),
         "quick": QUICK,
         "headline": headline,
-        "engines": engines,
+        "insert_seconds": round(ins_s, 6),
+        "delete_seconds": round(del_s, 6),
+        "rebuild_seconds": round(build_s, 6),
     }
     BENCH_UPDATE_JSON.write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
@@ -195,13 +185,14 @@ def test_update_headline(benchmark):
     benchmark.extra_info.update(headline)
     benchmark.pedantic(
         lambda: _time_churn(
-            TOLIndex.build(graph, order="butterfly-u", engine="csr"), plan, 1
+            TOLIndex.build(graph, order="butterfly-u"), plan, 1
         ),
         rounds=1,
         iterations=1,
     )
-    assert update_speedup >= MIN_SPEEDUP, (
-        f"flat update kernels below the {MIN_SPEEDUP}x gate vs the "
-        f"object engine on random_dag{HEADLINE_SIZE}: {update_speedup:.2f}x "
-        f"(insert {insert_speedup:.2f}x, delete {delete_speedup:.2f}x)"
+    assert rebuild_over_update >= MIN_REBUILD_OVER_UPDATE, (
+        f"one update costs more than 1/{MIN_REBUILD_OVER_UPDATE:g} of a "
+        f"rebuild on random_dag{HEADLINE_SIZE}: rebuild {build_s:.4f}s, "
+        f"mean update {update_s * 1e3:.3f}ms "
+        f"({rebuild_over_update:.2f}x)"
     )

@@ -8,15 +8,15 @@ callee rows are C-level primitives (``isdisjoint``, ``append``), the
 kernel is interpreter-bound and further wins need fewer loop iterations,
 not cheaper ones.
 
-Options: ``--engine object`` profiles the legacy dict-walking build,
-``--prune false`` the verbatim Algorithm-5 variant.
+Options: ``--order`` picks the order strategy, ``--prune false`` the
+verbatim Algorithm-5 variant.
 """
 
 import argparse
 import cProfile
 import pstats
 
-from repro.core.butterfly import BUILD_ENGINES, butterfly_build
+from repro.core.butterfly import butterfly_build
 from repro.core.orders import resolve_order_strategy
 from repro.graph.generators import random_dag
 
@@ -27,7 +27,6 @@ TOP = 25
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", choices=BUILD_ENGINES, default="csr")
     parser.add_argument("--order", default="butterfly-u")
     parser.add_argument(
         "--prune", choices=("true", "false"), default="true"
@@ -39,12 +38,11 @@ def main() -> None:
     prune = args.prune == "true"
     print(
         f"profiling butterfly_build(random_dag({NUM_VERTICES}, "
-        f"{NUM_EDGES}), order={args.order!r}, prune={prune}, "
-        f"engine={args.engine!r})"
+        f"{NUM_EDGES}), order={args.order!r}, prune={prune})"
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    butterfly_build(graph, order, prune=prune, engine=args.engine)
+    butterfly_build(graph, order, prune=prune)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(TOP)

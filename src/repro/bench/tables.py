@@ -22,7 +22,7 @@ Cell = Union[str, float, int, None]
 
 
 def format_seconds(value: Optional[float]) -> str:
-    """Render a duration in seconds with engineering-friendly units."""
+    """Render a duration in seconds with human-friendly units."""
     if value is None:
         return "—"
     if value >= 100:

@@ -490,9 +490,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
 
             frozen, meta = load_pack(args.snapshot)
-            index = reachability_index_from_pack(
-                frozen, meta, order=args.order
-            )
+            index = reachability_index_from_pack(frozen, meta)
             service = ReachabilityService(index=index, **service_kwargs)
         else:
             service = ReachabilityService(

@@ -23,46 +23,30 @@ Two faithful variants are provided:
   construction practical; the equivalence is property-tested against both
   the verbatim variant and the Definition-1 reference.
 
-Engines
--------
-Two implementations of the peeling sweeps are kept, selected by
-``engine=``:
-
-* ``"csr"`` (default) — an id-only kernel over the graph's cached
-  :class:`~repro.graph.csr.CSRGraph` snapshot: adjacency is two flat
-  ``array('i')`` neighbor buffers walked by slice, the removed/seen state
-  is a ``bytearray`` plus an int stamp list indexed by snapshot id, and
-  the BFS frontier is a flat preallocated int queue.  No per-edge hashing,
-  no generator frames.
-* ``"object"`` — the legacy sweep over ``DiGraph``'s dict-of-``set``
-  adjacency, kept for differential testing (the property suite asserts
-  both engines produce identical label sets) and as the fallback shape
-  for exotic graph substrates.
-
-Either way the cover check is a sorted-array intersection
-(:func:`~repro.core.labeling.ids_intersect`) over the flat ``array('i')``
-label buffers, and labels are added through the id-level mutation API.
+Kernel
+------
+The peeling sweeps run as one id-only kernel over the graph's cached
+:class:`~repro.graph.csr.CSRGraph` snapshot: adjacency comes from the
+snapshot's flat neighbor arrays, one int stamp per snapshot id doubles
+as the removed flag and the BFS visit mark, and the BFS frontier is a
+flat preallocated int queue.  No per-edge hashing, no generator frames.
+The kernel is pinned to the Definition-1 reference
+(:func:`repro.core.reference.reference_tol`) over both ``prune``
+variants and every order strategy by
+``tests/core/test_build_differential.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from collections.abc import Hashable
 
 from ..errors import GraphError
-from ..graph.dag import ensure_dag
 from ..graph.digraph import DiGraph
 from ..obs import trace
-from .labeling import TOLLabeling, ids_intersect
+from .labeling import TOLLabeling
 from .order import LevelOrder
 
-__all__ = ["butterfly_build", "BUILD_ENGINES"]
-
-Vertex = Hashable
-
-#: Names accepted by ``butterfly_build(engine=...)``.
-BUILD_ENGINES: tuple[str, ...] = ("csr", "object")
+__all__ = ["butterfly_build"]
 
 
 def butterfly_build(
@@ -84,9 +68,9 @@ def butterfly_build(
     prune:
         Use the pruned-expansion variant (see module docstring).
     engine:
-        ``"csr"`` (default) runs the flat-array kernel over the graph's
-        cached CSR snapshot; ``"object"`` runs the legacy dict-walking
-        sweeps.  Both produce the identical labeling.
+        Must be ``"csr"``, the only kernel.  The keyword survives solely
+        because ``servebench/traced.py`` still passes ``engine="csr"``;
+        drop it together with that caller.
 
     Returns
     -------
@@ -101,19 +85,14 @@ def butterfly_build(
         If *order* does not contain exactly the graph's vertices (the
         same uniform ``order=`` error type the facades raise).
     ValueError
-        If *engine* is not one of :data:`BUILD_ENGINES`.
+        If *engine* is anything but ``"csr"``.
     """
-    if engine not in BUILD_ENGINES:
-        known = ", ".join(BUILD_ENGINES)
-        raise ValueError(f"unknown build engine {engine!r}; known: {known}")
+    if engine != "csr":
+        raise ValueError(f"unknown build engine {engine!r}; known: csr")
     if len(order) != graph.num_vertices or set(order) != set(graph.vertices()):
         raise GraphError("level order must contain exactly the graph's vertices")
-    if engine == "csr":
-        snap = graph.csr()
-        snap.topological_ids()  # DAG check (cached for the score sweeps)
-    else:
-        snap = None
-        ensure_dag(graph)
+    snap = graph.csr()
+    snap.topological_ids()  # DAG check (cached for the score sweeps)
 
     labeling = TOLLabeling(order)
     with trace.span("tol.build") as sp:
@@ -121,19 +100,11 @@ def butterfly_build(
             sp.set("vertices", graph.num_vertices)
             sp.set("edges", graph.num_edges)
             sp.set("prune", int(prune))
-            sp.set("engine", engine)
-        if snap is not None:
-            _build_csr(snap, labeling, order, prune, sp)
-        else:
-            _build_object(graph, labeling, order, prune, sp)
+        _build_csr(snap, labeling, order, prune, sp)
         if sp:
             sp.set("labels", labeling.size())
     return labeling
 
-
-# ----------------------------------------------------------------------
-# CSR engine: id-only kernel over the flat snapshot arrays
-# ----------------------------------------------------------------------
 
 def _build_csr(snap, labeling, order, prune, sp) -> None:
     """Peel every vertex via the flat-array sweeps (see module docstring).
@@ -276,70 +247,3 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
         in_ids[j] = array("i", in_bufs[j])
         out_ids[j] = array("i", out_bufs[j])
 
-
-# ----------------------------------------------------------------------
-# Object engine: the legacy dict-walking sweeps (differential baseline)
-# ----------------------------------------------------------------------
-
-def _build_object(graph, labeling, order, prune, sp) -> None:
-    """Peel every vertex via the legacy adjacency-set sweeps."""
-    removed: set[Vertex] = set()
-    if sp:
-        residual_edges = graph.num_edges
-        level = 0
-    for v in order:  # highest level first
-        if sp:
-            level += 1
-            trace.event(
-                "tol.build.level",
-                k=level,
-                v_k=graph.num_vertices - len(removed),
-                e_k=residual_edges,
-            )
-        _sweep(graph, labeling, v, removed, forward=True, prune=prune)
-        _sweep(graph, labeling, v, removed, forward=False, prune=prune)
-        removed.add(v)
-        if sp:
-            residual_edges -= sum(
-                1 for u in graph.iter_out(v) if u not in removed
-            ) + sum(1 for u in graph.iter_in(v) if u not in removed)
-
-
-def _sweep(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    removed: set[Vertex],
-    *,
-    forward: bool,
-    prune: bool,
-) -> None:
-    """One direction of iteration k: label B+(v) (forward) or B-(v)."""
-    ids = labeling.interner.ids
-    vid = ids[v]
-    if forward:
-        neighbors = graph.iter_out
-        my_labels = labeling.out_ids[vid]  # Lout(v), complete at this point
-        their_labels = labeling.in_ids  # Lin(u) for the check
-        add_label = labeling.add_in_id  # v joins Lin(u)
-    else:
-        neighbors = graph.iter_in
-        my_labels = labeling.in_ids[vid]  # Lin(v), complete at this point
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    seen: set[Vertex] = {v}
-    queue: deque[Vertex] = deque([v])
-    while queue:
-        x = queue.popleft()
-        for u in neighbors(x):
-            if u in seen or u in removed:
-                continue
-            seen.add(u)
-            uid = ids[u]
-            covered = ids_intersect(my_labels, their_labels[uid])
-            if not covered:
-                add_label(uid, vid)
-            if covered and prune:
-                continue
-            queue.append(u)

@@ -21,7 +21,12 @@ stay cheap.
 The rebuilds run on interned ids: candidate sets, cover checks and pruning
 all operate on the sorted ``array('i')`` label buffers and ``set[int]``
 inverted lists, and the released id of ``v`` goes back to the interner's
-free list for reuse by the next insertion.
+free list for reuse by the next insertion.  The frontier sets, the Kahn
+toposort and the per-vertex rebuilds run on the labeling's
+:class:`~repro.core.scratch.UpdateScratch` (generation-stamped marks and
+cursor buffers) instead of allocating sets/deques/lists per op.  The
+kernel is pinned to the Definition-1 reference and to BFS by
+``tests/core/test_update_differential.py``.
 
 Stale-witness correction
 ------------------------
@@ -41,18 +46,13 @@ already rebuilt.  The guard is exercised directly by a regression test
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import IndexStateError
 from ..graph.digraph import DiGraph
 from ..obs import trace
-from ..graph.traversal import (
-    backward_reachable,
-    bidirectional_reachable,
-    forward_reachable,
-)
+from ..graph.traversal import bidirectional_reachable
 from .labeling import TOLLabeling
 
 if TYPE_CHECKING:
@@ -68,7 +68,6 @@ def delete_vertex(
     labeling: TOLLabeling,
     v: Vertex,
     *,
-    engine: str = "csr",
     snapshot: Optional[CSRGraph] = None,
 ) -> None:
     """Delete *v* from the index (Algorithm 4).
@@ -80,233 +79,24 @@ def delete_vertex(
         it as its final step, keeping graph and labeling in lockstep.
     labeling:
         The live TOL index; updated in place (order included).
-    engine:
-        ``"csr"`` (default) runs the flat scratch-backed kernels — the
-        repair-frontier BFS, the local toposort and the rebuild loops all
-        use the labeling's :class:`~repro.core.scratch.UpdateScratch`
-        instead of per-op sets/deques.  ``"object"`` is the legacy
-        allocating path, kept for differential testing.
     snapshot:
         Optional :class:`~repro.graph.csr.CSRGraph` describing *graph*'s
-        exact current state (``v`` included); with ``engine="csr"`` the
-        two frontier BFS passes then walk the snapshot's flat int arrays
-        instead of the dict adjacency.  Edge ops pack one snapshot before
-        the delete half of their round trip and reuse it for the
-        re-insert half (see :mod:`repro.core.insertion`).  Ignored by the
-        object engine.
+        exact current state (``v`` included); the two frontier BFS passes
+        then walk the snapshot's flat int arrays instead of the dict
+        adjacency.  Edge ops pack one snapshot before the delete half of
+        their round trip and reuse it for the re-insert half (see
+        :mod:`repro.core.insertion`).
 
     Raises
     ------
     IndexStateError
-        If *v* is not indexed or *engine* is unknown.
+        If *v* is not indexed.
     """
     if v not in labeling:
         raise IndexStateError(f"vertex {v!r} is not indexed")
-    if engine == "csr":
-        _delete_vertex_flat(graph, labeling, v, snapshot)
-        return
-    if engine != "object":
-        raise IndexStateError(f"unknown update engine {engine!r}")
-
     with trace.span("tol.delete") as sp:
         if sp:
             sp.set("vertex", str(v))
-            size_before = labeling.size()
-
-        # The affected sets must be taken while v is still present: they
-        # are exactly the vertices whose labels may have depended on
-        # paths via v.
-        affected_fwd = forward_reachable(graph, v)  # B+(v)
-        affected_bwd = backward_reachable(graph, v)  # B-(v)
-
-        graph.remove_vertex(v)
-        labeling.drop_vertex(v)  # lines 1–4: purge v from all label sets
-        labeling.order.remove(v)
-
-        # Survivors keep their ids; translate the affected sets once.
-        ids = labeling.interner.ids
-        suspect_holder_ids = {ids[u] for u in affected_bwd}
-        suspect_witness_ids = {ids[u] for u in affected_fwd}
-
-        for u in _local_topological(graph, affected_fwd, forward=True):
-            _rebuild_labels(
-                graph, labeling, u, incoming=True,
-                suspect_holders=suspect_holder_ids,
-                suspect_witnesses=suspect_witness_ids,
-            )
-        for u in _local_topological(graph, affected_bwd, forward=False):
-            _rebuild_labels(
-                graph, labeling, u, incoming=False,
-                suspect_holders=None, suspect_witnesses=None,
-            )
-
-        if sp:
-            # Repair-BFS frontier sizes: the survivor sets whose label
-            # sets the rebuild loops re-derived.
-            sp.set("frontier_fwd", len(affected_fwd))
-            sp.set("frontier_bwd", len(affected_bwd))
-            sp.set("labels_removed", size_before - labeling.size())
-
-
-def _local_topological(
-    graph: DiGraph, members: set[Vertex], *, forward: bool
-) -> list[Vertex]:
-    """Topologically sort *members* within their induced subgraph.
-
-    ``forward=True`` yields ascending topological order (in-neighbors
-    first); ``forward=False`` yields descending (out-neighbors first) —
-    i.e. in both cases a vertex appears after the neighbors whose rebuilt
-    labels its own rebuild consumes.
-    """
-    if not members:
-        return []
-    upstream = graph.iter_in if forward else graph.iter_out
-    downstream = graph.iter_out if forward else graph.iter_in
-    pending = {
-        u: sum(1 for z in upstream(u) if z in members) for u in members
-    }
-    queue: deque[Vertex] = deque(u for u, d in pending.items() if d == 0)
-    ordered: list[Vertex] = []
-    while queue:
-        u = queue.popleft()
-        ordered.append(u)
-        for w in downstream(u):
-            if w in pending:
-                pending[w] -= 1
-                if pending[w] == 0:
-                    queue.append(w)
-    if len(ordered) != len(members):
-        raise IndexStateError("affected region is not acyclic")
-    return ordered
-
-
-def _rebuild_labels(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    u: Vertex,
-    *,
-    incoming: bool,
-    suspect_holders: set[int] | None,
-    suspect_witnesses: set[int] | None,
-) -> None:
-    """Rebuild ``Lin(u)`` (incoming) or ``Lout(u)`` from neighbor labels.
-
-    Algorithm 4, lines 7–17 (and their mirrored repetition): the candidate
-    set is the union of each surviving neighbor ``z``'s rebuilt label set
-    plus ``z`` itself (Section 5.2 proves this is a superset of the true
-    label set); candidates are re-admitted from the highest level down
-    under the Level and Path constraints.  Each admitted label ``w`` then
-    invalidates ``u`` as a label of any vertex that holds ``w`` on the
-    other side (the path now runs through the higher-level ``w``).
-
-    *suspect_holders* / *suspect_witnesses* implement the stale-witness
-    correction (module docstring): a coverage claim ``x ∈ cover(w)`` with
-    ``w ∈ suspect_holders`` and ``x ∈ suspect_witnesses`` is confirmed with
-    a bidirectional search before being trusted.
-    """
-    ids = labeling.interner.ids
-    uid = ids[u]
-    ukey = labeling.order.key(u)
-    if incoming:
-        neighbors = graph.iter_in(u)
-        their_labels = labeling.in_ids
-        cover_labels = labeling.out_ids
-        inv_other = labeling.out_holders
-        add = labeling.add_in_id
-        clear = labeling.clear_in_ids
-        remove_mirror = labeling.remove_out_id
-    else:
-        neighbors = graph.iter_out(u)
-        their_labels = labeling.out_ids
-        cover_labels = labeling.in_ids
-        inv_other = labeling.in_holders
-        add = labeling.add_out_id
-        clear = labeling.clear_out_ids
-        remove_mirror = labeling.remove_in_id
-
-    candidates: set[int] = set()
-    for z in neighbors:
-        zid = ids[z]
-        candidates.add(zid)
-        candidates.update(their_labels[zid])
-    clear(uid)
-    own = their_labels[uid]  # live: grows as candidates are admitted
-    for w in sorted(candidates, key=labeling.level_key):
-        if not labeling.level_key(w) < ukey:
-            continue  # Level Constraint
-        if _covered(
-            graph, labeling, cover_labels[w], own, w,
-            incoming=incoming,
-            suspect=suspect_holders is not None and w in suspect_holders,
-            suspect_witnesses=suspect_witnesses,
-        ):
-            continue  # Path Constraint: covered by a higher label
-        add(uid, w)
-        # Prune: any s holding w on the opposite side connects to u
-        # through w, so u may no longer label s.  The affected s are
-        # exactly inv_other[w] ∩ inv_other[u]; iterate the smaller side.
-        holders_w = inv_other[w]
-        holders_u = inv_other[uid]
-        if holders_u and holders_w:
-            if len(holders_u) <= len(holders_w):
-                doomed = [s for s in holders_u if s in holders_w]
-            else:
-                doomed = [s for s in holders_w if s in holders_u]
-            for s in doomed:
-                remove_mirror(s, uid)
-
-
-def _covered(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    cover,
-    own,
-    w: int,
-    *,
-    incoming: bool,
-    suspect: bool,
-    suspect_witnesses: set[int] | None,
-) -> bool:
-    """Does some already-admitted label witness coverage of candidate *w*?"""
-    small, large = (cover, own) if len(cover) <= len(own) else (own, cover)
-    if not suspect:
-        for x in small:  # both sides are small sorted arrays; C scans
-            if x in large:
-                return True
-        return False
-    table = labeling.interner.table
-    for x in small:
-        if x not in large:
-            continue
-        if suspect_witnesses is not None and x in suspect_witnesses:
-            # w's label set may predate the deletion; confirm the w -> x
-            # (resp. x -> w) leg still exists before trusting the witness.
-            src, dst = (w, x) if incoming else (x, w)
-            if not bidirectional_reachable(graph, table[src], table[dst]):
-                continue
-        return True
-    return False
-
-
-# ----------------------------------------------------------------------
-# Flat kernels (engine="csr"): Algorithm 4 on reusable scratch
-# ----------------------------------------------------------------------
-#
-# Same algorithm as above, pinned by the differential tests; the frontier
-# sets, the Kahn toposort and the per-vertex rebuilds run on the
-# labeling's UpdateScratch (generation-stamped marks + cursor buffers)
-# instead of allocating sets/deques/lists per op.
-
-def _delete_vertex_flat(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    snapshot: Optional[CSRGraph],
-) -> None:
-    with trace.span("tol.delete") as sp:
-        if sp:
-            sp.set("vertex", str(v))
-            sp.set("engine", "csr")
             size_before = labeling.size()
 
         interner = labeling.interner
@@ -327,18 +117,18 @@ def _delete_vertex_flat(
         # list — never appears in a surviving label set.
         if snapshot is None:
             g_fwd = scratch.next_gen()
-            n_fwd = _frontier_flat(
+            n_fwd = _frontier(
                 graph.iter_out, ids, v, mark_fwd, g_fwd, mem_fwd,
                 scratch.queue,
             )
             g_bwd = scratch.next_gen()
-            n_bwd = _frontier_flat(
+            n_bwd = _frontier(
                 graph.iter_in, ids, v, mark_bwd, g_bwd, mem_bwd,
                 scratch.queue,
             )
         else:
-            n_fwd = _frontier_flat_csr(snapshot, v, True, scratch, mem_fwd)
-            n_bwd = _frontier_flat_csr(snapshot, v, False, scratch, mem_bwd)
+            n_fwd = _frontier_csr(snapshot, v, True, scratch, mem_fwd)
+            n_bwd = _frontier_csr(snapshot, v, False, scratch, mem_bwd)
             g_fwd = scratch.next_gen()
             for i in range(n_fwd):
                 mark_fwd[ids[mem_fwd[i]]] = g_fwd
@@ -357,26 +147,30 @@ def _delete_vertex_flat(
         g_key = scratch.next_gen()
 
         topo = scratch.topo
-        m = _topo_flat(graph, ids, mem_fwd, n_fwd, mark_fwd, g_fwd, True,
-                       scratch)
+        m = _local_topological(
+            graph, ids, mem_fwd, n_fwd, mark_fwd, g_fwd, True, scratch
+        )
         for i in range(m):
-            _rebuild_labels_flat(
+            _rebuild_labels(
                 graph, labeling, topo[i], True, g_bwd, g_fwd, g_key, scratch
             )
-        m = _topo_flat(graph, ids, mem_bwd, n_bwd, mark_bwd, g_bwd, False,
-                       scratch)
+        m = _local_topological(
+            graph, ids, mem_bwd, n_bwd, mark_bwd, g_bwd, False, scratch
+        )
         for i in range(m):
-            _rebuild_labels_flat(
+            _rebuild_labels(
                 graph, labeling, topo[i], False, 0, 0, g_key, scratch
             )
 
         if sp:
+            # Repair-BFS frontier sizes: the survivor sets whose label
+            # sets the rebuild loops re-derived.
             sp.set("frontier_fwd", n_fwd)
             sp.set("frontier_bwd", n_bwd)
             sp.set("labels_removed", size_before - labeling.size())
 
 
-def _frontier_flat(
+def _frontier(
     neighbors, ids: dict, v: Vertex, mark: list, gen: int, members: list,
     queue: list,
 ) -> int:
@@ -405,10 +199,10 @@ def _frontier_flat(
     return n
 
 
-def _frontier_flat_csr(
+def _frontier_csr(
     snap: CSRGraph, v: Vertex, forward: bool, scratch, members: list
 ) -> int:
-    """:func:`_frontier_flat` over a CSR snapshot's int rows.
+    """:func:`_frontier` over a CSR snapshot's int rows.
 
     The snapshot must describe the graph exactly (it is taken immediately
     before the delete); visited stamps are keyed by *snapshot* id, and
@@ -439,7 +233,7 @@ def _frontier_flat_csr(
     return n
 
 
-def _topo_flat(
+def _local_topological(
     graph: DiGraph,
     ids: dict,
     members: list,
@@ -449,7 +243,12 @@ def _topo_flat(
     forward: bool,
     scratch,
 ) -> int:
-    """:func:`_local_topological` with stamped membership and flat counts.
+    """Topologically sort the *n* members within their induced subgraph.
+
+    ``forward=True`` yields ascending topological order (in-neighbors
+    first); ``forward=False`` yields descending (out-neighbors first) —
+    i.e. in both cases a vertex appears after the neighbors whose rebuilt
+    labels its own rebuild consumes.
 
     Writes the order into ``scratch.topo`` and returns its length.
     Membership in the induced subgraph is ``mark[id] == gen``; pending
@@ -493,7 +292,7 @@ def _topo_flat(
     return m
 
 
-def _rebuild_labels_flat(
+def _rebuild_labels(
     graph: DiGraph,
     labeling: TOLLabeling,
     u: Vertex,
@@ -503,15 +302,25 @@ def _rebuild_labels_flat(
     g_key: int,
     scratch,
 ) -> None:
-    """:func:`_rebuild_labels` on scratch buffers.
+    """Rebuild ``Lin(u)`` (incoming) or ``Lout(u)`` from neighbor labels.
+
+    Algorithm 4, lines 7–17 (and their mirrored repetition): the candidate
+    set is the union of each surviving neighbor ``z``'s rebuilt label set
+    plus ``z`` itself (Section 5.2 proves this is a superset of the true
+    label set); candidates are re-admitted from the highest level down
+    under the Level and Path constraints.  Each admitted label ``w`` then
+    invalidates ``u`` as a label of any vertex that holds ``w`` on the
+    other side (the path now runs through the higher-level ``w``).
 
     *g_holders* / *g_witnesses* are the generation stamps marking
     ``B-(v)`` (in ``scratch.mark_b``) and ``B+(v)`` (``scratch.mark_a``)
-    for the stale-witness guard; ``0`` disables the guard (the second,
-    outgoing pass — every ``Lin`` it consults is already rebuilt).
+    for the stale-witness correction (module docstring): a coverage claim
+    ``x ∈ cover(w)`` with ``w ∈ B-(v)`` and ``x ∈ B+(v)`` is confirmed
+    with a bidirectional search before being trusted.  ``0`` disables the
+    guard (the second, outgoing pass — every ``Lin`` it consults is
+    already rebuilt).
 
-    The hot loops diverge from the object path in three flat-only ways:
-    level tags come from the per-delete key cache (*g_key*), candidates
+    Level tags come from the per-delete key cache (*g_key*), candidates
     are sorted as pre-decorated ``(tag, id)`` pairs (no per-element key
     callback), and the rebuilt label set is tracked as generation marks
     during admission and bulk-filled once at the end (no per-label
@@ -588,7 +397,7 @@ def _rebuild_labels_flat(
     holders_u = inv_other[uid]
     for _, w in deco:
         if g_holders != 0 and holder_mark[w] == g_holders:
-            covered = _covered_flat_suspect(
+            covered = _covered_suspect(
                 graph, table, cover_labels[w], seen, g_own, w, incoming,
                 witness_mark, g_witnesses,
             )
@@ -624,7 +433,7 @@ def _rebuild_labels_flat(
     fill(uid, sorted(admitted[:a]))
 
 
-def _covered_flat_suspect(
+def _covered_suspect(
     graph: DiGraph,
     table: list,
     cover,
@@ -635,10 +444,13 @@ def _covered_flat_suspect(
     witness_mark: list,
     g_witnesses: int,
 ) -> bool:
-    """:func:`_covered` for a suspect *w*: re-verify stale witnesses.
+    """Does some admitted label witness coverage of a suspect *w*?
 
-    Membership of the label set being rebuilt is ``seen[x] == g_own``
-    (the admission marks of :func:`_rebuild_labels_flat`).
+    Like the plain cover check, but a witness ``x ∈ B+(v)`` may predate
+    the deletion, so the ``w -> x`` (resp. ``x -> w``) leg is confirmed
+    with a graph search before it is trusted.  Membership of the label
+    set being rebuilt is ``seen[x] == g_own`` (the admission marks of
+    :func:`_rebuild_labels`).
     """
     for x in cover:
         if seen[x] != g_own:

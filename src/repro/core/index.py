@@ -56,20 +56,10 @@ class TOLIndex:
     >>> index.delete_vertex("z")
     """
 
-    def __init__(
-        self, graph: DiGraph, labeling: TOLLabeling, *, engine: str = "csr"
-    ) -> None:
-        """Wrap an existing (graph, labeling) pair; prefer :meth:`build`.
-
-        *engine* selects the update kernels: ``"csr"`` (default) runs the
-        flat scratch-backed insertion/deletion, ``"object"`` the legacy
-        allocating path (kept for differential testing).
-        """
-        if engine not in ("csr", "object"):
-            raise IndexStateError(f"unknown update engine {engine!r}")
+    def __init__(self, graph: DiGraph, labeling: TOLLabeling) -> None:
+        """Wrap an existing (graph, labeling) pair; prefer :meth:`build`."""
         self._graph = graph
         self._labeling = labeling
-        self._engine = engine
 
     # ------------------------------------------------------------------
     # Construction
@@ -81,8 +71,6 @@ class TOLIndex:
         graph: DiGraph,
         *,
         order: Union[str, OrderStrategy, LevelOrder] = "butterfly-u",
-        prune: bool = True,
-        engine: str = "csr",
     ) -> "TOLIndex":
         """Build the index for a DAG with Butterfly (Algorithm 5).
 
@@ -96,32 +84,20 @@ class TOLIndex:
             ``"butterfly-l"``, ``"topological"`` for TF, ``"degree"`` for
             DL/PLL, ``"hierarchical"`` for HL, ...), a callable
             ``graph -> LevelOrder``, or a ready :class:`LevelOrder`.
-        prune:
-            Use the pruned Butterfly traversal (see
-            :mod:`repro.core.butterfly`).
-        engine:
-            Kernel engine for both construction and updates: ``"csr"``
-            (default, flat-array kernels) or ``"object"`` (legacy
-            dict-walking/allocating path, kept for differential
-            testing).  Passed to
-            :func:`~repro.core.butterfly.butterfly_build` and remembered
-            for :meth:`insert_vertex` / :meth:`delete_vertex` / the edge
-            ops.
 
         Raises
         ------
         NotADagError
             If *graph* has a cycle (use :class:`ReachabilityIndex` for
             general graphs).  Raised by the order strategy or the build
-            itself; both engines validate acyclicity.
+            itself.
         """
         own = graph.copy()
         if isinstance(order, LevelOrder):
             level_order = order
         else:
             level_order = resolve_order_strategy(order)(own)
-        labeling = butterfly_build(own, level_order, prune=prune, engine=engine)
-        return cls(own, labeling, engine=engine)
+        return cls(own, butterfly_build(own, level_order))
 
     # ------------------------------------------------------------------
     # Queries and introspection
@@ -168,11 +144,6 @@ class TOLIndex:
     def size_bytes(self) -> int:
         """Index size in bytes (4 bytes per label, as in Figure 5)."""
         return self._labeling.size_bytes()
-
-    @property
-    def engine(self) -> str:
-        """The update-kernel engine (``"csr"`` or ``"object"``)."""
-        return self._engine
 
     @property
     def order(self) -> LevelOrder:
@@ -250,16 +221,13 @@ class TOLIndex:
         except Exception:
             self._graph.discard_vertex(v)
             raise
-        insert_vertex(
-            self._graph, self._labeling, v,
-            placement=placement, engine=self._engine,
-        )
+        insert_vertex(self._graph, self._labeling, v, placement=placement)
 
     def delete_vertex(self, v: Vertex) -> None:
         """Delete vertex *v* and its incident edges (Algorithm 4)."""
         if v not in self._labeling:
             raise IndexStateError(f"vertex {v!r} is not indexed")
-        delete_vertex(self._graph, self._labeling, v, engine=self._engine)
+        delete_vertex(self._graph, self._labeling, v)
 
     def insert_edge(self, tail: Vertex, head: Vertex) -> None:
         """Insert the edge ``tail -> head`` between indexed vertices.
@@ -312,22 +280,17 @@ class TOLIndex:
         old edges) is inside ``B+(v)``/``B-(v)`` and gets rebuilt; the
         re-insertion then introduces the *new* adjacency exactly.
 
-        With the flat engine, **one** CSR snapshot — packed here, while
-        graph and snapshot still agree exactly — serves both halves of
-        the round trip: the delete's frontier BFS walks it as-is, and the
-        re-insert's spread tolerates its staleness around ``v`` (the flat
-        spread seeds from the live neighbor lists and never reads rows of
-        ``v``; see :mod:`repro.core.insertion`).  The object engine keeps
-        its snapshot-free dict traversals: its spread reads ``v``'s own
-        snapshot rows, which are exactly what the round trip changes.
+        **One** CSR snapshot — packed here, while graph and snapshot
+        still agree exactly — serves both halves of the round trip: the
+        delete's frontier BFS walks it as-is, and the re-insert's spread
+        tolerates its staleness around ``v`` (the spread seeds from the
+        live neighbor lists and never reads rows of ``v``; see
+        :mod:`repro.core.insertion`).
         """
         order = self._labeling.order
         successor = order.successor(v)
-        engine = self._engine
-        snap = self._graph.csr() if engine == "csr" else None
-        delete_vertex(
-            self._graph, self._labeling, v, engine=engine, snapshot=snap
-        )
+        snap = self._graph.csr()
+        delete_vertex(self._graph, self._labeling, v, snapshot=snap)
         self._graph.add_vertex(v)
         for u in new_ins:
             self._graph.add_edge(u, v)
@@ -337,8 +300,7 @@ class TOLIndex:
             "bottom" if successor is None else ("above", successor)
         )
         insert_vertex(
-            self._graph, self._labeling, v,
-            placement=placement, snapshot=snap, engine=engine,
+            self._graph, self._labeling, v, placement=placement, snapshot=snap
         )
 
     def descendants(self, v: Vertex) -> set[Vertex]:
@@ -371,7 +333,7 @@ class TOLIndex:
         """
         self.insert_vertex(v, in_neighbors, out_neighbors, placement="bottom")
         try:
-            return choose_level(self._labeling, v, engine=self._engine)
+            return choose_level(self._labeling, v)
         finally:
             self.delete_vertex(v)
 
@@ -414,47 +376,31 @@ class ReachabilityIndex:
         graph: Optional[DiGraph] = None,
         *,
         order: Union[str, OrderStrategy] = "butterfly-u",
-        prune: bool = True,
-        engine: str = "csr",
     ) -> None:
         self._condensation = DynamicCondensation(
             graph.copy() if graph is not None else DiGraph()
         )
         # Resolve eagerly so a bad name/type fails here with the helpful
         # error, exactly as TOLIndex.build does (uniform across facades).
-        self._order_strategy = resolve_order_strategy(order)
-        self._prune = prune
-        self._engine = engine
         self._tol = TOLIndex.build(
-            self._condensation.dag,
-            order=self._order_strategy,
-            prune=prune,
-            engine=engine,
+            self._condensation.dag, order=resolve_order_strategy(order)
         )
 
     @classmethod
     def restore(
-        cls,
-        condensation: DynamicCondensation,
-        tol: TOLIndex,
-        *,
-        order: Union[str, OrderStrategy] = "butterfly-u",
-        prune: bool = True,
-        engine: str = "csr",
+        cls, condensation: DynamicCondensation, tol: TOLIndex
     ) -> "ReachabilityIndex":
         """Adopt a prebuilt condensation + TOL pair without rebuilding.
 
         The deserialization path (``.tolf`` packs, :func:`
         repro.core.serialize.reachability_index_from_pack`) already holds
         both halves — *tol*'s vertex names must be *condensation*'s
-        component ids.  *order*/*prune*/*engine* only govern how future
-        updates are replayed.
+        component ids.  Updates replay through the same kernels as a
+        built index; the level order of later inserts is chosen by
+        Algorithm 3, never by an order strategy.
         """
         self = cls.__new__(cls)
         self._condensation = condensation
-        self._order_strategy = resolve_order_strategy(order)
-        self._prune = prune
-        self._engine = engine
         self._tol = tol
         return self
 
@@ -504,11 +450,6 @@ class ReachabilityIndex:
     def size_bytes(self) -> int:
         """Size in bytes of the underlying TOL index."""
         return self._tol.size_bytes()
-
-    @property
-    def engine(self) -> str:
-        """The update-kernel engine (``"csr"`` or ``"object"``)."""
-        return self._engine
 
     @property
     def tol(self) -> TOLIndex:

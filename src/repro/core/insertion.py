@@ -50,36 +50,32 @@ sweep's Δk accounting, the cover checks, and the crossings operate on
 sorted ``array('i')`` buffers and ``set[int]`` inverted lists, mapping back
 to user vertex objects only at the :class:`Placement` boundary.
 
-Engines
+Scratch
 -------
-Every step exists twice.  The default ``engine="csr"`` kernels run on the
-labeling's reusable :class:`~repro.core.scratch.UpdateScratch`:
-generation-stamped mark arrays replace per-op ``set`` objects, cursor
-buffers replace per-op lists/deques/tuples, so a steady-state insert
-allocates almost nothing (the remaining allocations are ``sorted()`` calls
-over label-sized candidate lists, documented where they occur).  The
-legacy ``engine="object"`` path builds fresh containers per op and is
-retained for differential testing — both are pinned against each other
-and against the Definition-1 reference by
-``tests/core/test_update_differential.py``.
+Every step runs on the labeling's reusable
+:class:`~repro.core.scratch.UpdateScratch`: generation-stamped mark
+arrays replace per-op ``set`` objects, cursor buffers replace per-op
+lists/deques/tuples, so a steady-state insert allocates almost nothing
+(the remaining allocations are ``sorted()`` calls over label-sized
+candidate lists, each feeding a level-ordered admission scan that needs
+an actually-sorted sequence).  The kernels are pinned to the
+Definition-1 reference and to BFS after every op of random update traces
+by ``tests/core/test_update_differential.py``.
 
 Snapshot reuse
 --------------
-With ``engine="csr"`` the spread may run over a CSR snapshot whose rows
-*touching v* are stale: the flat spread seeds its BFS from the caller's
-live neighbor lists and marks ``v``'s snapshot id visited up front, so
-``v``'s own (possibly stale) rows are never read, and stale entries of
-``v`` in other rows are skipped as already-visited.  Rows not involving
-``v`` must match the live graph.  This is what lets one snapshot, packed
-before an edge-op's delete half, serve the re-insert half too
-(:meth:`TOLIndex.insert_edge` / :meth:`~TOLIndex.delete_edge`).  The
-object engine still requires an exact snapshot (its spread starts from
-``v``'s snapshot rows).
+The spread may run over a CSR snapshot whose rows *touching v* are
+stale: it seeds its BFS from the caller's live neighbor lists and marks
+``v``'s snapshot id visited up front, so ``v``'s own (possibly stale)
+rows are never read, and stale entries of ``v`` in other rows are
+skipped as already-visited.  Rows not involving ``v`` must match the
+live graph.  This is what lets one snapshot, packed before an edge-op's
+delete half, serve the re-insert half too
+(:meth:`TOLIndex.insert_edge` / :meth:`~TOLIndex.delete_edge`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
@@ -130,7 +126,6 @@ def insert_vertex(
     *,
     placement: Optional[Placement] = None,
     snapshot: Optional[CSRGraph] = None,
-    engine: str = "csr",
 ) -> None:
     """Insert vertex *v* into the index (Section 5.1).
 
@@ -153,23 +148,15 @@ def insert_vertex(
         Section-6 reduction passes one snapshot for a whole sweep of
         delete/re-insert round trips; the edge ops of
         :class:`~repro.core.index.TOLIndex` reuse the snapshot packed for
-        the delete half.  With ``engine="csr"`` rows touching ``v`` may be
-        stale (the spread seeds from the live neighbor lists; see module
-        docstring); with ``engine="object"`` the snapshot must describe
-        *graph* exactly.
-    engine:
-        ``"csr"`` (default) runs the flat scratch-backed kernels;
-        ``"object"`` the legacy per-op-allocating path (kept for
-        differential testing).
+        the delete half.  Rows touching ``v`` may be stale (the spread
+        seeds from the live neighbor lists; see module docstring).
 
     Raises
     ------
     IndexStateError
-        If *v* is already indexed, missing from the graph, a neighbor is
-        not indexed, or *engine* is unknown.
+        If *v* is already indexed, missing from the graph, or a neighbor
+        is not indexed.
     """
-    if engine not in ("csr", "object"):
-        raise IndexStateError(f"unknown update engine {engine!r}")
     if v in labeling:
         raise IndexStateError(f"vertex {v!r} is already indexed")
     if v not in graph:
@@ -184,46 +171,38 @@ def insert_vertex(
     for u in outs:
         if u not in labeling:
             raise IndexStateError(f"neighbor {u!r} is not indexed")
-    flat = engine == "csr"
-    materialize = _materialize_flat if flat else _materialize
 
     with trace.span("tol.insert") as sp:
         if sp:
             sp.set("vertex", str(v))
             sp.set("in_degree", len(ins))
             sp.set("out_degree", len(outs))
-            sp.set("engine", engine)
             size_before = labeling.size()
 
         if placement is not None:
-            materialize(graph, labeling, v, placement, ins, outs, snapshot)
+            _materialize(graph, labeling, v, placement, ins, outs, snapshot)
             if sp:
                 sp.set("labels_added", labeling.size() - size_before)
                 sp.set("placement", "explicit")
             return
 
         # Step 1 (Algorithm 3): bottom-place, sweep, relocate if profitable.
-        materialize(graph, labeling, v, "bottom", ins, outs, snapshot)
+        _materialize(graph, labeling, v, "bottom", ins, outs, snapshot)
         with trace.span("tol.insert.choose_level") as level_sp:
-            choice = choose_level(labeling, v, engine=engine)
+            choice = choose_level(labeling, v)
             if level_sp:
                 level_sp.set("candidates_scanned", choice.candidates_scanned)
                 level_sp.set("theta", choice.theta)
         if choice.placement != "bottom":
             _, anchor = choice.placement
-            if flat:
-                _relocate_upward_flat(labeling, v, anchor)
-            else:
-                _relocate_upward(labeling, v, anchor)
+            _relocate_upward(labeling, v, anchor)
         if sp:
             sp.set("labels_added", labeling.size() - size_before)
             sp.set("relocated", int(choice.placement != "bottom"))
             sp.set("theta", choice.theta)
 
 
-def choose_level(
-    labeling: TOLLabeling, v: Vertex, *, engine: str = "csr"
-) -> LevelChoice:
+def choose_level(labeling: TOLLabeling, v: Vertex) -> LevelChoice:
     """Algorithm-3 sweep: find the upward move of *v* that minimizes ``|L|``.
 
     *v* must already be indexed; the sweep simulates sliding it upward from
@@ -242,707 +221,14 @@ def choose_level(
       higher blocker starts holding ``v`` — one ``+1`` each.
 
     Ties prefer the lowest position (least disruption, cheapest to apply).
-    """
-    if engine == "csr":
-        return _choose_level_flat(labeling, v)
-    if engine != "object":
-        raise IndexStateError(f"unknown update engine {engine!r}")
-    vid = labeling.interner.ids[v]
-    in_ids = labeling.in_ids
-    out_ids = labeling.out_ids
-    sim_in = set(in_ids[vid])
-    sim_out = set(out_ids[vid])
-    # Who holds v as the sweep progresses; starts from v's live state.
-    inv_in = set(labeling.in_holders[vid])
-    inv_out = set(labeling.out_holders[vid])
 
-    best_placement: Placement = "bottom"
-    best_theta = 0
-    theta = 0
-    candidates = sorted(sim_in | sim_out, key=labeling.level_key, reverse=True)
-    for u in candidates:
-        delta = 0
-        if u in sim_in:
-            sim_in.remove(u)
-            inv_out.add(u)
-            for w in inv_in:
-                if u in in_ids[w]:
-                    delta -= 1
-            for w in labeling.out_holders[u]:
-                if w not in inv_out and not _arr_meets_set(out_ids[w], sim_in):
-                    delta += 1
-                    inv_out.add(w)
-        else:
-            sim_out.remove(u)
-            inv_in.add(u)
-            for w in inv_out:
-                if u in out_ids[w]:
-                    delta -= 1
-            for w in labeling.in_holders[u]:
-                if w not in inv_in and not _arr_meets_set(in_ids[w], sim_out):
-                    delta += 1
-                    inv_in.add(w)
-        theta += delta
-        if theta < best_theta:
-            best_theta = theta
-            best_placement = ("above", labeling.interner.table[u])
-    return LevelChoice(best_placement, best_theta, len(candidates))
-
-
-def _relocate_upward(labeling: TOLLabeling, v: Vertex, anchor: Vertex) -> None:
-    """Move *v* from its current level to just above *anchor*, in place.
-
-    Applies the Algorithm-3 crossings for real instead of simulating them:
-    at each candidate crossing the ``u``/``v`` label swap, the coverage
-    removals and the inverted-list additions of :func:`choose_level` are
-    executed against the live label sets.  This is far cheaper than the
-    delete + re-insert round trip (which rebuilds the labels of everything
-    ``v`` touches) and is validated against from-scratch reconstruction by
-    the property tests.
-
-    *anchor* must be one of ``v``'s current labels (which is what
-    :func:`choose_level` returns): the crossings below it are exactly the
-    sweep's prefix.
-    """
-    order = labeling.order
-    vid = labeling.interner.ids[v]
-    anchor_id = labeling.interner.ids[anchor]
-    in_ids = labeling.in_ids
-    out_ids = labeling.out_ids
-    own_in = in_ids[vid]  # live: shrinks as candidates are crossed
-    own_out = out_ids[vid]
-    candidates = sorted(
-        set(own_in) | set(own_out), key=labeling.level_key, reverse=True
-    )
-    crossed_anchor = False
-    for u in candidates:
-        if u in own_in:
-            labeling.remove_in_id(vid, u)
-            labeling.add_out_id(u, vid)
-            for w in tuple(labeling.in_holders[vid]):
-                if u in in_ids[w]:
-                    labeling.remove_in_id(w, u)
-            for w in tuple(labeling.out_holders[u]):
-                if (
-                    w != vid
-                    and vid not in out_ids[w]
-                    and not ids_intersect(out_ids[w], own_in)
-                ):
-                    labeling.add_out_id(w, vid)
-        else:
-            labeling.remove_out_id(vid, u)
-            labeling.add_in_id(u, vid)
-            for w in tuple(labeling.out_holders[vid]):
-                if u in out_ids[w]:
-                    labeling.remove_out_id(w, u)
-            for w in tuple(labeling.in_holders[u]):
-                if (
-                    w != vid
-                    and vid not in in_ids[w]
-                    and not ids_intersect(in_ids[w], own_out)
-                ):
-                    labeling.add_in_id(w, vid)
-        if u == anchor_id:
-            crossed_anchor = True
-            break
-    if not crossed_anchor:
-        raise IndexStateError(
-            f"relocation anchor {anchor!r} is not a label of {v!r}"
-        )
-    order.remove(v)
-    order.insert_before(v, anchor)
-
-
-# ----------------------------------------------------------------------
-# Step 2 — materialization at a fixed position
-# ----------------------------------------------------------------------
-
-def _materialize(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    placement: Placement,
-    ins: list,
-    outs: list,
-    snapshot: Optional[CSRGraph],
-) -> None:
-    """Insert *v* at *placement* and repair all label sets."""
-    order = labeling.order
-    if placement == "bottom":
-        order.insert_last(v)
-    else:
-        kind, anchor = placement
-        if kind != "above":
-            raise IndexStateError(f"unknown placement {placement!r}")
-        order.insert_before(v, anchor)
-    labeling.add_vertex(v)
-
-    _build_own_labels(labeling, v, ins, outs)
-    if snapshot is not None:
-        _spread_new_labels_csr(snapshot, labeling, v, forward=True)
-        _spread_new_labels_csr(snapshot, labeling, v, forward=False)
-    else:
-        _spread_new_labels(graph, labeling, v, forward=True)
-        _spread_new_labels(graph, labeling, v, forward=False)
-    _prune_through(labeling, labeling.interner.ids[v])
-    _repair_other_labels(labeling, v)
-
-
-def _build_own_labels(
-    labeling: TOLLabeling, v: Vertex, ins: list, outs: list
-) -> None:
-    """Refine the candidate sets into ``v``'s own label sets.
-
-    Algorithm 1, lines 1–8: ``Cin(v)`` is the union of ``v``'s in-neighbors
-    and their in-label sets (a proven superset of ``L'in(v)``); scanned
-    from the highest level down, a candidate is kept when it is higher
-    than ``v`` and no already-kept label covers it.  Mirrored for
-    ``Cout(v)``.  Neighbor lists come from the caller, which sourced them
-    from either the object graph or a CSR snapshot.
-    """
-    ids = labeling.interner.ids
-    vid = ids[v]
-    vkey = labeling.order.key(v)
-    for incoming in (True, False):
-        neighbors = ins if incoming else outs
-        neighbor_labels = labeling.in_ids if incoming else labeling.out_ids
-        covering = labeling.out_ids if incoming else labeling.in_ids
-        own = neighbor_labels[vid]  # live: grows as labels are admitted
-        candidates: set[int] = set()
-        for u in neighbors:
-            uid = ids[u]
-            candidates.add(uid)
-            candidates.update(neighbor_labels[uid])
-        for u in sorted(candidates, key=labeling.level_key):
-            if not labeling.level_key(u) < vkey:
-                continue  # lower-level vertices are handled by the spread
-            if ids_intersect(covering[u], own):
-                continue
-            if incoming:
-                labeling.add_in_id(vid, u)
-            else:
-                labeling.add_out_id(vid, u)
-
-
-def _spread_new_labels(
-    graph: DiGraph, labeling: TOLLabeling, v: Vertex, *, forward: bool
-) -> None:
-    """Enter ``v`` into the label sets of lower-level vertices.
-
-    A pruned search from ``v`` restricted to lower-level vertices: with
-    ``forward=True``, every visited ``u`` (reachable from ``v``) receives
-    ``v`` in ``Lin(u)`` unless ``Lout(v) ∩ Lin(u) ≠ ∅`` — the exact
-    Definition-1 condition (see module docstring) — in which case the
-    branch is pruned (anything beyond ``u`` via this path is covered by
-    the same witness).
-    """
-    order = labeling.order
-    ids = labeling.interner.ids
-    vid = ids[v]
-    if forward:
-        neighbors = graph.iter_out
-        my_labels = labeling.out_ids[vid]
-        their_labels = labeling.in_ids
-        add_label = labeling.add_in_id
-    else:
-        neighbors = graph.iter_in
-        my_labels = labeling.in_ids[vid]
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    seen: set[Vertex] = {v}
-    queue: deque[Vertex] = deque([v])
-    while queue:
-        x = queue.popleft()
-        for u in neighbors(x):
-            if u in seen or order.higher(u, v):
-                continue
-            seen.add(u)
-            uid = ids[u]
-            if ids_intersect(my_labels, their_labels[uid]):
-                continue  # covered: prune this branch
-            add_label(uid, vid)
-            queue.append(u)
-
-
-def _spread_new_labels_csr(
-    snap: CSRGraph, labeling: TOLLabeling, v: Vertex, *, forward: bool
-) -> None:
-    """:func:`_spread_new_labels` over a CSR snapshot's flat arrays.
-
-    Identical pruned search, but the BFS walks snapshot ids with a
-    ``bytearray`` seen table and crosses into labeling ids only for the
-    vertices that survive the level check.  Higher-level vertices are
-    marked seen here where the object path leaves them unmarked — both
-    skip them on every encounter, so the visit sets match.
-    """
-    order = labeling.order
-    ids = labeling.interner.ids
-    table = snap.interner.table
-    vid = ids[v]
-    vkey = order.key(v)
-    if forward:
-        offsets = snap.out_offsets
-        targets = snap.out_targets
-        my_labels = labeling.out_ids[vid]
-        their_labels = labeling.in_ids
-        add_label = labeling.add_in_id
-    else:
-        offsets = snap.in_offsets
-        targets = snap.in_targets
-        my_labels = labeling.in_ids[vid]
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    start = snap.id_of(v)
-    seen = bytearray(snap.num_vertices)
-    seen[start] = 1
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for u in targets[offsets[x]:offsets[x + 1]]:
-            if seen[u]:
-                continue
-            seen[u] = 1
-            uv = table[u]
-            if order.key(uv) < vkey:
-                continue  # higher level: never receives v
-            uid = ids[uv]
-            if ids_intersect(my_labels, their_labels[uid]):
-                continue  # covered: prune this branch
-            add_label(uid, vid)
-            queue.append(u)
-
-
-# ----------------------------------------------------------------------
-# Algorithm 2 — repairing labels between existing vertices
-# ----------------------------------------------------------------------
-
-def _repair_other_labels(labeling: TOLLabeling, v: Vertex) -> None:
-    """Propagate the new ``u -> v -> w`` connectivity and prune redundancy."""
-    vid = labeling.interner.ids[v]
-    own_in = sorted(labeling.in_ids[vid], key=labeling.level_key)
-    own_out = sorted(labeling.out_ids[vid], key=labeling.level_key)
-    _repair_direction(labeling, vid, own_in, own_out, incoming=True)
-    _repair_direction(labeling, vid, own_out, own_in, incoming=False)
-
-
-def _repair_direction(
-    labeling: TOLLabeling,
-    vid: int,
-    sources: list[int],
-    sinks: list[int],
-    *,
-    incoming: bool,
-) -> None:
-    """One orientation of Algorithm 2.
-
-    With ``incoming=True``: ``sources = L'in(v)`` (they reach ``v``) and
-    ``sinks = L'out(v)`` (reached from ``v``); each source ``u`` may become
-    an in-label of each lower-level sink ``w`` (and of everything holding
-    ``w`` as an in-label, which includes everything holding ``v`` itself
-    via the ``w = v`` case).  ``incoming=False`` is the mirrored pass.
-    """
-    level_key = labeling.level_key
-    if incoming:
-        their_labels = labeling.in_ids
-        cover_labels = labeling.out_ids
-        inv = labeling.in_holders
-        add = labeling.add_in_id
-    else:
-        their_labels = labeling.out_ids
-        cover_labels = labeling.in_ids
-        inv = labeling.out_holders
-        add = labeling.add_out_id
-
-    for u in sources:  # ascending level value == highest level first
-        u_cover = cover_labels[u]
-        u_key = level_key(u)
-        for w in sinks + [vid]:
-            if w != vid and level_key(w) < u_key:
-                continue  # Level Constraint: only lower-level sinks
-            if u not in their_labels[w] and not ids_intersect(
-                u_cover, their_labels[w]
-            ):
-                add(w, u)
-            for x in tuple(inv[w]):
-                if u not in their_labels[x] and not ids_intersect(
-                    u_cover, their_labels[x]
-                ):
-                    add(x, u)
-        _prune_through(labeling, u)
-
-
-def _prune_through(labeling: TOLLabeling, uid: int) -> None:
-    """Remove labels made redundant by pairs now connected through *uid*.
-
-    For every ``a`` holding ``u`` as an out-label (``a -> u``) and every
-    ``b`` holding ``u`` as an in-label (``u -> b``) the path ``a -> u -> b``
-    passes through the higher-level ``u``, so neither endpoint may label
-    the other (Path Constraint): drop ``b`` from ``Lout(a)`` and ``a`` from
-    ``Lin(b)`` (Algorithm 2, lines 8–13).
-    """
-    holders_out = labeling.out_holders[uid]  # a with u ∈ Lout(a)
-    holders_in = labeling.in_holders[uid]  # b with u ∈ Lin(b)
-    if not holders_out or not holders_in:
-        return
-    for a in tuple(holders_out):
-        a_out = labeling.out_ids[a]
-        # Iterate the smaller side of the cross product.
-        if len(holders_in) <= len(a_out):
-            doomed = [b for b in holders_in if b in a_out]
-        else:
-            doomed = [b for b in a_out if b in holders_in]
-        for b in doomed:
-            labeling.remove_out_id(a, b)
-            labeling.discard_in_id(b, a)
-    for b in tuple(holders_in):
-        b_in = labeling.in_ids[b]
-        if len(holders_out) <= len(b_in):
-            doomed = [a for a in holders_out if a in b_in]
-        else:
-            doomed = [a for a in b_in if a in holders_out]
-        for a in doomed:
-            labeling.remove_in_id(b, a)
-            labeling.discard_out_id(a, b)
-
-
-def _arr_meets_set(arr, ids: set) -> bool:
-    """``True`` iff the sorted id array shares an element with the id set."""
-    for x in arr:
-        if x in ids:
-            return True
-    return False
-
-
-# ----------------------------------------------------------------------
-# Flat kernels (engine="csr"): the same algorithms on reusable scratch
-# ----------------------------------------------------------------------
-#
-# Semantics are pinned to the object path above by the differential tests;
-# the only intentional behavioral difference is allocation: per-op sets,
-# deques and tuples become generation-stamped mark arrays and cursor
-# buffers on the labeling's UpdateScratch.  The few remaining allocations
-# are the sorted() calls over label-sized candidate lists (each feeds a
-# level-ordered admission scan, which needs an actually-sorted sequence).
-
-def _materialize_flat(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    placement: Placement,
-    ins: list,
-    outs: list,
-    snapshot: Optional[CSRGraph],
-) -> None:
-    """:func:`_materialize` on the labeling's reusable scratch."""
-    order = labeling.order
-    if placement == "bottom":
-        order.insert_last(v)
-    else:
-        kind, anchor = placement
-        if kind != "above":
-            raise IndexStateError(f"unknown placement {placement!r}")
-        order.insert_before(v, anchor)
-    labeling.add_vertex(v)
-
-    scratch = labeling.update_scratch()
-    cap = labeling.interner.capacity
-    if snapshot is not None and snapshot.num_vertices > cap:
-        cap = snapshot.num_vertices
-    scratch.begin(cap)
-
-    _build_own_labels_flat(labeling, v, ins, outs, scratch)
-    if snapshot is not None:
-        _spread_flat_csr(snapshot, labeling, v, outs, True, scratch)
-        _spread_flat_csr(snapshot, labeling, v, ins, False, scratch)
-    else:
-        _spread_flat(graph, labeling, v, True, scratch)
-        _spread_flat(graph, labeling, v, False, scratch)
-    _prune_through_flat(labeling, labeling.interner.ids[v], scratch)
-    _repair_other_labels_flat(labeling, v, scratch)
-
-
-def _build_own_labels_flat(
-    labeling: TOLLabeling, v: Vertex, ins: list, outs: list, scratch
-) -> None:
-    """:func:`_build_own_labels` with stamped dedup and a cursor buffer."""
-    ids = labeling.interner.ids
-    table = labeling.interner.table
-    okey = labeling.order.key
-    vid = ids[v]
-    vkey = okey(v)
-    seen = scratch.seen
-    cand = scratch.cand
-    for incoming in (True, False):
-        neighbors = ins if incoming else outs
-        neighbor_labels = labeling.in_ids if incoming else labeling.out_ids
-        covering = labeling.out_ids if incoming else labeling.in_ids
-        add = labeling.add_in_id if incoming else labeling.add_out_id
-        own = neighbor_labels[vid]  # live: grows as labels are admitted
-        gen = scratch.next_gen()
-        n = 0
-        for u in neighbors:
-            uid = ids[u]
-            if seen[uid] != gen:
-                seen[uid] = gen
-                cand[n] = uid
-                n += 1
-            for w in neighbor_labels[uid]:
-                if seen[w] != gen:
-                    seen[w] = gen
-                    cand[n] = w
-                    n += 1
-        # Level Constraint prefilter fused with key decoration, then a
-        # tuple sort and an admission scan from the highest level down.
-        deco = []
-        for i in range(n):
-            u = cand[i]
-            k = okey(table[u])
-            if k < vkey:
-                deco.append((k, u))
-        deco.sort()
-        for _, u in deco:
-            if ids_intersect(covering[u], own):
-                continue
-            add(vid, u)
-
-
-def _spread_flat(
-    graph: DiGraph, labeling: TOLLabeling, v: Vertex, forward: bool, scratch
-) -> None:
-    """:func:`_spread_new_labels` with a stamped seen array and flat queue."""
-    ids = labeling.interner.ids
-    okey = labeling.order.key
-    vkey = okey(v)
-    vid = ids[v]
-    if forward:
-        neighbors = graph.iter_out
-        my_labels = labeling.out_ids[vid]
-        their_labels = labeling.in_ids
-        add_label = labeling.add_in_id
-    else:
-        neighbors = graph.iter_in
-        my_labels = labeling.in_ids[vid]
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    gen = scratch.next_gen()
-    seen = scratch.seen
-    queue = scratch.queue
-    seen[vid] = gen
-    queue[0] = v
-    head, tail = 0, 1
-    intersect = ids_intersect
-    while head < tail:
-        x = queue[head]
-        head += 1
-        for u in neighbors(x):
-            uid = ids[u]
-            if seen[uid] == gen:
-                continue
-            seen[uid] = gen
-            if okey(u) < vkey:
-                continue  # higher level: never receives v
-            if intersect(my_labels, their_labels[uid]):
-                continue  # covered: prune this branch
-            add_label(uid, vid)
-            queue[tail] = u
-            tail += 1
-
-
-def _spread_flat_csr(
-    snap: CSRGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    seeds: list,
-    forward: bool,
-    scratch,
-) -> None:
-    """:func:`_spread_flat` over a CSR snapshot's flat arrays.
-
-    The BFS is seeded from the caller's *live* neighbor list rather than
-    ``v``'s snapshot rows, and ``v``'s snapshot id is pre-marked visited —
-    together these make the traversal exact even when the snapshot's rows
-    touching ``v`` are stale (the snapshot reuse contract for edge ops;
-    see module docstring).
-    """
-    ids = labeling.interner.ids
-    table = snap.interner.table
-    okey = labeling.order.key
-    vid = ids[v]
-    vkey = okey(v)
-    if forward:
-        offsets = snap.out_offsets
-        targets = snap.out_targets
-        my_labels = labeling.out_ids[vid]
-        their_labels = labeling.in_ids
-        add_label = labeling.add_in_id
-    else:
-        offsets = snap.in_offsets
-        targets = snap.in_targets
-        my_labels = labeling.in_ids[vid]
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    gen = scratch.next_gen()
-    seen = scratch.seen
-    queue = scratch.queue
-    seen[snap.id_of(v)] = gen  # never read v's (possibly stale) rows
-    head = tail = 0
-    intersect = ids_intersect
-    for u in seeds:
-        s = snap.id_of(u)
-        if seen[s] == gen:
-            continue
-        seen[s] = gen
-        if okey(u) < vkey:
-            continue
-        uid = ids[u]
-        if intersect(my_labels, their_labels[uid]):
-            continue
-        add_label(uid, vid)
-        queue[tail] = s
-        tail += 1
-    while head < tail:
-        x = queue[head]
-        head += 1
-        for s in targets[offsets[x]:offsets[x + 1]]:
-            if seen[s] == gen:
-                continue
-            seen[s] = gen
-            u = table[s]
-            if okey(u) < vkey:
-                continue
-            uid = ids[u]
-            if intersect(my_labels, their_labels[uid]):
-                continue
-            add_label(uid, vid)
-            queue[tail] = s
-            tail += 1
-
-
-def _repair_other_labels_flat(
-    labeling: TOLLabeling, v: Vertex, scratch
-) -> None:
-    """:func:`_repair_other_labels` on scratch buffers.
-
-    Labels are pre-decorated with their level tags and tuple-sorted (one
-    C-level sort, no per-element key callback); the decorated lists feed
-    :func:`_repair_direction_flat` so sink keys are computed once, not
-    once per (source, sink) pair.
-    """
-    vid = labeling.interner.ids[v]
-    okey = labeling.order.key
-    table = labeling.interner.table
-    own_in = sorted((okey(table[u]), u) for u in labeling.in_ids[vid])
-    own_out = sorted((okey(table[u]), u) for u in labeling.out_ids[vid])
-    _repair_direction_flat(labeling, vid, own_in, own_out, True, scratch)
-    _repair_direction_flat(labeling, vid, own_out, own_in, False, scratch)
-
-
-def _repair_direction_flat(
-    labeling: TOLLabeling,
-    vid: int,
-    sources: list,
-    sinks: list,
-    incoming: bool,
-    scratch,
-) -> None:
-    """:func:`_repair_direction` on level-decorated ``(key, id)`` pairs.
-
-    *sources* and *sinks* arrive as sorted ``(level tag, id)`` tuples, so
-    the Level Constraint compares cached ints instead of calling
-    ``level_key`` per (source, sink) pair (the order does not mutate
-    during a repair, so the tags stay valid throughout).
-    """
-    if incoming:
-        their_labels = labeling.in_ids
-        cover_labels = labeling.out_ids
-        inv = labeling.in_holders
-        add = labeling.add_in_id
-    else:
-        their_labels = labeling.out_ids
-        cover_labels = labeling.in_ids
-        inv = labeling.out_holders
-        add = labeling.add_out_id
-
-    intersect = ids_intersect
-    for u_key, u in sources:  # ascending level value == highest first
-        u_cover = cover_labels[u]
-        # Iterating inv[w] live is safe: the only mutation inside this
-        # loop is add(x, u), which touches inv[u] — and a source u is
-        # never among the sinks (disjoint label sets of a DAG vertex).
-        for w_key, w in sinks:
-            if w_key < u_key:
-                continue  # Level Constraint: only lower-level sinks
-            their_w = their_labels[w]
-            if u not in their_w and not intersect(u_cover, their_w):
-                add(w, u)
-            for x in inv[w]:
-                their_x = their_labels[x]
-                if u not in their_x and not intersect(u_cover, their_x):
-                    add(x, u)
-        their_v = their_labels[vid]
-        if u not in their_v and not intersect(u_cover, their_v):
-            add(vid, u)
-        for x in inv[vid]:
-            their_x = their_labels[x]
-            if u not in their_x and not intersect(u_cover, their_x):
-                add(x, u)
-        _prune_through_flat(labeling, u, scratch)
-
-
-def _prune_through_flat(labeling: TOLLabeling, uid: int, scratch) -> None:
-    """:func:`_prune_through` on interned ids with stamped holder sets.
-
-    The object path tests ``b in Lout(a)`` by scanning the sorted label
-    array — O(|holders| x |labels|) per direction.  Here each holder set
-    is stamped into a generation-marked array once, so every label array
-    is scanned exactly once with O(1) membership probes; the listcomp
-    copies stay (C-speed bulk ops — Python-level cursor loops measured
-    *slower*, the scratch contract's documented allocation compromise).
-    """
-    holders_out = labeling.out_holders[uid]  # a with u ∈ Lout(a)
-    holders_in = labeling.in_holders[uid]  # b with u ∈ Lin(b)
-    if not holders_out or not holders_in:
-        return
-    out_ids = labeling.out_ids
-    in_ids = labeling.in_ids
-    remove_out = labeling.remove_out_id
-    discard_in = labeling.discard_in_id
-    remove_in = labeling.remove_in_id
-    discard_out = labeling.discard_out_id
-    marks = scratch.seen
-    g_in = scratch.next_gen()
-    for b in holders_in:
-        marks[b] = g_in
-    for a in list(holders_out):
-        doomed = [b for b in out_ids[a] if marks[b] == g_in]
-        for b in doomed:
-            remove_out(a, b)
-            discard_in(b, a)
-    g_out = scratch.next_gen()
-    for a in holders_out:
-        marks[a] = g_out
-    for b in list(holders_in):
-        doomed = [a for a in in_ids[b] if marks[a] == g_out]
-        for a in doomed:
-            remove_in(b, a)
-            discard_out(a, b)
-
-
-def _choose_level_flat(labeling: TOLLabeling, v: Vertex) -> LevelChoice:
-    """The Algorithm-3 sweep on stamped mark arrays.
-
-    One mark array holds both simulated label sets (``sim_in`` under one
-    generation, ``sim_out`` under another — disjoint in a DAG, so the
-    stamps never collide), a second holds both simulated inverted sets;
-    the inverted sets' members are additionally kept in append-only
-    cursor buffers because the ``-1`` accounting iterates them (they only
-    ever grow during the sweep).
+    The simulation runs on stamped mark arrays.  One mark array holds
+    both simulated label sets (``sim_in`` under one generation,
+    ``sim_out`` under another — disjoint in a DAG, so the stamps never
+    collide), a second holds both simulated inverted sets; the inverted
+    sets' members are additionally kept in append-only cursor buffers
+    because the ``-1`` accounting iterates them (they only ever grow
+    during the sweep).
     """
     interner = labeling.interner
     vid = interner.ids[v]
@@ -1039,10 +325,22 @@ def _choose_level_flat(labeling: TOLLabeling, v: Vertex) -> LevelChoice:
     return LevelChoice(best_placement, best_theta, len(candidates))
 
 
-def _relocate_upward_flat(
-    labeling: TOLLabeling, v: Vertex, anchor: Vertex
-) -> None:
-    """:func:`_relocate_upward` with cursor copies instead of tuples."""
+def _relocate_upward(labeling: TOLLabeling, v: Vertex, anchor: Vertex) -> None:
+    """Move *v* from its current level to just above *anchor*, in place.
+
+    Applies the Algorithm-3 crossings for real instead of simulating them:
+    at each candidate crossing the ``u``/``v`` label swap, the coverage
+    removals and the inverted-list additions of :func:`choose_level` are
+    executed against the live label sets.  This is far cheaper than the
+    delete + re-insert round trip (which rebuilds the labels of everything
+    ``v`` touches) and is validated against from-scratch reconstruction by
+    the property tests.
+
+    *anchor* must be one of ``v``'s current labels (which is what
+    :func:`choose_level` returns): the crossings below it are exactly the
+    sweep's prefix.  Inverted lists mutated while they are walked are
+    first copied into a scratch cursor buffer.
+    """
     order = labeling.order
     ids = labeling.interner.ids
     vid = ids[v]
@@ -1126,3 +424,347 @@ def _relocate_upward_flat(
         )
     order.remove(v)
     order.insert_before(v, anchor)
+
+
+# ----------------------------------------------------------------------
+# Step 2 — materialization at a fixed position
+# ----------------------------------------------------------------------
+
+def _materialize(
+    graph: DiGraph,
+    labeling: TOLLabeling,
+    v: Vertex,
+    placement: Placement,
+    ins: list,
+    outs: list,
+    snapshot: Optional[CSRGraph],
+) -> None:
+    """Insert *v* at *placement* and repair all label sets."""
+    order = labeling.order
+    if placement == "bottom":
+        order.insert_last(v)
+    else:
+        kind, anchor = placement
+        if kind != "above":
+            raise IndexStateError(f"unknown placement {placement!r}")
+        order.insert_before(v, anchor)
+    labeling.add_vertex(v)
+
+    scratch = labeling.update_scratch()
+    cap = labeling.interner.capacity
+    if snapshot is not None and snapshot.num_vertices > cap:
+        cap = snapshot.num_vertices
+    scratch.begin(cap)
+
+    _build_own_labels(labeling, v, ins, outs, scratch)
+    if snapshot is not None:
+        _spread_new_labels_csr(snapshot, labeling, v, outs, True, scratch)
+        _spread_new_labels_csr(snapshot, labeling, v, ins, False, scratch)
+    else:
+        _spread_new_labels(graph, labeling, v, True, scratch)
+        _spread_new_labels(graph, labeling, v, False, scratch)
+    _prune_through(labeling, labeling.interner.ids[v], scratch)
+    _repair_other_labels(labeling, v, scratch)
+
+
+def _build_own_labels(
+    labeling: TOLLabeling, v: Vertex, ins: list, outs: list, scratch
+) -> None:
+    """Refine the candidate sets into ``v``'s own label sets.
+
+    Algorithm 1, lines 1–8: ``Cin(v)`` is the union of ``v``'s in-neighbors
+    and their in-label sets (a proven superset of ``L'in(v)``); scanned
+    from the highest level down, a candidate is kept when it is higher
+    than ``v`` and no already-kept label covers it.  Mirrored for
+    ``Cout(v)``.  Neighbor lists come from the caller, which sourced them
+    from the live graph.  Candidates are deduplicated with a stamped mark
+    array and collected in a cursor buffer.
+    """
+    ids = labeling.interner.ids
+    table = labeling.interner.table
+    okey = labeling.order.key
+    vid = ids[v]
+    vkey = okey(v)
+    seen = scratch.seen
+    cand = scratch.cand
+    for incoming in (True, False):
+        neighbors = ins if incoming else outs
+        neighbor_labels = labeling.in_ids if incoming else labeling.out_ids
+        covering = labeling.out_ids if incoming else labeling.in_ids
+        add = labeling.add_in_id if incoming else labeling.add_out_id
+        own = neighbor_labels[vid]  # live: grows as labels are admitted
+        gen = scratch.next_gen()
+        n = 0
+        for u in neighbors:
+            uid = ids[u]
+            if seen[uid] != gen:
+                seen[uid] = gen
+                cand[n] = uid
+                n += 1
+            for w in neighbor_labels[uid]:
+                if seen[w] != gen:
+                    seen[w] = gen
+                    cand[n] = w
+                    n += 1
+        # Level Constraint prefilter fused with key decoration, then a
+        # tuple sort and an admission scan from the highest level down.
+        # Lower-level candidates are handled by the spread.
+        deco = []
+        for i in range(n):
+            u = cand[i]
+            k = okey(table[u])
+            if k < vkey:
+                deco.append((k, u))
+        deco.sort()
+        for _, u in deco:
+            if ids_intersect(covering[u], own):
+                continue
+            add(vid, u)
+
+
+def _spread_new_labels(
+    graph: DiGraph, labeling: TOLLabeling, v: Vertex, forward: bool, scratch
+) -> None:
+    """Enter ``v`` into the label sets of lower-level vertices.
+
+    A pruned search from ``v`` restricted to lower-level vertices: with
+    ``forward=True``, every visited ``u`` (reachable from ``v``) receives
+    ``v`` in ``Lin(u)`` unless ``Lout(v) ∩ Lin(u) ≠ ∅`` — the exact
+    Definition-1 condition (see module docstring) — in which case the
+    branch is pruned (anything beyond ``u`` via this path is covered by
+    the same witness).  The BFS runs on a stamped seen array and a flat
+    scratch queue.
+    """
+    ids = labeling.interner.ids
+    okey = labeling.order.key
+    vkey = okey(v)
+    vid = ids[v]
+    if forward:
+        neighbors = graph.iter_out
+        my_labels = labeling.out_ids[vid]
+        their_labels = labeling.in_ids
+        add_label = labeling.add_in_id
+    else:
+        neighbors = graph.iter_in
+        my_labels = labeling.in_ids[vid]
+        their_labels = labeling.out_ids
+        add_label = labeling.add_out_id
+
+    gen = scratch.next_gen()
+    seen = scratch.seen
+    queue = scratch.queue
+    seen[vid] = gen
+    queue[0] = v
+    head, tail = 0, 1
+    intersect = ids_intersect
+    while head < tail:
+        x = queue[head]
+        head += 1
+        for u in neighbors(x):
+            uid = ids[u]
+            if seen[uid] == gen:
+                continue
+            seen[uid] = gen
+            if okey(u) < vkey:
+                continue  # higher level: never receives v
+            if intersect(my_labels, their_labels[uid]):
+                continue  # covered: prune this branch
+            add_label(uid, vid)
+            queue[tail] = u
+            tail += 1
+
+
+def _spread_new_labels_csr(
+    snap: CSRGraph,
+    labeling: TOLLabeling,
+    v: Vertex,
+    seeds: list,
+    forward: bool,
+    scratch,
+) -> None:
+    """:func:`_spread_new_labels` over a CSR snapshot's flat arrays.
+
+    The same pruned search, but the BFS walks snapshot ids and crosses
+    into labeling ids only for the vertices that survive the level
+    check.  It is seeded from the caller's *live* neighbor list rather
+    than ``v``'s snapshot rows, and ``v``'s snapshot id is pre-marked
+    visited — together these make the traversal exact even when the
+    snapshot's rows touching ``v`` are stale (the snapshot reuse contract
+    for edge ops; see module docstring).
+    """
+    ids = labeling.interner.ids
+    table = snap.interner.table
+    okey = labeling.order.key
+    vid = ids[v]
+    vkey = okey(v)
+    if forward:
+        offsets = snap.out_offsets
+        targets = snap.out_targets
+        my_labels = labeling.out_ids[vid]
+        their_labels = labeling.in_ids
+        add_label = labeling.add_in_id
+    else:
+        offsets = snap.in_offsets
+        targets = snap.in_targets
+        my_labels = labeling.in_ids[vid]
+        their_labels = labeling.out_ids
+        add_label = labeling.add_out_id
+
+    gen = scratch.next_gen()
+    seen = scratch.seen
+    queue = scratch.queue
+    seen[snap.id_of(v)] = gen  # never read v's (possibly stale) rows
+    head = tail = 0
+    intersect = ids_intersect
+    for u in seeds:
+        s = snap.id_of(u)
+        if seen[s] == gen:
+            continue
+        seen[s] = gen
+        if okey(u) < vkey:
+            continue
+        uid = ids[u]
+        if intersect(my_labels, their_labels[uid]):
+            continue
+        add_label(uid, vid)
+        queue[tail] = s
+        tail += 1
+    while head < tail:
+        x = queue[head]
+        head += 1
+        for s in targets[offsets[x]:offsets[x + 1]]:
+            if seen[s] == gen:
+                continue
+            seen[s] = gen
+            u = table[s]
+            if okey(u) < vkey:
+                continue
+            uid = ids[u]
+            if intersect(my_labels, their_labels[uid]):
+                continue
+            add_label(uid, vid)
+            queue[tail] = s
+            tail += 1
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2 — repairing labels between existing vertices
+# ----------------------------------------------------------------------
+
+def _repair_other_labels(labeling: TOLLabeling, v: Vertex, scratch) -> None:
+    """Propagate the new ``u -> v -> w`` connectivity and prune redundancy.
+
+    Labels are pre-decorated with their level tags and tuple-sorted (one
+    C-level sort, no per-element key callback); the decorated lists feed
+    :func:`_repair_direction` so sink keys are computed once, not once
+    per (source, sink) pair.
+    """
+    vid = labeling.interner.ids[v]
+    okey = labeling.order.key
+    table = labeling.interner.table
+    own_in = sorted((okey(table[u]), u) for u in labeling.in_ids[vid])
+    own_out = sorted((okey(table[u]), u) for u in labeling.out_ids[vid])
+    _repair_direction(labeling, vid, own_in, own_out, True, scratch)
+    _repair_direction(labeling, vid, own_out, own_in, False, scratch)
+
+
+def _repair_direction(
+    labeling: TOLLabeling,
+    vid: int,
+    sources: list,
+    sinks: list,
+    incoming: bool,
+    scratch,
+) -> None:
+    """One orientation of Algorithm 2.
+
+    With ``incoming=True``: ``sources = L'in(v)`` (they reach ``v``) and
+    ``sinks = L'out(v)`` (reached from ``v``); each source ``u`` may become
+    an in-label of each lower-level sink ``w`` (and of everything holding
+    ``w`` as an in-label), and of ``v`` itself and everything holding
+    ``v``.  ``incoming=False`` is the mirrored pass.
+
+    *sources* and *sinks* arrive as sorted ``(level tag, id)`` tuples, so
+    the Level Constraint compares cached ints instead of calling
+    ``level_key`` per (source, sink) pair (the order does not mutate
+    during a repair, so the tags stay valid throughout).
+    """
+    if incoming:
+        their_labels = labeling.in_ids
+        cover_labels = labeling.out_ids
+        inv = labeling.in_holders
+        add = labeling.add_in_id
+    else:
+        their_labels = labeling.out_ids
+        cover_labels = labeling.in_ids
+        inv = labeling.out_holders
+        add = labeling.add_out_id
+
+    intersect = ids_intersect
+    for u_key, u in sources:  # ascending level value == highest first
+        u_cover = cover_labels[u]
+        # Iterating inv[w] live is safe: the only mutation inside this
+        # loop is add(x, u), which touches inv[u] — and a source u is
+        # never among the sinks (disjoint label sets of a DAG vertex).
+        for w_key, w in sinks:
+            if w_key < u_key:
+                continue  # Level Constraint: only lower-level sinks
+            their_w = their_labels[w]
+            if u not in their_w and not intersect(u_cover, their_w):
+                add(w, u)
+            for x in inv[w]:
+                their_x = their_labels[x]
+                if u not in their_x and not intersect(u_cover, their_x):
+                    add(x, u)
+        their_v = their_labels[vid]
+        if u not in their_v and not intersect(u_cover, their_v):
+            add(vid, u)
+        for x in inv[vid]:
+            their_x = their_labels[x]
+            if u not in their_x and not intersect(u_cover, their_x):
+                add(x, u)
+        _prune_through(labeling, u, scratch)
+
+
+def _prune_through(labeling: TOLLabeling, uid: int, scratch) -> None:
+    """Remove labels made redundant by pairs now connected through *uid*.
+
+    For every ``a`` holding ``u`` as an out-label (``a -> u``) and every
+    ``b`` holding ``u`` as an in-label (``u -> b``) the path ``a -> u -> b``
+    passes through the higher-level ``u``, so neither endpoint may label
+    the other (Path Constraint): drop ``b`` from ``Lout(a)`` and ``a`` from
+    ``Lin(b)`` (Algorithm 2, lines 8–13).
+
+    Each holder set is stamped into a generation-marked array once, so
+    every label array is scanned exactly once with O(1) membership
+    probes; the listcomp copies stay (C-speed bulk ops — Python-level
+    cursor loops measured *slower*, the scratch contract's documented
+    allocation compromise).
+    """
+    holders_out = labeling.out_holders[uid]  # a with u ∈ Lout(a)
+    holders_in = labeling.in_holders[uid]  # b with u ∈ Lin(b)
+    if not holders_out or not holders_in:
+        return
+    out_ids = labeling.out_ids
+    in_ids = labeling.in_ids
+    remove_out = labeling.remove_out_id
+    discard_in = labeling.discard_in_id
+    remove_in = labeling.remove_in_id
+    discard_out = labeling.discard_out_id
+    marks = scratch.seen
+    g_in = scratch.next_gen()
+    for b in holders_in:
+        marks[b] = g_in
+    for a in list(holders_out):
+        doomed = [b for b in out_ids[a] if marks[b] == g_in]
+        for b in doomed:
+            remove_out(a, b)
+            discard_in(b, a)
+    g_out = scratch.next_gen()
+    for a in holders_out:
+        marks[a] = g_out
+    for b in list(holders_in):
+        doomed = [a for a in in_ids[b] if marks[a] == g_out]
+        for a in doomed:
+            remove_in(b, a)
+            discard_out(a, b)

@@ -498,34 +498,6 @@ class TOLLabeling:
         ids = self.interner.ids
         self.add_out_id(ids[v], ids[u])
 
-    def remove_in_label(self, v: Vertex, u: Vertex) -> None:
-        """Remove *u* from ``Lin(v)``."""
-        ids = self.interner.ids
-        self.remove_in_id(ids[v], ids[u])
-
-    def remove_out_label(self, v: Vertex, u: Vertex) -> None:
-        """Remove *u* from ``Lout(v)``."""
-        ids = self.interner.ids
-        self.remove_out_id(ids[v], ids[u])
-
-    def discard_in_label(self, v: Vertex, u: Vertex) -> bool:
-        """Remove *u* from ``Lin(v)`` if present; report whether it was."""
-        ids = self.interner.ids
-        return self.discard_in_id(ids[v], ids[u])
-
-    def discard_out_label(self, v: Vertex, u: Vertex) -> bool:
-        """Remove *u* from ``Lout(v)`` if present; report whether it was."""
-        ids = self.interner.ids
-        return self.discard_out_id(ids[v], ids[u])
-
-    def clear_in_labels(self, v: Vertex) -> None:
-        """Empty ``Lin(v)`` (inverted lists updated)."""
-        self.clear_in_ids(self.interner.ids[v])
-
-    def clear_out_labels(self, v: Vertex) -> None:
-        """Empty ``Lout(v)`` (inverted lists updated)."""
-        self.clear_out_ids(self.interner.ids[v])
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

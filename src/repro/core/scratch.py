@@ -1,12 +1,11 @@
 """Preallocated, generation-stamped scratch state for the update kernels.
 
-The flat (``engine="csr"``) variants of vertex insertion and deletion
-(:mod:`repro.core.insertion`, :mod:`repro.core.deletion`) are bounded by
-allocator traffic, not arithmetic: the object-path kernels build a fresh
-``set``/``deque``/``tuple`` cascade on every update.  :class:`UpdateScratch`
-replaces all of that with buffers that live as long as the labeling and are
-*reused* across updates, so a steady-state update allocates (almost)
-nothing:
+The vertex insertion and deletion kernels (:mod:`repro.core.insertion`,
+:mod:`repro.core.deletion`) are bounded by allocator traffic, not
+arithmetic: written naively, every update builds a fresh
+``set``/``deque``/``tuple`` cascade.  :class:`UpdateScratch` replaces all
+of that with buffers that live as long as the labeling and are *reused*
+across updates, so a steady-state update allocates (almost) nothing:
 
 * **Mark arrays** (:attr:`seen`, :attr:`mark_a`, :attr:`mark_b`) are plain
   int lists indexed by dense vertex id.  Membership is a *generation

@@ -675,10 +675,7 @@ def load_pack(path: PathLike, *, mmap_file: bool = True):
     return unpack_frozen(path.read_bytes())
 
 
-def reachability_index_from_pack(frozen, meta: dict, *,
-                                 order: str = "butterfly-u",
-                                 prune: bool = True,
-                                 engine: str = "csr"):
+def reachability_index_from_pack(frozen, meta: dict):
     """Rebuild a full :class:`ReachabilityIndex` from a TOLF pack.
 
     Requires a pack written with the graph sections (``repro pack`` does
@@ -708,6 +705,4 @@ def reachability_index_from_pack(frozen, meta: dict, *,
         graph.add_edge(vertices[tail], vertices[head])
     condensation = DynamicCondensation.restore(graph, component_of)
     tol = frozen.thaw()
-    return ReachabilityIndex.restore(
-        condensation, tol, order=order, prune=prune, engine=engine,
-    )
+    return ReachabilityIndex.restore(condensation, tol)

@@ -124,9 +124,7 @@ def _build_service(
         from ..core.serialize import load_pack, reachability_index_from_pack
 
         frozen, meta = load_pack(snapshot)
-        index = reachability_index_from_pack(
-            frozen, meta, order=service_kwargs.get("order", "butterfly-u")
-        )
+        index = reachability_index_from_pack(frozen, meta)
         return ReachabilityService(index=index, durability=durability,
                                    **common)
     return ReachabilityService(read_edge_list(graph), durability=durability,

@@ -70,6 +70,7 @@ from random import Random
 from typing import Optional, Union
 
 from ..core.index import ReachabilityIndex
+from ..core.orders import resolve_order_strategy
 from ..errors import ReproError, UnknownVertexError
 from ..graph.digraph import DiGraph
 from ..graph.traversal import bidirectional_reachable
@@ -108,10 +109,12 @@ class ReachabilityService:
         A ready :class:`ReachabilityIndex` to serve.  The service becomes
         its owner: mutating it from outside afterwards breaks the epoch
         bookkeeping.
-    engine:
-        Update-kernel engine for the internal index (``"csr"`` flat
-        kernels by default; ``"object"`` legacy path).  Ignored when
-        ``index=`` is passed.
+    order:
+        Level-order strategy (a name or callable, as for
+        :class:`~repro.core.index.ReachabilityIndex`) used to build the
+        internal index and every :meth:`rebuild_index`.  Resolved here,
+        so a bad value fails at construction even when ``index=`` is
+        passed.
     cache_size:
         Capacity of the query-result LRU (0 disables caching).
     flush_threshold:
@@ -170,7 +173,6 @@ class ReachabilityService:
         cache_size: int = 4096,
         flush_threshold: int = 1,
         order: Union[str, object] = "butterfly-u",
-        engine: str = "csr",
         record_applied: bool = False,
         registry: Optional[MetricRegistry] = None,
         durability: Optional[DurabilityManager] = None,
@@ -195,13 +197,14 @@ class ReachabilityService:
             raise ValueError(
                 f"audit_interval must be >= 0, got {audit_interval}"
             )
+        # Resolved once: rebuild_index reuses the strategy, so a bad
+        # value cannot surface later inside a degraded-mode rebuild.
+        self._order = resolve_order_strategy(order)
         self._index = (
             index
             if index is not None
-            else ReachabilityIndex(graph, order=order, engine=engine)
+            else ReachabilityIndex(graph, order=self._order)
         )
-        self._order = order
-        self._engine = engine
         self._rwlock = RWLock()
         self._epoch = EpochCounter()
         self._cache = EpochLRUCache(cache_size)
@@ -940,9 +943,7 @@ class ReachabilityService:
         with self._flush_mutex:
             with self._mirror_lock:
                 snapshot = self._mirror.copy()
-            new_index = ReachabilityIndex(
-                snapshot, order=self._order, engine=self._engine
-            )
+            new_index = ReachabilityIndex(snapshot, order=self._order)
             with self._rwlock.write_locked():
                 self._index = new_index
                 with self._mirror_lock:

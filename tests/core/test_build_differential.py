@@ -1,13 +1,9 @@
-"""Differential suite: CSR kernel ≡ legacy object build ≡ Definition 1.
+"""Differential suite: the Butterfly build kernel ≡ Definition 1.
 
-The flat-array engine (``engine="csr"``) re-implements Butterfly's
-peeling sweeps on a completely different representation, so this file
-pins it to two independent oracles on a spread of random DAGs:
-
-* the legacy dict-walking build (``engine="object"``) — same algorithm,
-  original data structures;
-* :func:`repro.core.reference.reference_tol` — the Definition-1
-  labeling, derived from reachability sets rather than any algorithm.
+Butterfly's peeling sweeps run on flat CSR snapshot arrays, so this file
+pins them to :func:`repro.core.reference.reference_tol` — the
+Definition-1 labeling, derived from reachability sets rather than any
+algorithm — on a spread of random DAGs.
 
 Every case runs both ``prune`` variants (the pruned and verbatim
 Algorithm-5 traversals must produce the identical minimal labeling) and
@@ -64,15 +60,9 @@ def test_engines_match_reference(case):
     order = resolve_order_strategy(name)(graph)
     ref = reference_tol(graph, LevelOrder(list(order))).snapshot()
     for prune in (True, False):
-        csr = butterfly_build(
-            graph, LevelOrder(list(order)), prune=prune, engine="csr"
-        )
-        obj = butterfly_build(
-            graph, LevelOrder(list(order)), prune=prune, engine="object"
-        )
-        assert csr.snapshot() == ref, (name, prune)
-        assert obj.snapshot() == ref, (name, prune)
-        csr.check_invariants()
+        got = butterfly_build(graph, LevelOrder(list(order)), prune=prune)
+        assert got.snapshot() == ref, (name, prune)
+        got.check_invariants()
 
 
 def test_engines_match_on_mixed_type_vertices():
@@ -88,11 +78,8 @@ def test_engines_match_on_mixed_type_vertices():
     for name in STRATEGY_NAMES:
         order = resolve_order_strategy(name)(graph)
         ref = reference_tol(graph, LevelOrder(list(order))).snapshot()
-        for engine in ("csr", "object"):
-            got = butterfly_build(
-                graph, LevelOrder(list(order)), engine=engine
-            )
-            assert got.snapshot() == ref, (name, engine)
+        got = butterfly_build(graph, LevelOrder(list(order)))
+        assert got.snapshot() == ref, name
 
 
 class TestTieBreaking:

@@ -51,20 +51,20 @@ class TestLabelMutation:
 
     def test_remove(self, lab):
         lab.add_out_label(4, 2)
-        lab.remove_out_label(4, 2)
+        lab.remove_out_id(lab.id_of(4), lab.id_of(2))
         assert lab.label_out[4] == set()
         assert lab.inv_out[2] == set()
 
     def test_discard(self, lab):
         lab.add_in_label(2, 1)
-        assert lab.discard_in_label(2, 1) is True
-        assert lab.discard_in_label(2, 1) is False
-        assert lab.discard_out_label(2, 1) is False
+        assert lab.discard_in_id(lab.id_of(2), lab.id_of(1)) is True
+        assert lab.discard_in_id(lab.id_of(2), lab.id_of(1)) is False
+        assert lab.discard_out_id(lab.id_of(2), lab.id_of(1)) is False
 
     def test_clear(self, lab):
         lab.add_in_label(4, 1)
         lab.add_in_label(4, 2)
-        lab.clear_in_labels(4)
+        lab.clear_in_ids(lab.id_of(4))
         assert lab.label_in[4] == set()
         assert lab.inv_in[1] == set()
         lab.check_invariants()

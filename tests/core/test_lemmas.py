@@ -46,11 +46,11 @@ def test_lemma_2_minimality(pair):
     lab = butterfly_build(graph, order)
     for v in list(lab.vertices()):
         for u in list(lab.label_in[v]):
-            lab.remove_in_label(v, u)
+            lab.remove_in_id(lab.id_of(v), lab.id_of(u))
             assert not lab.query(u, v)
             lab.add_in_label(v, u)
         for u in list(lab.label_out[v]):
-            lab.remove_out_label(v, u)
+            lab.remove_out_id(lab.id_of(v), lab.id_of(u))
             assert not lab.query(v, u)
             lab.add_out_label(v, u)
 

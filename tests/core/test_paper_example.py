@@ -120,10 +120,10 @@ class TestLemma2Minimality:
         base = butterfly_build(g, LevelOrder(order_seq))
         for v in list(base.vertices()):
             for u in list(base.label_in[v]):
-                base.remove_in_label(v, u)
+                base.remove_in_id(base.id_of(v), base.id_of(u))
                 assert not base.query(u, v), f"removing {u} from Lin({v})"
                 base.add_in_label(v, u)
             for u in list(base.label_out[v]):
-                base.remove_out_label(v, u)
+                base.remove_out_id(base.id_of(v), base.id_of(u))
                 assert not base.query(v, u), f"removing {u} from Lout({v})"
                 base.add_out_label(v, u)

@@ -1,18 +1,22 @@
-"""Differential suite for the flat update kernels.
+"""Differential suite for the update kernels.
 
-``engine="csr"`` re-implements the Section-5 update algorithms (candidate
-generation, label spreading, pruning, the Δk level sweep, relocation,
-and delete-repair) on preallocated scratch arrays.  This file pins the
-flat path to two independent oracles over random update traces:
+The Section-5 update algorithms (candidate generation, label spreading,
+pruning, the Δk level sweep, relocation, and delete-repair) run on
+preallocated scratch arrays.  This file pins them to the two ground
+truths over random update traces, after *every* operation:
 
-* the legacy object engine (``engine="object"``) — same algorithms on
-  the original dict/set structures; the two indices must stay *exactly*
-  equal (same labels, same level order) after every operation;
-* :func:`repro.core.reference.reference_tol` — the Definition-1 labeling
-  derived from reachability sets, checked at trace end.
+* :func:`repro.core.reference.reference_tol` — the Definition-1
+  labeling derived from reachability sets, under the index's live level
+  order, plus ``check_invariants()``;
+* BFS on a shadow graph — sampled query pairs must agree.
+
+It also checks the level-order side of the kernels: survivors keep their
+relative order, and a default-placement insert lands at a position of
+globally minimal index size (brute force over every position of the new
+vertex in the pre-insert order).
 
 Traces mix all four :class:`~repro.core.ops.UpdateOp` kinds and are
-applied through ``op.apply(index)``, so the differential also covers the
+applied through ``op.apply(index)``, so the suite also covers the
 UpdateOp dispatch surface.  A second group of tests pins the scratch
 contract itself: steady-state updates reuse the *same* buffer objects
 (no reallocation), generations only grow, and buffers stop growing once
@@ -25,10 +29,12 @@ import pytest
 
 from repro.core.index import TOLIndex
 from repro.core.ops import UpdateOp
+from repro.core.order import LevelOrder
 from repro.core.reference import reference_tol
 from repro.core.scratch import UpdateScratch
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
+from repro.graph.traversal import forward_reachable
 
 # ----------------------------------------------------------------------
 # Trace generation: a DAG-preserving random mutation stream
@@ -105,60 +111,81 @@ class _TraceGen:
 
 CASES = [(12, 20, 1), (16, 30, 2), (20, 45, 3), (24, 70, 4), (30, 50, 5)]
 
+#: Query pairs checked against BFS after every op.
+SAMPLED_PAIRS = 32
+
+
+def _assert_matches_ground_truth(index, shadow, rng, context):
+    """Labels ≡ Definition 1 under the live order; sampled queries ≡ BFS."""
+    ref = reference_tol(shadow, index.order)
+    assert index.labeling.snapshot() == ref.snapshot(), context
+    index.labeling.check_invariants()
+    verts = list(shadow.vertices())
+    for _ in range(SAMPLED_PAIRS):
+        s, t = rng.choice(verts), rng.choice(verts)
+        want = s == t or t in forward_reachable(shadow, s)
+        assert index.query(s, t) == want, (context, s, t)
+
+
+def _min_size_over_positions(graph, order_before, v):
+    """Smallest Definition-1 index size over every position of *v*."""
+    return min(
+        reference_tol(
+            graph, LevelOrder(order_before[:i] + [v] + order_before[i:])
+        ).size()
+        for i in range(len(order_before) + 1)
+    )
+
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "n%d-m%d-s%d" % c)
-def test_flat_equals_object_equals_reference(case):
+def test_flat_kernels_match_reference(case):
     n, m, seed = case
     base = random_dag(n, m, seed=seed)
-    flat = TOLIndex.build(base, order="butterfly-u", engine="csr")
-    obj = TOLIndex.build(base, order="butterfly-u", engine="object")
-    assert flat.engine == "csr" and obj.engine == "object"
-    assert flat.labeling.snapshot() == obj.labeling.snapshot()
+    index = TOLIndex.build(base, order="butterfly-u")
+    rng = random.Random(seed)
+    _assert_matches_ground_truth(index, base, rng, "build")
 
     gen = _TraceGen(base, seed * 977)
     for step in range(60):
         op = gen.next_op()
-        op.apply(flat)
-        op.apply(obj)
+        before = list(index.order)
+        op.apply(index)
         gen.emit(op)
-        # Exact engine equivalence after *every* op: labels and order.
-        assert flat.labeling.snapshot() == obj.labeling.snapshot(), (
-            step,
-            op,
-        )
-        assert list(flat.order) == list(obj.order), (step, op)
-    # Definition-1 oracle at trace end: the surviving labeling is the
-    # unique minimal TOL index of the shadow graph under the live order.
-    ref = reference_tol(gen.shadow, flat.order)
-    assert flat.labeling.snapshot() == ref.snapshot()
-    flat.labeling.check_invariants()
+        context = (step, op)
+        _assert_matches_ground_truth(index, gen.shadow, rng, context)
+        # Survivors keep their relative order (inserts add one vertex,
+        # deletes drop one, edge ops re-insert at the old level).
+        after = list(index.order)
+        kept = set(before) & set(after)
+        assert [x for x in after if x in kept] == [
+            x for x in before if x in kept
+        ], context
+        if op.kind == "insert_vertex":
+            # Default placement (Algorithm 3) is globally size-optimal.
+            assert index.size() == _min_size_over_positions(
+                gen.shadow, before, op.vertex
+            ), context
 
 
 def test_edge_round_trip_reuses_one_snapshot():
     """insert_edge/delete_edge share a single CSR snapshot per call."""
     base = random_dag(20, 40, seed=9)
-    flat = TOLIndex.build(base, engine="csr")
-    obj = TOLIndex.build(base, engine="object")
+    index = TOLIndex.build(base)
     rng = random.Random(13)
     shadow = base.copy()
     rank = {v: i for i, v in enumerate(_topo_order(base))}
-    for _ in range(25):
+    for step in range(25):
         verts = sorted(shadow.vertices(), key=rank.__getitem__)
         a, b = rng.sample(verts, 2)
         if rank[a] > rank[b]:
             a, b = b, a
         if shadow.has_edge(a, b):
             shadow.remove_edge(a, b)
-            flat.delete_edge(a, b)
-            obj.delete_edge(a, b)
+            index.delete_edge(a, b)
         else:
             shadow.add_edge(a, b)
-            flat.insert_edge(a, b)
-            obj.insert_edge(a, b)
-        assert flat.labeling.snapshot() == obj.labeling.snapshot()
-    assert flat.labeling.snapshot() == reference_tol(
-        shadow, flat.order
-    ).snapshot()
+            index.insert_edge(a, b)
+        _assert_matches_ground_truth(index, shadow, rng, (step, a, b))
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +219,7 @@ def _buffer_lens(scratch: UpdateScratch):
 
 def test_scratch_buffers_are_reused_across_updates():
     base = random_dag(18, 36, seed=21)
-    idx = TOLIndex.build(base, engine="csr")
+    idx = TOLIndex.build(base)
     # Warmup: one insert/delete round trip materializes the scratch and
     # sizes every buffer to the id-space capacity.
     idx.insert_vertex("warm", [0, 1], [5])

@@ -28,7 +28,7 @@ class TestFindViolations:
         assert find_violations(g, lab) == []
 
     def test_missing_label_detected(self, g, lab):
-        lab.remove_in_label(2, 1)
+        lab.remove_in_id(lab.id_of(2), lab.id_of(1))
         problems = find_violations(g, lab)
         assert any("missing label" in p for p in problems)
 
@@ -38,7 +38,7 @@ class TestFindViolations:
         assert any("extra label" in p for p in problems)
 
     def test_assert_raises_with_details(self, g, lab):
-        lab.remove_in_label(3, 2)
+        lab.remove_in_id(lab.id_of(3), lab.id_of(2))
         with pytest.raises(TOLViolation, match="Lin"):
             assert_valid_tol(g, lab)
 
@@ -51,7 +51,7 @@ class TestQueryOracle:
         assert_queries_correct(g, lab)
 
     def test_broken_query_detected(self, g, lab):
-        lab.remove_in_label(3, 2)
+        lab.remove_in_id(lab.id_of(3), lab.id_of(2))
         # Now query(2, 3) has no witness though 2 -> 3.
         with pytest.raises(TOLViolation, match="query"):
             assert_queries_correct(g, lab)

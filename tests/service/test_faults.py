@@ -13,6 +13,8 @@ import threading
 import pytest
 
 from repro.baselines.search import BFSBaseline
+from repro.core.index import ReachabilityIndex
+from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.service.faults import (
@@ -303,6 +305,16 @@ class TestSelfAuditAndRebuild:
         assert service.epoch == epoch_before + 1
         assert service.query("a", "c") is True  # indexed path again
         assert service.self_audit(100) is True
+
+    def test_bad_order_rejected_at_construction(self):
+        # The order is resolved once, up front, even when a prebuilt
+        # index is adopted: a bad value must not survive until a
+        # degraded-mode rebuild_index() and strand the service there.
+        index = ReachabilityIndex(DiGraph(edges=[("a", "b")]))
+        with pytest.raises(GraphError, match="no-such-order"):
+            ReachabilityService(index=index, order="no-such-order")
+        with pytest.raises(GraphError, match="no-such-order"):
+            ReachabilityService(DiGraph(), order="no-such-order")
 
     def test_audit_interval_runs_automatically(self):
         service = ReachabilityService(
