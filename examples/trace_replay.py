@@ -6,9 +6,9 @@ to query servers, and keep it in sync by replaying the mutation stream.
 This example walks that loop end to end:
 
 1. generate a GovWild-style graph and build a BU index,
-2. save it to disk (`.tolx` binary format) and load it back,
+2. save it to disk as a TOLF pack (`.tolf`) and load it back,
 3. synthesize a mixed mutation/query trace and persist it as an op log,
-4. replay the trace against the restored TOL index and against Dagger,
+4. replay the trace against the restored index and against Dagger,
    cross-checking every query answer,
 5. print per-op-class timing and label statistics before/after the churn.
 
@@ -35,19 +35,20 @@ def main() -> None:
     graph = load_dataset("GovWild", num_vertices=args.vertices, seed=args.seed)
     print(f"graph: |V|={graph.num_vertices} |E|={graph.num_edges}")
 
-    # 1-2. Build and round-trip the index through disk.  ReachabilityIndex
-    # wraps a TOLIndex over the SCC condensation; we persist the TOL part.
+    # 1-2. Build and round-trip the index through disk.  The pack holds
+    # the labels and the original graph with its SCC condensation, so the
+    # loaded ReachabilityIndex takes updates without a rebuild.
     index = ReachabilityIndex(graph, order="butterfly-u")
     from repro import save_index, load_index
 
-    index_path = workdir / "govwild.tolx"
-    save_index(index.tol, index_path)
-    restored_tol = load_index(index_path)
+    index_path = workdir / "govwild.tolf"
+    save_index(index, index_path)
+    restored = load_index(index_path)
     print(
         f"index round-tripped through {index_path} "
         f"({index_path.stat().st_size} bytes on disk)"
     )
-    assert restored_tol.size() == index.tol.size()
+    assert restored.size() == index.size()
     print("before churn:", labeling_stats(index.tol.labeling).render())
 
     # 3. Capture a mutation/query stream as a replayable op log.
@@ -58,7 +59,7 @@ def main() -> None:
 
     # 4. Replay against both dynamic indices; answers must agree.
     trace = read_trace(trace_path)
-    tol_report = replay_trace(ReachabilityIndex(graph, order="butterfly-u"), trace)
+    tol_report = replay_trace(restored, trace)
     dagger_report = replay_trace(DaggerIndex(graph), trace)
     assert tol_report.answers == dagger_report.answers
     print(f"replayed {tol_report.operations} ops on both indices; "

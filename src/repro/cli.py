@@ -3,17 +3,18 @@
 Usage examples::
 
     python -m repro generate citeseerx graph.txt --vertices 2000
-    python -m repro build graph.txt index.tolx --order bu
-    python -m repro query index.tolx 17 1291 5 880
-    python -m repro update index.tolx --insert 99999 --in 17 --out 42
-    python -m repro stats index.tolx
-    python -m repro reduce index.tolx --rounds 2
+    python -m repro build graph.txt index.tolf --order bu
+    python -m repro query index.tolf 17 1291 5 880
+    python -m repro update index.tolf --insert 99999 --in 17 --out 42
+    python -m repro stats index.tolf
+    python -m repro reduce index.tolf --rounds 2
     python -m repro trace-generate graph.txt ops.trace --ops 500
     python -m repro trace-replay graph.txt ops.trace --methods BU Dagger BFS
     python -m repro serve-replay graph.txt ops.trace --readers 8
     python -m repro serve-replay graph.txt ops.trace --metrics-out metrics.prom
     python -m repro serve-replay graph.txt ops.trace --wal state/ --fsync batch
     python -m repro serve graph.txt --port 7421 --max-pending 4096
+    python -m repro serve --snapshot index.tolf --workers 4
     python -m repro loadgen graph.txt --spawn --clients 4 --duration 5
     python -m repro recover state/ --checkpoint
     python -m repro metrics graph.txt ops.trace --format json --events ops.jsonl
@@ -34,11 +35,16 @@ from typing import Optional
 
 from . import datasets
 from .bench.experiments import ALL_EXPERIMENTS
-from .core.index import TOLIndex
+from .core.index import ReachabilityIndex
 from .core.orders import ORDER_STRATEGIES
-from .core.serialize import load_index, save_index
+from .core.serialize import load_index, load_served_index, save_index
 from .core.stats import labeling_stats, top_label_holders
-from .errors import ReproError, SerializationError, UnknownVertexError
+from .errors import (
+    ReproError,
+    SerializationError,
+    UnknownVertexError,
+    VertexNotFoundError,
+)
 from .graph.io import read_edge_list, write_edge_list
 
 __all__ = ["main", "build_parser"]
@@ -82,13 +88,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    """`repro build`: construct and save a TOL index for a graph file."""
+    """`repro build`: index a graph file and save it as a TOLF pack.
+
+    Builds the :class:`ReachabilityIndex` (SCC condensation + TOL labels,
+    so cyclic graphs work) and writes the full pack: labels, DAG edges,
+    interner and the original graph.  `repro query/update/stats/reduce`
+    read it, and `repro serve --snapshot` boots from it without
+    rebuilding.
+    """
     graph = read_edge_list(args.graph)
     start = time.perf_counter()
-    index = TOLIndex.build(graph, order=args.order)
+    index = ReachabilityIndex(graph, order=args.order)
     elapsed = time.perf_counter() - start
-    save_index(index, args.index, format=args.format)
-    stats = labeling_stats(index.labeling)
+    save_index(index, args.index)
+    stats = labeling_stats(index.tol.labeling)
     print(f"built {args.order} index in {elapsed:.2f}s -> {args.index}")
     print(stats.render())
     return 0
@@ -109,7 +122,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     for s, t in pairs:
         try:
             verdict = index.query(s, t)
-        except UnknownVertexError as exc:
+        except (UnknownVertexError, VertexNotFoundError) as exc:
             print(f"{s} -> {t}: error: {exc}", file=sys.stderr)
             exit_code = EXIT_UNKNOWN_VERTEX
             continue
@@ -153,11 +166,13 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """`repro stats`: label-distribution diagnostics of a saved index."""
     index = load_index(args.index)
-    stats = labeling_stats(index.labeling)
+    served = isinstance(index, ReachabilityIndex)
+    labeling = index.tol.labeling if served else index.labeling
+    stats = labeling_stats(labeling)
     print(f"{args.index}: |V|={index.num_vertices} |E|={index.num_edges}")
     print(stats.render())
-    print("heaviest vertices:")
-    for v, count in top_label_holders(index.labeling, k=args.top):
+    print("heaviest components:" if served else "heaviest vertices:")
+    for v, count in top_label_holders(labeling, k=args.top):
         print(f"  {v!r}: {count} labels")
     return 0
 
@@ -419,7 +434,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Two extensions (docs/scaling.md):
 
     * ``--snapshot FILE.tolf`` boots the index from a pack written by
-      `repro pack` — no rebuild, no WAL replay;
+      `repro build` — no rebuild, no WAL replay;
     * ``--workers N`` serves in multi-process mode: N reader processes
       answer queries from a shared-memory frozen snapshot while this
       process applies updates and republishes.
@@ -484,14 +499,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             flight=flight,
         )
         if args.snapshot:
-            from .core.serialize import (
-                load_pack,
-                reachability_index_from_pack,
+            service = ReachabilityService(
+                index=load_served_index(args.snapshot), **service_kwargs
             )
-
-            frozen, meta = load_pack(args.snapshot)
-            index = reachability_index_from_pack(frozen, meta)
-            service = ReachabilityService(index=index, **service_kwargs)
         else:
             service = ReachabilityService(
                 read_edge_list(args.graph), **service_kwargs
@@ -716,49 +726,6 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
         max_staleness=args.max_staleness,
         forward_timeout=args.forward_timeout,
     )
-
-
-def cmd_pack(args: argparse.Namespace) -> int:
-    """`repro pack`: freeze a graph's index into an mmap-able .tolf pack.
-
-    Builds the :class:`ReachabilityIndex` (SCC condensation + TOL
-    labels), freezes it to flat CSR buffers, and writes the TOLF pack —
-    the zero-copy snapshot format `repro serve --snapshot` boots from
-    without rebuilding and `repro serve --workers` publishes through
-    shared memory.  The pack carries the original graph alongside the
-    labels so the booted server still applies updates.
-    """
-    from .core.frozen import freeze
-    from .core.serialize import graph_to_dict, hashable_vertex, save_pack
-    from .core.index import ReachabilityIndex
-
-    graph = read_edge_list(args.graph)
-    start = time.perf_counter()
-    index = ReachabilityIndex(graph, order=args.order)
-    build_s = time.perf_counter() - start
-    frozen = freeze(index.tol)
-    graph_doc = graph_to_dict(index.condensation.graph)
-    # component_of aligned to the vertex table, so the pack restores the
-    # condensation with identical component ids.
-    hashables = [hashable_vertex(v) for v in graph_doc["vertices"]]
-    meta = {
-        "vertices": graph_doc["vertices"],
-        "graph_edges": graph_doc["edges"],
-        "component_of": [
-            index.condensation.component_of[v] for v in hashables
-        ],
-        "epoch": 0,
-        "order": args.order,
-        "source": str(args.graph),
-    }
-    save_pack(args.output, frozen, meta)
-    size = os.path.getsize(args.output)
-    print(
-        f"packed {args.graph} -> {args.output}: "
-        f"|V|={graph.num_vertices} |E|={graph.num_edges} "
-        f"|L|={frozen.size()} ({size:,} bytes, built in {build_s:.2f}s)"
-    )
-    return 0
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1204,7 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", default="butterfly-u",
         choices=sorted(set(ORDER_STRATEGIES)),
     )
-    p.add_argument("--format", default="auto", choices=["auto", "binary", "json"])
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("query", help="answer reachability queries")
@@ -1286,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-list file of the graph to serve (optional "
                         "with --snapshot)")
     p.add_argument("--snapshot", default=None, metavar="FILE.tolf",
-                   help="boot from a `repro pack` artifact instead of "
+                   help="boot from a `repro build` pack instead of "
                         "building the index from the edge list")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="multi-process mode: N reader processes answer "
@@ -1427,17 +1393,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--spawn); CI's chaos-smoke job uploads the "
                         "recorder dumps as a failure artifact")
     p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser(
-        "pack",
-        help="freeze a graph's index into an mmap-able .tolf snapshot "
-             "pack (boot it with `repro serve --snapshot`)",
-    )
-    p.add_argument("graph", help="edge-list file to index and freeze")
-    p.add_argument("output", help="pack file to write (convention: .tolf)")
-    p.add_argument("--order", default="butterfly-u",
-                   choices=sorted(set(ORDER_STRATEGIES)))
-    p.set_defaults(func=cmd_pack)
 
     # Hidden plumbing: the reader-worker subprocess behind
     # `repro serve --workers`.  Takes an inherited listening-socket fd

@@ -27,7 +27,7 @@ from .orders import (
     upper_bound_scores,
 )
 from .reduction import ReductionReport, reduce_labels
-from .serialize import index_from_dict, index_to_dict, load_index, save_index
+from .serialize import index_to_dict, load_index, save_index
 from .stats import LabelStats, labeling_stats, top_label_holders
 from .reference import ancestors_map, descendants_map, reference_tol
 from .validation import (
@@ -59,7 +59,6 @@ __all__ = [
     "save_index",
     "load_index",
     "index_to_dict",
-    "index_from_dict",
     "LabelStats",
     "labeling_stats",
     "top_label_holders",

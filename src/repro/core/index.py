@@ -392,9 +392,9 @@ class ReachabilityIndex:
     ) -> "ReachabilityIndex":
         """Adopt a prebuilt condensation + TOL pair without rebuilding.
 
-        The deserialization path (``.tolf`` packs, :func:`
-        repro.core.serialize.reachability_index_from_pack`) already holds
-        both halves — *tol*'s vertex names must be *condensation*'s
+        The deserialization path (``.tolf`` packs,
+        :func:`repro.core.serialize.load_index`) already holds both
+        halves — *tol*'s vertex names must be *condensation*'s
         component ids.  Updates replay through the same kernels as a
         built index; the level order of later inserts is chosen by
         Algorithm 3, never by an order strategy.

@@ -17,6 +17,7 @@ __all__ = [
     "NotADagError",
     "IndexStateError",
     "SerializationError",
+    "UnsupportedFormatError",
     "UnknownVertexError",
     "OrderError",
     "DatasetError",
@@ -101,6 +102,14 @@ class SerializationError(IndexStateError):
     :class:`struct.error` / :class:`KeyError` escape mid-parse.  Derives
     from :class:`IndexStateError` so pre-existing broad handlers keep
     working.
+    """
+
+
+class UnsupportedFormatError(SerializationError):
+    """An intact artifact in a format or version this code does not read.
+
+    Unlike corruption, this is not a reason to fall back to an older
+    checkpoint: skipping it would silently drop the state it holds.
     """
 
 

@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from ..core.serialize import load_served_index
 from ..obs import trace as obs_trace
 from ..obs.flight import FlightRecorder
 from ..obs.health import bind_health_gauges
@@ -62,7 +63,7 @@ def wal_has_state(directory) -> bool:
     root = Path(directory)
     if (root / "wal.log").exists():
         return True
-    return any((root / "checkpoints").glob("ckpt-*.tolc"))
+    return any((root / "checkpoints").glob("ckpt-*"))
 
 
 def _start_ppid_watchdog(on_orphaned, *, interval: float = 1.0) -> None:
@@ -121,12 +122,8 @@ def _build_service(
             **({"injector": injector} if injector is not None else {}),
         )
     if snapshot:
-        from ..core.serialize import load_pack, reachability_index_from_pack
-
-        frozen, meta = load_pack(snapshot)
-        index = reachability_index_from_pack(frozen, meta)
-        return ReachabilityService(index=index, durability=durability,
-                                   **common)
+        return ReachabilityService(index=load_served_index(snapshot),
+                                   durability=durability, **common)
     return ReachabilityService(read_edge_list(graph), durability=durability,
                                **common)
 

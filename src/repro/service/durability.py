@@ -9,11 +9,11 @@ This module adds the standard database recipe around
   configurable fsync policy (``always`` / ``batch`` / ``never``).
   Opening a WAL validates every record and truncates the first torn or
   corrupt tail — the normal aftermath of a crash mid-append.
-* :class:`CheckpointStore` — periodic snapshots of the served graph via
-  :func:`repro.core.serialize.save_checkpoint` (format-versioned,
-  checksummed), written to a temp file and atomically renamed, with the
-  newest few retained.  Loading walks newest-to-oldest past any corrupt
-  file.
+* :class:`CheckpointStore` — periodic snapshots of the served graph as
+  graph-only TOLF packs (:func:`repro.core.serialize.pack_graph`,
+  format-versioned, checksummed), written to a temp file and atomically
+  renamed, with the newest few retained.  Loading walks newest-to-oldest
+  past any corrupt file, but stops at one in a format it cannot read.
 * :func:`recover_state` — the recovery path: load the newest *valid*
   checkpoint, then replay the WAL suffix (records with a sequence number
   beyond the checkpoint's coverage) on top of it.  The index itself is
@@ -22,10 +22,12 @@ This module adds the standard database recipe around
   oracle.
 
 Sequence numbers are assigned by the WAL, start at 1, and survive
-checkpoint trims (the file header records the trimmed base), so
-``checkpoint coverage + WAL suffix`` always partitions the update
-history.  An update is *durable* once its record is appended and synced;
-an update is *acked* only when ``flush()`` returns — so a crash at any
+checkpoint trims (the file header records the trimmed base).  The WAL is
+trimmed only through the *oldest retained* checkpoint, so falling back
+to any checkpoint still on disk leaves no gap: ``checkpoint coverage +
+WAL suffix`` always partitions the update history.  An update is
+*durable* once its record is appended and synced; an update is *acked*
+only when ``flush()`` returns — so a crash at any
 named :data:`~repro.service.faults.CRASH_POINTS` site loses at most
 un-acked updates, never acked ones (with ``fsync="always"``/``"batch"``).
 
@@ -45,8 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from ..core.serialize import load_checkpoint, save_checkpoint
-from ..errors import ReproError, SerializationError
+from ..core.serialize import pack_graph, unpack_graph
+from ..errors import ReproError, SerializationError, UnsupportedFormatError
 from ..graph.digraph import DiGraph
 from ..obs import trace as obs_trace
 from .faults import NULL_INJECTOR, FaultInjector, InjectedCrash
@@ -72,6 +74,10 @@ _WAL_MAGIC = b"TOLWAL1\n"
 _WAL_BASE = struct.Struct("<Q")  # seq covered by trims before record 1
 _RECORD_HEADER = struct.Struct("<II")  # payload length, CRC32(payload)
 _WAL_HEADER_LEN = len(_WAL_MAGIC) + _WAL_BASE.size
+
+#: Magic of the zlib-JSON checkpoints written before checkpoints became
+#: TOLF packs.  Recovery refuses them rather than skip the base graph.
+_LEGACY_CHECKPOINT_MAGIC = b"TOLC"
 
 
 def _encode_record(
@@ -162,6 +168,7 @@ class WriteAheadLog:
         self._registry = registry
         self._lock = threading.RLock()
         self._file = None
+        self._base_seq = 0
         self._last_seq = 0
         self.records_appended = 0
         self.fsyncs = 0
@@ -186,6 +193,7 @@ class WriteAheadLog:
             self._write_fresh(path, base=0, records=())
             blob = path.read_bytes()
         base, records, valid_end = _scan_records(blob)
+        self._base_seq = base
         self._last_seq = records[-1][0] if records else base
         if valid_end < len(blob):
             self.truncated_bytes += len(blob) - valid_end
@@ -309,6 +317,7 @@ class WriteAheadLog:
                 self._file.close()
             self._write_fresh(self._path, base=seq, records=keep)
             self._file = open(self._path, "ab")
+            self._base_seq = seq
             self._last_seq = max(self._last_seq, seq)
             return len(keep)
 
@@ -326,6 +335,12 @@ class WriteAheadLog:
         """Sequence number of the newest record (trims included)."""
         with self._lock:
             return self._last_seq
+
+    @property
+    def base_seq(self) -> int:
+        """Highest sequence number trimmed away (0 = nothing trimmed)."""
+        with self._lock:
+            return self._base_seq
 
     def bind_registry(self, registry) -> None:
         """Route counters into *registry* (seeding it with current totals)."""
@@ -358,12 +373,13 @@ class WriteAheadLog:
 class CheckpointStore:
     """Atomic, retained, corruption-tolerant graph snapshots.
 
-    Files are named ``ckpt-<wal_seq>.tolc`` so the covered WAL position
+    Files are named ``ckpt-<wal_seq>.tolf`` so the covered WAL position
     is readable without opening them.  :meth:`write` goes through a temp
     file and ``os.replace``; :meth:`load_latest` walks newest-to-oldest
-    and skips anything :func:`~repro.core.serialize.load_checkpoint`
-    rejects, so one corrupt (or half-renamed) checkpoint costs recovery
-    freshness, never availability.
+    and skips truncated or CRC-failing packs, so one corrupt (or
+    half-renamed) checkpoint costs recovery freshness, never
+    availability.  A checkpoint in a format or version this code does
+    not read stops it instead: skipping that would lose its graph.
     """
 
     def __init__(
@@ -387,7 +403,9 @@ class CheckpointStore:
 
     def paths(self) -> list[Path]:
         """Checkpoint files, oldest first (temp files excluded)."""
-        return sorted(self._dir.glob("ckpt-*.tolc"))
+        return sorted(
+            p for p in self._dir.glob("ckpt-*") if p.suffix != ".tmp"
+        )
 
     @staticmethod
     def seq_of(path: Path) -> int:
@@ -397,11 +415,12 @@ class CheckpointStore:
     def write(self, graph: DiGraph, meta: dict) -> Path:
         """Persist one snapshot; returns the final (renamed) path."""
         seq = int(meta.get("wal_seq", 0))
-        final = self._dir / f"ckpt-{seq:012d}.tolc"
+        final = self._dir / f"ckpt-{seq:012d}.tolf"
         tmp = final.with_name(final.name + ".tmp")
         self._injector.fire("checkpoint.serialize")
-        save_checkpoint(tmp, graph, meta)
-        with open(tmp, "rb") as f:
+        with open(tmp, "wb") as f:
+            f.write(pack_graph(graph, meta))
+            f.flush()
             os.fsync(f.fileno())
         self._injector.fire("checkpoint.rename")
         os.replace(tmp, final)
@@ -416,10 +435,25 @@ class CheckpointStore:
         Returns ``(graph, meta, path)``.  Corrupt or truncated files are
         skipped (newest first), which is the fallback the crash matrix
         exercises by tearing the most recent checkpoint.
+
+        Raises
+        ------
+        SerializationError
+            Naming the file, when a checkpoint is in a format or version
+            this code does not read (e.g. a legacy TOLC checkpoint).
         """
         for path in reversed(self.paths()):
             try:
-                graph, meta = load_checkpoint(path)
+                blob = path.read_bytes()
+                if blob[:4] == _LEGACY_CHECKPOINT_MAGIC:
+                    raise UnsupportedFormatError(
+                        "legacy TOLC checkpoint; this version reads TOLF packs"
+                    )
+                graph, meta = unpack_graph(blob)
+            except UnsupportedFormatError as exc:
+                raise SerializationError(
+                    f"checkpoint {path} cannot be read: {exc}"
+                ) from None
             except (SerializationError, OSError):
                 continue
             return graph, meta, path
@@ -429,7 +463,7 @@ class CheckpointStore:
         """Drop all but the newest *keep* checkpoints, and stray temp files."""
         for stale in self.paths()[: -self._keep]:
             stale.unlink(missing_ok=True)
-        for tmp in self._dir.glob("ckpt-*.tolc.tmp"):
+        for tmp in self._dir.glob("ckpt-*.tmp"):
             tmp.unlink(missing_ok=True)
 
     def _fsync_dir(self) -> None:
@@ -458,8 +492,8 @@ class DurabilityManager:
     Layout: ``<directory>/wal.log`` and ``<directory>/checkpoints/``.
     The manager tracks how far the newest checkpoint covers the WAL and
     triggers a new one every *checkpoint_every* appended records
-    (:meth:`maybe_checkpoint`); after a successful checkpoint the covered
-    WAL prefix is trimmed.
+    (:meth:`maybe_checkpoint`); after a successful checkpoint the WAL
+    prefix covered by every retained checkpoint is trimmed.
     """
 
     def __init__(
@@ -517,12 +551,17 @@ class DurabilityManager:
         return self.checkpoint(graph, meta)
 
     def checkpoint(self, graph: DiGraph, meta: dict) -> Path:
-        """Write a snapshot covering the current WAL position, then trim."""
+        """Write a snapshot covering the current WAL position, then trim.
+
+        The trim stops at the oldest retained checkpoint, so recovery can
+        fall back to it if the newest fails to load.
+        """
         meta = dict(meta)
         meta.setdefault("wal_seq", self.wal.last_seq)
         path = self.checkpoints.write(graph, meta)
         self._checkpointed_seq = int(meta["wal_seq"])
-        self.wal.truncate_through(self._checkpointed_seq)
+        oldest = min(map(CheckpointStore.seq_of, self.checkpoints.paths()))
+        self.wal.truncate_through(oldest)
         return path
 
     def bind_registry(self, registry) -> None:
@@ -587,7 +626,11 @@ def recover_state(
 
     Loads the newest checkpoint that passes its checksum (walking past
     corrupt ones), then replays every WAL record with ``seq`` beyond the
-    checkpoint's coverage.  Replayed records that the graph rejects
+    checkpoint's coverage.  Raises :class:`SerializationError` when a
+    checkpoint is in a format this code does not read, or when the one
+    it found (none counts as seq 0) is older than the WAL's trimmed base:
+    the records in between are gone, so replay would silently lose
+    acknowledged updates.  Replayed records that the graph rejects
     (:class:`~repro.errors.ReproError` — e.g. an op the live service had
     also rejected) are counted in ``skipped`` and do not stop replay.
     Opening the WAL truncates any torn tail as a side effect.
@@ -607,6 +650,11 @@ def recover_state(
     with WriteAheadLog(
         directory / "wal.log", fsync=fsync, injector=injector
     ) as wal:
+        if base_seq < wal.base_seq:
+            raise SerializationError(
+                f"recovery gap: the newest loadable checkpoint covers seq "
+                f"{base_seq} but the WAL starts after seq {wal.base_seq}"
+            )
         for seq, op, trace_id in wal.records_with_traces():
             if seq <= base_seq:
                 continue

@@ -9,7 +9,8 @@ respawns so readers never lose their map).  A publish is:
 1. freeze the live index under the service read lock (a consistent
    ``(frozen, component_of, epoch)`` triple); the freeze leaves out the
    DAG edge list, which readers never use;
-2. pack it to TOLF bytes (no DAG edges, no graph — readers only query);
+2. pack it to TOLF bytes with :func:`~repro.core.serialize.pack_snapshot`:
+   the labels and the component map, no DAG edges — readers only query;
 3. create ``{base}-g{generation}`` sized exactly to the pack, copy the
    bytes in;
 4. seqlock-update the control block so readers see the new generation
@@ -61,7 +62,7 @@ import threading
 import time
 from typing import Optional
 
-from ..core.serialize import pack_frozen
+from ..core.serialize import pack_snapshot
 from .control import (
     ControlBlock,
     create_segment,
@@ -185,15 +186,9 @@ class SnapshotPublisher:
             frozen, component_of, epoch = self.service.freeze_snapshot()
             frozen_at = time.perf_counter()
             publish_epoch = max(epoch, self._epoch_floor)
-            # JSON writes tuples as arrays; readers re-tuple via
-            # hashable_vertex, matching the wire protocol's convention.
-            vertices = list(component_of)
-            meta = {
-                "vertices": vertices,
-                "component_of": [component_of[v] for v in vertices],
-                "epoch": publish_epoch,
-            }
-            blob = pack_frozen(frozen, meta)
+            blob = pack_snapshot(
+                frozen, component_of, {"epoch": publish_epoch}
+            )
             packed_at = time.perf_counter()
             generation = self._generation + 1
             name = segment_name(self.base, generation)

@@ -3,9 +3,9 @@
 A reader holds one :class:`AttachedSnapshot` at a time: a
 :class:`~repro.core.frozen.FrozenTOLIndex` whose buffers are
 ``memoryview.cast`` views straight into the shared data segment (zero
-copies — the only materialized state is the ``component_of`` dict and
-the vertex table decoded from the pack's JSON meta), plus the epoch and
-generation it was published at.
+copies — the only materialized state is the vertex table and the
+``component_of`` dict, rebuilt from the pack's int sections), plus the
+epoch and generation it was published at.
 
 The per-request fast path is :meth:`SnapshotReader.current`: one racy
 i64 read of the control block's generation cell; only when it moved does
@@ -27,7 +27,7 @@ Hardening (the failure model in docs/robustness.md):
   holds a snapshot: :meth:`current` falls back to the previously
   attached generation (``stale_serves`` counts those) because a stale
   correct answer beats no answer while the writer is respawned;
-* the pack CRC is re-verified on **every** attach (``unpack_frozen``
+* the pack CRC is re-verified on **every** attach (``unpack_snapshot``
   checksums the whole body), so a segment corrupted in place is caught
   at the next re-attach, never silently served.
 """
@@ -38,7 +38,7 @@ import time
 from typing import Optional
 
 from ..core.frozen import FrozenTOLIndex
-from ..core.serialize import hashable_vertex, unpack_frozen
+from ..core.serialize import unpack_snapshot
 from ..errors import SerializationError, SnapshotUnavailableError
 from .control import ControlBlock, attach_segment, segment_name
 
@@ -151,9 +151,11 @@ class SnapshotReader:
                 continue
             try:
                 # Attached segments are page-rounded; the control block
-                # carries the exact pack length.  unpack_frozen verifies
+                # carries the exact pack length.  unpack_snapshot verifies
                 # the pack CRC over the whole body on every attach.
-                frozen, meta = unpack_frozen(shm.buf[:data_len])
+                frozen, component_of, meta = unpack_snapshot(
+                    shm.buf[:data_len]
+                )
             except (SerializationError, ValueError) as exc:
                 # Torn read (the generation cell advanced before our
                 # attach but the name holds newer bytes than the triple
@@ -165,10 +167,6 @@ class SnapshotReader:
                 self.attach_failures += 1
                 time.sleep(0.01)
                 continue
-            component_of = dict(zip(
-                (hashable_vertex(v) for v in meta["vertices"]),
-                meta["component_of"],
-            ))
             snap = AttachedSnapshot(
                 frozen, component_of, meta.get("epoch", epoch),
                 generation, data_len, ts, shm,

@@ -5,7 +5,7 @@ reader workers sharing one listening socket and one shared-memory
 snapshot.  Covered here: query correctness against a BFS oracle, the
 per-worker stats/health surfaces, epoch monotonicity under a live
 update stream, worker supervision (kill one, watch it respawn), and
-booting from a ``repro pack`` ``.tolf`` snapshot.
+booting from a ``repro build`` ``.tolf`` pack.
 """
 
 import os
@@ -171,12 +171,12 @@ class TestSnapshotBoot:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "pack",
+            [sys.executable, "-m", "repro", "build",
              str(graph_file), str(pack)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "packed" in proc.stdout
+        assert "built" in proc.stdout
         assert pack.stat().st_size > 0
 
         pairs = [(0, 50), (50, 0), (12, 80), (99, 1)]

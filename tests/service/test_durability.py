@@ -170,7 +170,7 @@ class TestCheckpointStore:
         graph, meta, path = store.load_latest()
         assert graph == self.graph()
         assert meta["wal_seq"] == 7 and meta["epoch"] == 3
-        assert path.name == "ckpt-000000000007.tolc"
+        assert path.name == "ckpt-000000000007.tolf"
 
     def test_newest_wins(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=3)
@@ -190,7 +190,7 @@ class TestCheckpointStore:
         graph, meta, path = store.load_latest()
         assert meta["wal_seq"] == 1
         assert graph == self.graph()
-        assert path.name.endswith("000001.tolc")
+        assert path.name.endswith("000001.tolf")
 
     def test_all_corrupt_returns_none(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -272,7 +272,9 @@ class TestServiceCheckpointCadence:
         service.apply(ops[3])  # crosses the threshold
         assert len(copies) == 1
         assert mgr.checkpointed_seq == 4
-        assert mgr.wal.records() == []
+        # The trim stops at the retained baseline checkpoint (seq 0), so
+        # falling back to it would still find every update in the WAL.
+        assert [s for s, _ in mgr.wal.records()] == [1, 2, 3, 4]
         monkeypatch.undo()
         mgr.close()
 
@@ -344,6 +346,70 @@ class TestRecoverState:
         second = recover_state(tmp_path)
         assert first.graph == second.graph
         assert first.last_seq == second.last_seq
+
+
+class TestCheckpointFallback:
+    """Falling back past a bad checkpoint must never lose acked updates."""
+
+    def seven_ops(self, tmp_path):
+        mgr = DurabilityManager(tmp_path, checkpoint_every=3, fsync="never")
+        graph = DiGraph()
+        for i in range(7):
+            op = UpdateOp.insert_vertex(i)
+            mgr.wal.append(op)
+            op.apply_to_graph(graph)
+            mgr.maybe_checkpoint(graph.copy(), {"wal_seq": mgr.wal.last_seq})
+        mgr.close()
+        return mgr.checkpoints.paths()
+
+    @staticmethod
+    def flip_a_byte(path):
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    def test_corrupt_newest_checkpoint_still_recovers_everything(
+        self, tmp_path
+    ):
+        paths = self.seven_ops(tmp_path)
+        assert [CheckpointStore.seq_of(p) for p in paths] == [3, 6]
+        self.flip_a_byte(paths[-1])
+        report = recover_state(tmp_path)
+        assert report.checkpoint_seq == 3
+        assert sorted(report.graph.vertices()) == list(range(7))
+
+    def test_gap_between_checkpoint_and_wal_raises(self, tmp_path):
+        for path in self.seven_ops(tmp_path):
+            self.flip_a_byte(path)
+        # No loadable checkpoint counts as seq 0, but the WAL was trimmed
+        # through seq 3: replaying from an empty graph would drop 0..2.
+        with pytest.raises(SerializationError, match="gap"):
+            recover_state(tmp_path)
+
+    def test_legacy_tolc_checkpoint_refuses_to_recover(self, tmp_path):
+        legacy = tmp_path / "checkpoints" / "ckpt-000000000005.tolc"
+        legacy.parent.mkdir()
+        # A TOLC header: magic, u16 version 1, u32 length, u32 crc32.
+        legacy.write_bytes(b"TOLC" + (1).to_bytes(2, "little") + bytes(8))
+        with pytest.raises(SerializationError, match=legacy.name):
+            recover_state(tmp_path)
+
+    def test_unsupported_pack_version_refuses_to_recover(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        path = store.write(DiGraph(vertices=["a"]), {"wal_seq": 1})
+        blob = bytearray(path.read_bytes())
+        blob[4] = 99  # the u16 version after the magic
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SerializationError, match=path.name):
+            store.load_latest()
+
+    def test_crc_flipped_pack_is_skipped(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=3)
+        store.write(DiGraph(vertices=["old"]), {"wal_seq": 1})
+        newest = store.write(DiGraph(vertices=["new"]), {"wal_seq": 2})
+        self.flip_a_byte(newest)
+        graph, meta, _ = store.load_latest()
+        assert meta["wal_seq"] == 1 and list(graph.vertices()) == ["old"]
 
 
 class TestWalOsFailures:

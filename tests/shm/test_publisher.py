@@ -67,6 +67,31 @@ class TestPublishAttach:
         with pytest.raises(KeyError):
             reader.current().query("no-such-vertex", 0)
 
+    def test_string_vertices_round_trip_through_json_table(self):
+        # Non-int vertices take the JSON fallback of the vertex table;
+        # the cycle a -> b -> c -> a makes one multi-vertex component.
+        from repro.graph.digraph import DiGraph
+
+        graph = DiGraph(edges=[
+            ("a", "b"), ("b", "c"), ("c", "a"), ("c", ("d", 1)),
+            (("d", 1), "e"), ("f", "e"),
+        ])
+        publisher = SnapshotPublisher(ReachabilityService(graph.copy()))
+        try:
+            publisher.publish()
+            reader = SnapshotReader(publisher.control_name)
+            try:
+                snap = reader.current()
+                for s in graph.vertices():
+                    for t in graph.vertices():
+                        assert snap.query(s, t) == bidirectional_reachable(
+                            graph, s, t
+                        ), (s, t)
+            finally:
+                reader.close()
+        finally:
+            publisher.close()
+
     def test_current_is_stable_between_publishes(self, plane):
         _, _, reader = plane
         assert reader.current() is reader.current()

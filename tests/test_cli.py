@@ -16,7 +16,7 @@ def graph_file(tmp_path):
 
 @pytest.fixture
 def index_file(graph_file, tmp_path):
-    path = tmp_path / "g.tolx"
+    path = tmp_path / "g.tolf"
     assert main(["build", str(graph_file), str(path), "--order", "bu"]) == 0
     return path
 
@@ -43,7 +43,7 @@ class TestBuild:
         assert index.num_vertices == 200
 
     def test_stats_printed(self, graph_file, tmp_path, capsys):
-        main(["build", str(graph_file), str(tmp_path / "i.tolx")])
+        main(["build", str(graph_file), str(tmp_path / "i.tolf")])
         out = capsys.readouterr().out
         assert "|L|=" in out and "built" in out
 
@@ -54,13 +54,13 @@ class TestBuild:
 
     def test_order_choices(self, graph_file, tmp_path):
         assert main([
-            "build", str(graph_file), str(tmp_path / "dl.tolx"), "--order", "dl",
+            "build", str(graph_file), str(tmp_path / "dl.tolf"), "--order", "dl",
         ]) == 0
 
 
 class TestQuery:
     def test_reachable_pair(self, index_file, capsys):
-        graph = load_index(index_file).graph_copy()
+        graph = load_index(index_file).condensation.graph
         tail, head = next(iter(graph.edges()))
         assert main(["query", str(index_file), str(tail), str(head)]) == 0
         assert "reachable" in capsys.readouterr().out
@@ -77,7 +77,7 @@ class TestQuery:
         assert "error" in capsys.readouterr().err
 
     def test_corrupt_index_serialization_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "corrupt.tolx"
+        bad = tmp_path / "corrupt.tolf"
         bad.write_bytes(b"definitely not an index artifact")
         assert main(["query", str(bad), "0", "1"]) == EXIT_SERIALIZATION
         assert "error" in capsys.readouterr().err
@@ -99,15 +99,20 @@ class TestUpdate:
     def test_noop_rejected(self, index_file):
         assert main(["update", str(index_file)]) == 2
 
-    def test_cycle_insert_fails_cleanly(self, index_file, capsys):
-        graph = load_index(index_file).graph_copy()
+    def test_cycle_insert_merges_components(self, index_file, capsys):
+        # `repro build` indexes the SCC condensation, so an insert that
+        # closes a cycle merges components instead of being rejected.
+        graph = load_index(index_file).condensation.graph
         tail, head = next(iter(graph.edges()))
         code = main([
             "update", str(index_file),
             "--insert", "777", "--in", str(head), "--out", str(tail),
         ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert code == 0
+        assert main(["query", str(index_file), str(head), str(tail)]) == 0
+        assert f"{head} -> {tail}: reachable" in capsys.readouterr().out
+        index = load_index(index_file)
+        assert index.condensation.same_component(777, head)
 
 
 class TestStatsAndReduce:
@@ -117,7 +122,7 @@ class TestStatsAndReduce:
         assert "heaviest" in out and "|L|=" in out
 
     def test_reduce_shrinks_or_keeps(self, graph_file, tmp_path, capsys):
-        path = tmp_path / "tf.tolx"
+        path = tmp_path / "tf.tolf"
         main(["build", str(graph_file), str(path), "--order", "tf"])
         before = load_index(path).size()
         assert main(["reduce", str(path)]) == 0

@@ -28,7 +28,7 @@ class TestFullLifecycle:
         index = TOLIndex.build(graph, order="butterfly-u")
 
         # Persist + restore.
-        path = tmp_path / "idx.tolx"
+        path = tmp_path / "idx.tolf"
         save_index(index, path)
         restored = load_index(path)
         assert restored.labeling.snapshot() == index.labeling.snapshot()
@@ -57,7 +57,7 @@ class TestFullLifecycle:
 
         # Persist the churned TOL, restore, and replay only the queries:
         # answers must match the live index's final state.
-        path = tmp_path / "churned.tolx"
+        path = tmp_path / "churned.tolf"
         save_index(index.tol, path)
         restored = load_index(path)
         live_comp = index.condensation
