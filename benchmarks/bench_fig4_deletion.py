@@ -2,9 +2,9 @@
 
 Per-cell timings for representative datasets plus the full figure written
 to ``benchmarks/results/fig4.txt``.  The paper's shape: BU/BL are
-comparable to Dagger except on the dense RG rows and wiki, where rebuilding
-the labels of everything the victim touches is the price of TOL's fast
-queries.
+comparable to Dagger except on the dense RG rows and wiki, where repairing
+the labels of the victim's descendants and ancestors is the price of TOL's
+fast queries.
 """
 
 import pytest

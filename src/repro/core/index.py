@@ -91,12 +91,22 @@ class TOLIndex:
             If *graph* has a cycle (use :class:`ReachabilityIndex` for
             general graphs).  Raised by the order strategy or the build
             itself.
+        TypeError
+            If the order strategy returns anything but a
+            :class:`LevelOrder`.
         """
         own = graph.copy()
         if isinstance(order, LevelOrder):
             level_order = order
         else:
             level_order = resolve_order_strategy(order)(own)
+            if not isinstance(level_order, LevelOrder):
+                # A plain sequence builds, but the update kernels need the
+                # order's level keys: fail here, not on the first delete.
+                raise TypeError(
+                    f"order strategy must return a LevelOrder, got "
+                    f"{type(level_order).__name__}"
+                )
         return cls(own, butterfly_build(own, level_order))
 
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ arithmetic: written naively, every update builds a fresh
 of that with buffers that live as long as the labeling and are *reused*
 across updates, so a steady-state update allocates (almost) nothing:
 
-* **Mark arrays** (:attr:`seen`, :attr:`mark_a`, :attr:`mark_b`) are plain
+* **Mark arrays** (:attr:`seen`, :attr:`mark_a` … :attr:`mark_e`) are plain
   int lists indexed by dense vertex id.  Membership is a *generation
   stamp*: ``marks[i] == gen`` means "in the set of generation ``gen``".
   Clearing a set is ``gen = scratch.next_gen()`` — O(1), no writes — and
@@ -70,6 +70,9 @@ class UpdateScratch:
         "seen",
         "mark_a",
         "mark_b",
+        "mark_c",
+        "mark_d",
+        "mark_e",
         "counts",
         "queue",
         "cand",
@@ -92,6 +95,12 @@ class UpdateScratch:
         #: B+(v)/B-(v) membership tests of the stale-witness guard.
         self.mark_a: list[int] = []
         self.mark_b: list[int] = []
+        #: Deletion's change-propagation stamps (keyed by labeling id):
+        #: which label sets changed, which ids sat in the victim's own
+        #: label sets, and which holders lost a witness.
+        self.mark_c: list[int] = []
+        self.mark_d: list[int] = []
+        self.mark_e: list[int] = []
         #: In-degree counters for the deletion toposort (Kahn).
         self.counts: list[int] = []
         #: BFS worklist (ids or vertex objects, per phase).
@@ -126,6 +135,9 @@ class UpdateScratch:
             self.seen.extend(pad)
             self.mark_a.extend(pad)
             self.mark_b.extend(pad)
+            self.mark_c.extend(pad)
+            self.mark_d.extend(pad)
+            self.mark_e.extend(pad)
             self.counts.extend(pad)
             self.queue.extend(pad)
             self.cand.extend(pad)

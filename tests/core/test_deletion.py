@@ -11,6 +11,7 @@ from repro.core.reference import reference_tol
 from repro.core.validation import assert_queries_correct
 from repro.errors import IndexStateError
 from repro.graph.digraph import DiGraph
+from repro.obs import trace
 
 from ..conftest import make_random_dag
 
@@ -119,3 +120,69 @@ class TestStaleWitnessGuard:
         assert lab.query("w", "u"), "stale witness suppressed a needed label"
         ref = reference_tol(g, lab.order)
         assert lab.snapshot() == ref.snapshot()
+
+
+class TestCutOffTriggers:
+    """The cut-off may skip a label set only when nothing it derives from
+    changed.  Minimal graphs for the rules of ``delete_vertex`` that do
+    not follow from the purge: the lost-witness rules (c) and (c′), where
+    no neighbour's label changes either, and the propagation rules (b)
+    and (b′).  Each test fails when its rule is removed.
+    """
+
+    #: Order of the lost-witness graphs.
+    ORDER = ["x", "w", "v", "z", "u"]
+
+    def test_lost_witness_rebuilds_lin(self):
+        # Rule (c).  x ∈ Lin(u) covers w, but w reaches x only through v;
+        # after the delete w reaches u only via z, so w joins Lin(u).
+        g = DiGraph(edges=[
+            ("w", "v"), ("v", "x"), ("x", "u"), ("w", "z"), ("z", "u"),
+        ])
+        lab = butterfly_build(g, LevelOrder(self.ORDER))
+        assert "w" not in lab.label_in["u"]
+        delete_vertex(g, lab, "v")
+        assert "w" in lab.label_in["u"]
+        assert lab.snapshot() == reference_tol(g, lab.order).snapshot()
+
+    def test_dropped_ancestor_rebuilds_lout(self):
+        # Rule (c′), the mirror: every edge reversed.  x ∈ Lout(u) covers
+        # w; step 2 drops x from Lin(w), and w must join Lout(u).
+        g = DiGraph(edges=[
+            ("v", "w"), ("x", "v"), ("u", "x"), ("z", "w"), ("u", "z"),
+        ])
+        lab = butterfly_build(g, LevelOrder(self.ORDER))
+        assert "w" not in lab.label_out["u"]
+        delete_vertex(g, lab, "v")
+        assert "w" in lab.label_out["u"]
+        assert lab.snapshot() == reference_tol(g, lab.order).snapshot()
+
+    @pytest.mark.parametrize("edges, lost", [
+        # Rule (b′): Lout(1) loses 2, so Lout(0) must be rebuilt too.
+        ([(0, 1), (1, 3), (3, 2)], (0, 2)),
+        # Rule (b), the mirror: Lin(1) loses 2, so must Lin(0).
+        ([(2, 3), (3, 1), (1, 0)], (2, 0)),
+    ])
+    def test_changed_neighbour_propagates(self, edges, lost):
+        # Order 2 > 0 > 3 > 1.  Deleting 3 cuts the chain below the top
+        # vertex 2; only v's neighbour 1 sees the purge, and the loss
+        # must travel one edge further.
+        g = DiGraph(edges=edges)
+        lab = butterfly_build(g, LevelOrder([2, 0, 3, 1]))
+        delete_vertex(g, lab, 3)
+        assert not lab.query(*lost)
+        assert lab.snapshot() == reference_tol(g, lab.order).snapshot()
+
+    def test_span_counts_rebuilds(self):
+        g = DiGraph(edges=[
+            ("w", "v"), ("v", "x"), ("x", "u"), ("w", "z"), ("z", "u"),
+        ])
+        lab = butterfly_build(g, LevelOrder(self.ORDER))
+        with trace.capture() as reg:
+            delete_vertex(g, lab, "v")
+        stats = reg.snapshot()["stats"]
+        # B+(v) = {x, u}: x as v's out-neighbour, u by rule (c); B-(v) =
+        # {w}: v's in-neighbour.  Only Lin(u) and Lout(w) change.
+        assert stats["span.tol.delete.rebuilt_in"]["max"] == 2
+        assert stats["span.tol.delete.rebuilt_out"]["max"] == 1
+        assert stats["span.tol.delete.labels_changed"]["max"] == 2

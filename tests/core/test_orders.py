@@ -97,6 +97,18 @@ class TestStrategies:
         with pytest.raises(TypeError):
             resolve_order_strategy(42)
 
+    def test_strategy_returning_a_list_is_rejected_at_build(self):
+        from repro.core.index import ReachabilityIndex, TOLIndex
+
+        g = random_dag(6, 8, seed=0)
+
+        def as_list(graph):
+            return list(butterfly_upper_order(graph))
+
+        for build in (TOLIndex.build, ReachabilityIndex):
+            with pytest.raises(TypeError, match="got list"):
+                build(g, order=as_list)
+
     def test_facades_resolve_uniformly(self):
         from repro.core.index import ReachabilityIndex, TOLIndex
 

@@ -3,9 +3,11 @@
 A `RuleBasedStateMachine` drives :class:`ReachabilityIndex` through
 arbitrary interleavings of vertex/edge insertions and deletions, keeping a
 plain :class:`DiGraph` as the model.  Invariants checked after every rule:
-a sample of queries matches BFS on the model, and the SCC condensation's
-internal bookkeeping is consistent.  This is the widest net in the suite —
-hypothesis shrinks any failure to a minimal op sequence automatically.
+a sample of queries matches BFS on the model, the labels equal the
+Definition-1 labels of the condensed DAG under the index's own level
+order, and the SCC condensation's internal bookkeeping is consistent.
+This is the widest net in the suite — hypothesis shrinks any failure to
+a minimal op sequence automatically.
 """
 
 import random
@@ -21,6 +23,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.core.index import ReachabilityIndex
+from repro.core.reference import reference_tol
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import bidirectional_reachable
 
@@ -111,6 +114,14 @@ class DynamicReachabilityMachine(RuleBasedStateMachine):
             assert self.index.query(s, t) == bidirectional_reachable(
                 self.model, s, t
             ), (s, t)
+
+    @invariant()
+    def labels_match_reference(self):
+        if self.index is None:
+            return
+        tol = self.index.tol
+        ref = reference_tol(self.index.condensation.dag, tol.order)
+        assert tol.labeling.snapshot() == ref.snapshot()
 
     @invariant()
     def condensation_consistent(self):

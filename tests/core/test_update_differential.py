@@ -196,6 +196,9 @@ _BUFFERS = (
     "seen",
     "mark_a",
     "mark_b",
+    "mark_c",
+    "mark_d",
+    "mark_e",
     "counts",
     "queue",
     "cand",

@@ -76,9 +76,21 @@ class TestInsertDeleteSpans:
             delete_vertex(graph, labeling, v)
         snap = reg.snapshot()
         assert snap["histograms"]["span.tol.delete"]["count"] == 1
-        for attr in ("frontier_fwd", "frontier_bwd", "labels_removed"):
+        for attr in (
+            "frontier_fwd", "frontier_bwd", "rebuilt_in", "rebuilt_out",
+            "labels_changed", "labels_removed",
+        ):
             assert snap["stats"][f"span.tol.delete.{attr}"]["count"] == 1
             assert snap["stats"][f"span.tol.delete.{attr}"]["min"] >= 0
+        stat = {k: snap["stats"][f"span.tol.delete.{k}"]["max"] for k in (
+            "frontier_fwd", "frontier_bwd", "rebuilt_in", "rebuilt_out",
+            "labels_changed",
+        )}
+        # The cut-off rebuilds a subset of each frontier; a changed label
+        # set is a rebuilt one.
+        assert stat["rebuilt_in"] <= stat["frontier_fwd"]
+        assert stat["rebuilt_out"] <= stat["frontier_bwd"]
+        assert stat["labels_changed"] <= stat["rebuilt_in"] + stat["rebuilt_out"]
 
 
 class TestReductionSpan:
