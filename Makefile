@@ -52,29 +52,32 @@ examples:
 	$(PYTHON) examples/citation_analysis.py --papers 800
 	$(PYTHON) examples/trace_replay.py --vertices 400 --ops 200
 
-# Boot the asyncio network front end on a demo graph (see
-# docs/network.md): length-prefixed JSON protocol on 127.0.0.1:7421.
+# Boot the network server on a demo graph (see docs/network.md): the
+# blocking serving loop, length-prefixed JSON protocol on 127.0.0.1:7421.
 serve:
 	mkdir -p .demo
 	$(PYTHON) -m repro generate citeseerx .demo/graph.txt --vertices 400
 	$(PYTHON) -m repro serve .demo/graph.txt --port 7421
 
-# Drive a self-spawned server with 4 Zipfian client processes and write
-# the repo-root BENCH_serve.json headline (qps, p50/p99 latency).
+# Drive a self-spawned server with 4 Zipfian client processes on a
+# 400-vertex demo graph and write a qps/latency report to
+# .demo/BENCH_serve.json (a smoke figure, not a headline: the served-path
+# benchmark is servebench/).
 loadgen:
 	mkdir -p .demo
 	$(PYTHON) -m repro generate citeseerx .demo/graph.txt --vertices 400
-	$(PYTHON) -m repro loadgen .demo/graph.txt --spawn --clients 4 --verify
+	$(PYTHON) -m repro loadgen .demo/graph.txt --spawn --clients 4 --verify \
+		--output .demo/BENCH_serve.json
 
-# CI gate: a quick verified load run plus an overload run that must
-# shed (structured `overloaded` errors) while admitted answers stay
-# correct against the BFS oracle.
+# CI gate: a quick verified load run plus an overload run (4 clients
+# against a 2-connection budget) that must shed (structured `overloaded`
+# errors) while admitted answers stay correct against the BFS oracle.
 serve-smoke:
 	mkdir -p .demo
 	$(PYTHON) -m repro generate citeseerx .demo/graph.txt --vertices 400
 	$(PYTHON) -m repro loadgen .demo/graph.txt --spawn --quick --verify
 	$(PYTHON) -m repro loadgen .demo/graph.txt --spawn --quick --verify \
-		--expect-shed --server-max-pending 24 --server-batch-delay 0.02 \
+		--expect-shed --server-max-connections 2 \
 		--output BENCH_serve_overload.json
 
 # Replay a mixed query/update trace through the concurrent serving layer

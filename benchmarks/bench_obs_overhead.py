@@ -19,10 +19,10 @@ than a hope:
   query path with tracing off, the regime a production deployment sits
   in almost all the time.
 * ``test_query_timings_path_equivalent`` pins the request-tracing tier's
-  contract: ``query_batch_with_epoch(timings=...)`` is a *separate*
-  instrumented twin, so the default call never pays for the stage
-  clocks — the two paths must agree on every answer, and the timed
-  path's cost is reported for the record.
+  contract: ``query_batch_with_epoch`` has one body, and a ``timings``
+  dict only adds per-batch clock reads and stage bookkeeping — the
+  timed and default calls must agree on every answer, and the timed
+  call's cost is reported for the record.
 
 Unlike the rest of the benchmark suite this file keeps the acceptance
 scale (|V|=2000, |E|=8000) even under ``--quick``: the budget assertion

@@ -13,7 +13,7 @@ Usage examples::
     python -m repro serve-replay graph.txt ops.trace --readers 8
     python -m repro serve-replay graph.txt ops.trace --metrics-out metrics.prom
     python -m repro serve-replay graph.txt ops.trace --wal state/ --fsync batch
-    python -m repro serve graph.txt --port 7421 --max-pending 4096
+    python -m repro serve graph.txt --port 7421 --max-connections 1024
     python -m repro serve --snapshot index.tolf --workers 4
     python -m repro loadgen graph.txt --spawn --clients 4 --duration 5
     python -m repro recover state/ --checkpoint
@@ -37,7 +37,7 @@ from . import datasets
 from .bench.experiments import ALL_EXPERIMENTS
 from .core.index import ReachabilityIndex
 from .core.orders import ORDER_STRATEGIES
-from .core.serialize import load_index, load_served_index, save_index
+from .core.serialize import load_index, save_index
 from .core.stats import labeling_stats, top_label_holders
 from .errors import (
     ReproError,
@@ -425,33 +425,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """`repro serve`: expose a graph over the TCP wire protocol.
 
     Builds a :class:`ReachabilityService` over the edge-list file
-    (optionally crash-safe via ``--wal``) and fronts it with the asyncio
-    :class:`~repro.net.server.ReachabilityServer` — cross-connection
-    query batching, admission control (``--max-pending``), structured
-    error replies, and graceful drain on SIGTERM/SIGINT.  See
-    docs/network.md for the protocol.
+    (crash-safe via ``--wal``, recovering when the directory already
+    holds state) and serves it on the blocking frame loop of
+    :class:`~repro.net.server.ReachabilityServer` — one thread per
+    connection, a connection budget (``--max-connections``), structured
+    error replies, and graceful drain on SIGTERM/SIGINT.  This is the
+    multi-process writer without a snapshot publisher (see
+    repro.net.writerproc).  See docs/network.md for the protocol.
 
     Two extensions (docs/scaling.md):
 
     * ``--snapshot FILE.tolf`` boots the index from a pack written by
       `repro build` — no rebuild, no WAL replay;
     * ``--workers N`` serves in multi-process mode: N reader processes
-      answer queries from a shared-memory frozen snapshot while this
+      answer queries from a shared-memory frozen snapshot while a writer
       process applies updates and republishes.
     """
-    import asyncio
-    import signal
-
     from .net.portfile import remove_port_file, write_port_file
     from .net.protocol import PROTOCOL_VERSION
-    from .net.server import ReachabilityServer
-    from .obs import trace as obs_trace
-    from .obs.export import write_metrics
-    from .obs.flight import FlightRecorder
-    from .obs.health import bind_health_gauges
-    from .obs.registry import MetricRegistry
-    from .obs.slowlog import SlowQueryLog
-    from .service.server import ReachabilityService
+    from .net.writerproc import serve_service
 
     if not args.graph and not args.snapshot:
         print("error: pass a graph edge-list file or --snapshot FILE.tolf",
@@ -461,116 +453,57 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.workers:
         return _cmd_serve_multiprocess(args)
-    durability = None
-    if args.wal:
-        from .service.durability import DurabilityManager
 
-        durability = DurabilityManager(
-            args.wal,
+    def on_listening(server, service) -> None:
+        print(
+            f"serving {args.snapshot or args.graph} on "
+            f"{server.host}:{server.port} (protocol v{PROTOCOL_VERSION}, "
+            f"|V|={service.num_vertices}, "
+            f"|E|={service.num_edges}); SIGTERM drains gracefully",
+            flush=True,
+        )
+        if args.port_file:
+            write_port_file(args.port_file, server.port)
+
+    try:
+        report = serve_service(
+            host=args.host,
+            port=args.port,
+            graph=args.graph,
+            snapshot=args.snapshot,
+            wal=args.wal,
             fsync=args.fsync,
             checkpoint_every=args.checkpoint_every,
-        )
-    registry = MetricRegistry()
-    if args.metrics_out:
-        obs_trace.enable(registry)
-    flight = None
-    if args.flight_dir:
-        flight = FlightRecorder(
-            registry,
-            capacity=args.flight_capacity,
-            interval=args.flight_interval,
-            dump_dir=args.flight_dir,
-        )
-    slowlog = None
-    if args.slowlog:
-        slowlog = SlowQueryLog(
-            args.slowlog,
-            threshold_ms=args.slow_ms,
-            sample_rate=args.slowlog_sample,
-        )
-    exit_code = 0
-    try:
-        service_kwargs = dict(
+            max_connections=args.max_connections,
+            drain_timeout=args.drain_timeout,
+            slowlog_path=args.slowlog,
+            slow_ms=args.slow_ms,
+            slowlog_sample=args.slowlog_sample,
+            flight_dir=args.flight_dir,
+            flight_capacity=args.flight_capacity,
+            flight_interval=args.flight_interval,
+            metrics_out=args.metrics_out,
             cache_size=args.cache_size,
             flush_threshold=args.flush_threshold,
             order=args.order,
-            registry=registry,
-            durability=durability,
-            flight=flight,
+            on_listening=on_listening,
         )
-        if args.snapshot:
-            service = ReachabilityService(
-                index=load_served_index(args.snapshot), **service_kwargs
-            )
-        else:
-            service = ReachabilityService(
-                read_edge_list(args.graph), **service_kwargs
-            )
-        bind_health_gauges(registry, service)
-        source = args.snapshot or args.graph
-
-        server = ReachabilityServer(
-            service,
-            host=args.host,
-            port=args.port,
-            max_pending=args.max_pending,
-            max_batch=args.max_batch,
-            batch_delay=args.batch_delay,
-            drain_timeout=args.drain_timeout,
-            slowlog=slowlog,
-        )
-        if flight is not None:
-            flight.start()
-
-        async def run() -> None:
-            await server.start()
-            loop = asyncio.get_event_loop()
-            if flight is not None:
-                # SIGQUIT (ctrl-\) dumps the metric timeline without
-                # stopping the server — the "what just happened" probe.
-                try:
-                    loop.add_signal_handler(
-                        signal.SIGQUIT,
-                        lambda: flight.auto_dump("sigquit"),
-                    )
-                except (NotImplementedError, RuntimeError, AttributeError):
-                    pass
-            print(
-                f"serving {source} on {server.host}:{server.port} "
-                f"(protocol v{PROTOCOL_VERSION}, "
-                f"|V|={service.num_vertices}, "
-                f"|E|={service.num_edges}); SIGTERM drains gracefully",
-                flush=True,
-            )
-            if args.port_file:
-                write_port_file(args.port_file, server.port)
-            await server.serve_forever()
-
-        asyncio.run(run())
     finally:
         if args.port_file:
             remove_port_file(args.port_file)
-        if flight is not None:
-            flight.stop()
-        if slowlog is not None:
-            slowlog.close()
-        if args.metrics_out:
-            obs_trace.disable()
-        if durability is not None:
-            durability.close()
     print("drained; final metrics snapshot:")
-    print(render_snapshot(service.snapshot()))
-    if slowlog is not None:
-        slow_stats = slowlog.stats()
+    print(render_snapshot(report["service"].snapshot()))
+    slow_stats = report["slowlog"]
+    if slow_stats is not None:
         print(
             f"slow-query log: {slow_stats['written']} lines written "
             f"({slow_stats['seen']} requests seen, threshold "
             f"{slow_stats['threshold_ms']}ms) -> {args.slowlog}"
         )
-    if args.metrics_out:
-        fmt = write_metrics(registry, args.metrics_out)
-        print(f"wrote {fmt} metrics to {args.metrics_out}")
-    return exit_code
+    if report["metrics_format"]:
+        print(f"wrote {report['metrics_format']} metrics to "
+              f"{args.metrics_out}")
+    return 0
 
 
 def _port_file_busy(path: str) -> bool:
@@ -615,9 +548,6 @@ def _cmd_serve_multiprocess(args: argparse.Namespace) -> int:
         "--order", args.order,
         "--cache-size", str(args.cache_size),
         "--flush-threshold", str(args.flush_threshold),
-        "--max-pending", str(args.max_pending),
-        "--max-batch", str(args.max_batch),
-        "--batch-delay", str(args.batch_delay),
         "--drain-timeout", str(args.drain_timeout),
         "--grace-period", str(args.grace_period),
     ]
@@ -636,6 +566,7 @@ def _cmd_serve_multiprocess(args: argparse.Namespace) -> int:
         port=args.port,
         max_staleness=args.max_staleness,
         forward_timeout=args.forward_timeout,
+        max_connections=args.max_connections,
     )
     source = args.snapshot or args.graph
     print(
@@ -658,11 +589,15 @@ def cmd_serve_writer(args: argparse.Namespace) -> int:
     a live shared-memory control block owned by the supervisor (see
     repro.net.writerproc).  Recovers from ``--wal`` when the directory
     already holds state, which is exactly what a post-crash respawn sees.
+    The writer serves only its reader workers' links, one connection
+    each, so it runs without a connection budget.
     """
-    from .net.writerproc import run_writer_process
+    import socket
 
-    return run_writer_process(
-        listen_fd=args.fd,
+    from .net.writerproc import serve_service
+
+    serve_service(
+        sock=socket.socket(fileno=args.fd),
         control_name=args.control,
         graph=args.graph,
         snapshot=args.snapshot,
@@ -670,9 +605,7 @@ def cmd_serve_writer(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         checkpoint_every=args.checkpoint_every,
         grace_period=args.grace_period,
-        max_pending=args.max_pending,
-        max_batch=args.max_batch,
-        batch_delay=args.batch_delay,
+        max_connections=0,
         drain_timeout=args.drain_timeout,
         slowlog_path=args.slowlog,
         slow_ms=args.slow_ms,
@@ -682,6 +615,7 @@ def cmd_serve_writer(args: argparse.Namespace) -> int:
         flush_threshold=args.flush_threshold,
         order=args.order,
     )
+    return 0
 
 
 def cmd_shm_janitor(args: argparse.Namespace) -> int:
@@ -725,6 +659,7 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         max_staleness=args.max_staleness,
         forward_timeout=args.forward_timeout,
+        max_connections=args.max_connections,
     )
 
 
@@ -733,8 +668,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     Either targets a running server (``--host``/``--port``) or spawns
     one itself (``--spawn``, which also exercises the SIGTERM drain on
-    the way out).  Writes the qps/latency headline to ``--output``
-    (default ``BENCH_serve.json``).
+    the way out).  Writes the qps/latency report to ``--output``
+    (default ``BENCH_serve.json`` in the working directory).
     """
     from .net.loadgen import run_loadgen, spawned_server, write_bench_json
 
@@ -767,8 +702,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     if args.spawn:
         server_args = [
-            "--max-pending", str(args.server_max_pending),
-            "--batch-delay", str(args.server_batch_delay),
+            "--max-connections", str(args.server_max_connections),
         ]
         if args.server_wal:
             server_args += ["--wal", args.server_wal]
@@ -1283,18 +1217,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query-result LRU capacity (0 disables)")
     p.add_argument("--flush-threshold", type=int, default=8,
                    help="apply queued updates once this many are pending")
-    p.add_argument("--max-pending", type=int, default=4096,
-                   help="admission-control bound on queued query pairs; "
-                        "excess requests get a structured 'overloaded' "
-                        "reply (0 = unbounded)")
-    p.add_argument("--max-batch", type=int, default=1024,
-                   help="most pairs coalesced into one query_batch call")
-    p.add_argument("--batch-delay", type=float, default=0.0,
-                   help="artificial per-batch delay in seconds (testing "
-                        "knob: makes overload reproducible)")
+    p.add_argument("--max-connections", type=int, default=1024,
+                   help="connection budget per serving process (each "
+                        "reader worker with --workers); a connection "
+                        "over it gets a structured 'overloaded' reply "
+                        "to its first request and is closed "
+                        "(0 = unbounded)")
     p.add_argument("--drain-timeout", type=float, default=10.0,
-                   help="seconds the SIGTERM drain waits for admitted "
-                        "requests")
+                   help="seconds the SIGTERM drain waits for requests "
+                        "already read")
     p.add_argument("--wal", default=None, metavar="DIR",
                    help="durability directory (WAL + checkpoints)")
     p.add_argument("--fsync", default="batch",
@@ -1357,10 +1288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="BENCH_serve.json", metavar="PATH",
                    help="where to write the qps/latency artifact "
                         "('' disables)")
-    p.add_argument("--server-max-pending", type=int, default=4096,
-                   help="--max-pending for the spawned server (with --spawn)")
-    p.add_argument("--server-batch-delay", type=float, default=0.0,
-                   help="--batch-delay for the spawned server (with --spawn)")
+    p.add_argument("--server-max-connections", type=int, default=1024,
+                   help="--max-connections for the spawned server (with "
+                        "--spawn)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="spawn the server in multi-process mode with N "
                         "reader workers (with --spawn); recorded in the "
@@ -1405,6 +1335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-id", type=int, required=True)
     p.add_argument("--max-staleness", type=float, default=0.0)
     p.add_argument("--forward-timeout", type=float, default=5.0)
+    p.add_argument("--max-connections", type=int, default=0)
     p.set_defaults(func=cmd_serve_worker)
 
     # Hidden plumbing: the writer subprocess behind `repro serve
@@ -1424,9 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(set(ORDER_STRATEGIES)))
     p.add_argument("--cache-size", type=int, default=4096)
     p.add_argument("--flush-threshold", type=int, default=8)
-    p.add_argument("--max-pending", type=int, default=4096)
-    p.add_argument("--max-batch", type=int, default=1024)
-    p.add_argument("--batch-delay", type=float, default=0.0)
     p.add_argument("--drain-timeout", type=float, default=10.0)
     p.add_argument("--grace-period", type=float, default=5.0)
     p.add_argument("--slowlog", default=None)

@@ -398,6 +398,15 @@ class ReachabilityClient:
             )
         return response
 
+    def relay(self, request: dict, *, idempotent: bool) -> dict:
+        """Send *request* as is; return the raw reply, error replies included.
+
+        The reader worker's pipe to the writer: ids and trace ids survive
+        the hop, and the retry rule is :meth:`_call`'s — a request whose
+        bytes reached the server is sent again only when *idempotent*.
+        """
+        return self._exchange(lambda: request, None, idempotent)
+
     def _call(
         self,
         fields: dict,
@@ -405,15 +414,41 @@ class ReachabilityClient:
         deadline: Optional[float] = None,
         idempotent: bool = True,
     ) -> dict:
+        def build() -> dict:
+            self._next_id += 1
+            request = {"v": PROTOCOL_VERSION, "id": self._next_id}
+            request.update(fields)
+            return request
+
+        response = self._exchange(build, deadline, idempotent)
+        if response.get("id") not in (None, self._next_id):
+            raise ProtocolError(
+                f"response id {response.get('id')!r} does not match "
+                f"request id {self._next_id}"
+            )
+        if not response.get("ok"):
+            # Structured server errors are never retried here: the
+            # server is alive and said no (overloaded, unknown
+            # vertex, writer_unavailable...) — policy belongs to
+            # the caller.
+            error = response.get("error", {})
+            if error.get("code") == "overloaded":
+                # The server closes a connection it shed; the next
+                # call dials afresh instead of failing on it.
+                self._drop_socket()
+            raise_for_error(error)
+        return response
+
+    def _exchange(
+        self, build, deadline: Optional[float], idempotent: bool
+    ) -> dict:
+        """Send ``build()`` until a reply parses (within the retry rules)."""
         self._check_breaker()
         until = self._deadline_from(deadline)
         attempt = 0
         while True:
-            self._next_id += 1
-            request = {"v": PROTOCOL_VERSION, "id": self._next_id}
-            request.update(fields)
             try:
-                response = self._attempt(request, until)
+                response = self._attempt(build(), until)
             except _Attempt as failure:
                 self._drop_socket()
                 self._record_transport_failure()
@@ -431,17 +466,6 @@ class ReachabilityClient:
             # A parsed reply — transport is healthy again.
             self._breaker_failures = 0
             self._breaker_open_until = 0.0
-            if response.get("id") not in (None, self._next_id):
-                raise ProtocolError(
-                    f"response id {response.get('id')!r} does not match "
-                    f"request id {self._next_id}"
-                )
-            if not response.get("ok"):
-                # Structured server errors are never retried here: the
-                # server is alive and said no (overloaded, unknown
-                # vertex, writer_unavailable...) — policy belongs to
-                # the caller.
-                raise_for_error(response.get("error", {}))
             return response
 
     def _sleep_backoff(self, attempt: int, until: Optional[float]) -> None:

@@ -5,9 +5,9 @@ the point is to stress the server from outside its GIL) against a
 running :mod:`repro.net` server.  Each worker owns one socket and one
 seeded :class:`~repro.bench.workloads.ZipfianPairSource` and sends
 query batches back-to-back until its deadline; the parent merges the
-per-worker reports into one headline — aggregate qps, p50/p99 request
-latency, shed/error counts — and can write it as the repo-root
-``BENCH_serve.json`` artifact.
+per-worker reports into one report — aggregate qps, p50/p99 request
+latency, shed/error counts — and can write it as a ``BENCH_serve.json``
+artifact.
 
 Two extras make the harness a correctness tool, not just a stopwatch:
 

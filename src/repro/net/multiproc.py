@@ -131,6 +131,7 @@ class MultiProcessServer:
         port: int = 0,
         max_staleness: float = 0.0,
         forward_timeout: float = 5.0,
+        max_connections: int = 0,
         janitor: bool = True,
         writer_boot_timeout: float = 60.0,
     ) -> None:
@@ -199,6 +200,7 @@ class MultiProcessServer:
                     "--worker-id", str(i),
                     "--max-staleness", str(max_staleness),
                     "--forward-timeout", str(forward_timeout),
+                    "--max-connections", str(max_connections),
                 ],
                 env,
                 (public_fd,),

@@ -35,8 +35,9 @@ Protocol v2 (backward compatible — servers accept every version in
   admission for untraced peers), and ``query`` requests may set
   ``"timings": true`` to opt into the stage breakdown;
 * replies echo ``"trace"`` and, when timings were requested, carry
-  ``"timings"``: per-request admission/coalesce waits plus the batch's
-  shared lock-wait, probe time, and cache hit/miss counts;
+  ``"timings"``: the read-lock wait, probe time, cache hit/miss counts
+  and the request's total server time (a reader worker reports probe
+  and total time plus its worker id and snapshot generation);
 * the ``health`` op returns the live index-health payload
   (:func:`repro.obs.health.collect_health`), and ``stats`` accepts
   ``"registry": true`` to include a full metric-registry snapshot for
@@ -84,9 +85,7 @@ __all__ = [
     "ERROR_CODES",
     "encode_frame",
     "decode_payload",
-    "read_frame",
     "send_frame_sync",
-    "recv_frame_sync",
     "recv_frame_file",
     "ok_response",
     "error_response",
@@ -154,61 +153,18 @@ def decode_payload(body: bytes) -> dict:
     return payload
 
 
-async def read_frame(reader) -> Optional[dict]:
-    """Read one frame from an :class:`asyncio.StreamReader`.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`~repro.errors.ProtocolError` on a truncated frame or an
-    oversized length prefix.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise ProtocolError("connection closed mid-header") from None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds max {MAX_FRAME_BYTES}"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-frame") from None
-    return decode_payload(body)
-
-
 def send_frame_sync(sock, payload: dict) -> None:
-    """Blocking-socket counterpart of :func:`read_frame` (send side)."""
+    """Send *payload* as one frame on a blocking socket."""
     sock.sendall(encode_frame(payload))
-
-
-def recv_frame_sync(sock) -> Optional[dict]:
-    """Read one frame from a blocking socket (``None`` on clean EOF)."""
-    header = _recv_exact(sock, _HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds max {MAX_FRAME_BYTES}"
-        )
-    body = _recv_exact(sock, length)
-    return decode_payload(body)
 
 
 def recv_frame_file(rfile) -> Optional[dict]:
     """Read one frame from a buffered binary reader (``None`` on EOF).
 
-    The buffered counterpart of :func:`recv_frame_sync`: with *rfile*
-    from ``sock.makefile("rb")``, the header and body of a typical
-    frame come out of one underlying ``recv``, where the unbuffered
-    path pays at least two syscalls per frame.  Callers that hold a
-    request/reply socket (the client, the worker's writer link) want
-    this; anything that might pipeline must keep its own buffer.
+    With *rfile* from ``sock.makefile("rb")``, the header and body of a
+    typical frame come out of one underlying ``recv``.  Callers that
+    hold a request/reply socket (the client) want this; the serving
+    loop keeps its own buffer.
     """
     header = rfile.read(_HEADER.size)
     if not header:
@@ -224,20 +180,6 @@ def recv_frame_file(rfile) -> Optional[dict]:
     if body is None or len(body) < length:
         raise ProtocolError("connection closed mid-frame")
     return decode_payload(body)
-
-
-def _recv_exact(sock, n: int, *, allow_eof: bool = False):
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == n:
-                return None
-            raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------

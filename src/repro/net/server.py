@@ -1,183 +1,156 @@
-"""The asyncio TCP front end over :class:`ReachabilityService`.
-
-Architecture
-------------
+"""The one serving loop: a blocking frame loop and one dispatcher.
 
 ::
 
-    conn 1 ──┐                       ┌────────────────────────────┐
-    conn 2 ──┼─► admission control ─►│ pending queue (micro-batch)│
-    conn N ──┘   (bounded pairs;     └──────────────┬─────────────┘
-                  excess answered                   │ one batcher task
-                  `overloaded`)                     ▼
-                               executor thread: service.query_batch(...)
-                                                    │
-                  futures fan results back ◄────────┘
+    accept ─► connection budget ─► one thread per connection:
+              recv ─► frame parse ─► dispatch ─► sendall
+                                        │ version check · op routing ·
+                                        │ error mapping
+                                        ▼
+              service handlers (:class:`ReachabilityServer`: single-process
+              ``repro serve``, the ``serve-writer`` child) or snapshot
+              handlers (the reader workers, :mod:`repro.net.worker`)
 
-Query requests from *all* connections are coalesced by a single batcher
-task into calls to the service's deduplicating
-:meth:`~repro.service.server.ReachabilityService.query_batch_with_epoch`
-— so while one batch is being answered on an executor thread (the
-service API is blocking: it takes the read lock), every request that
-arrives in the meantime piles into the next batch.  Under load the
-batch size grows and the per-query lock/dedup cost amortizes; when idle
-a lone request is answered immediately.  Duplicate pairs across
-connections cost one index probe per epoch (batch dedup within a call,
-the epoch-stamped cache across calls).
+Every serving role runs on :class:`FrameServer`; the roles differ only
+in the op handlers they register.  A query is one label-set
+intersection per pair, and the protocol has no pipelining (a connection
+has at most one request in flight), so a connection's thread does
+``recv`` → compute → ``sendall`` with no event loop, no queue and no
+executor hop.  Threads parked in ``recv`` cost nothing.
 
-Admission control is a bound on *queued pairs* (``max_pending``): a
-query request that would push the backlog past the bound is answered
-right away with a structured ``overloaded`` error (plus a
-``retry_after_ms`` hint) instead of being buffered without bound —
-shedding is counted in the shared metric registry under ``net.shed``,
-and admitted requests keep their latency.  Replies also surface the
-service's degraded mode (``"degraded": true``) so clients know an
-answer came from the BFS mirror rather than the index.
+Admission control is a **connection budget** (``max_connections``): a
+connection accepted while the budget is in use gets a structured
+``overloaded`` reply (with a ``retry_after_ms`` hint) to its first
+request, is counted in ``net.shed``, and is then closed.  ``0`` means
+unbounded.  Admitted connections keep their latency.
 
-Lifecycle: :meth:`ReachabilityServer.serve_forever` installs SIGTERM /
-SIGINT handlers that trigger a graceful drain — stop accepting, answer
-everything already admitted, flush the service (and its WAL/durability
-stack, when configured), then return.
+Lifecycle: :meth:`FrameServer.serve_forever` installs SIGTERM / SIGINT
+handlers that trigger a graceful drain, in this order: stop accepting;
+let requests already read finish (bounded by ``drain_timeout``);
+``shutdown(SHUT_RDWR)`` the idle connections so their ``recv`` returns;
+then the role's final hook (the service role flushes the service and
+its WAL).
 """
 
 from __future__ import annotations
 
-import asyncio
+import os
+import signal
+import socket
+import struct
 import threading
 import time
-from collections import deque
 from typing import Optional
 
-from ..errors import (
-    ProtocolError,
-    ReproError,
-    UnknownVertexError,
-    VertexNotFoundError,
-)
+from ..errors import ProtocolError, ReproError
 from ..obs.trace import new_trace_id
 from ..service.metrics import ScopedMetrics
 from .protocol import (
+    MAX_FRAME_BYTES,
     SUPPORTED_VERSIONS,
+    decode_payload,
     decode_update_ops,
     encode_frame,
     error_fields_for,
     error_response,
     ok_response,
-    read_frame,
     wire_pairs,
 )
 
-__all__ = ["ReachabilityServer", "BackgroundServer"]
+__all__ = ["FrameServer", "ReachabilityServer", "BackgroundServer"]
+
+#: Backoff hint on an ``overloaded`` reply: a slot frees only when an
+#: admitted connection closes, so ask the peer to wait a little.
+RETRY_AFTER_MS = 50.0
+
+#: Seconds an over-budget connection may take to send its first request.
+_SHED_TIMEOUT = 5.0
+
+#: Per-connection receive chunk — one recv typically drains one frame.
+_RECV_CHUNK = 65536
+
+_HEADER = struct.Struct("!I")
 
 
-class _PendingBatch:
-    """One admitted query request waiting for the batcher.
+def request_trace(request: dict) -> str:
+    """The request's trace id, or a fresh one for an untraced peer.
 
-    Carries the request's trace id and enqueue timestamp so the reply
-    can report how long the request sat coalescing before the batcher
-    picked it up — the stage that grows first under load.
+    A v1 client (or a v2 client that opted out) sends none; minting one
+    here keeps server-side records — slowlog lines, WAL stamps —
+    correlatable.
     """
-
-    __slots__ = ("pairs", "future", "trace", "enqueued_at", "want_timings")
-
-    def __init__(self, pairs, future, trace=None, enqueued_at=0.0,
-                 want_timings=False):
-        self.pairs = pairs
-        self.future = future
-        self.trace = trace
-        self.enqueued_at = enqueued_at
-        self.want_timings = want_timings
+    trace = request.get("trace")
+    if not isinstance(trace, str) or not trace:
+        trace = new_trace_id()
+    return trace
 
 
-class ReachabilityServer:
-    """Serve a :class:`ReachabilityService` over length-prefixed JSON TCP.
+class FrameServer:
+    """Blocking thread-per-connection frame loop plus the one dispatcher.
+
+    Subclasses register their op handlers in :attr:`handlers` — each a
+    ``handler(request_id, request) -> reply`` — and may override
+    :meth:`_drained` (the drain's last step).  Everything else —
+    framing, the connection budget, version checks, op routing, error
+    mapping, metrics under ``net.``, drain — lives here once.
 
     Parameters
     ----------
-    service:
-        The (thread-safe, blocking) service to front.  All blocking
-        calls run on the event loop's default executor.
+    registry:
+        The metric registry the ``net.*`` instruments live in.
     host, port:
-        Bind address; ``port=0`` picks a free port (read it back from
-        :attr:`port` after :meth:`start`).
-    max_pending:
-        Admission-control bound on queued query *pairs*.  A request that
-        would push the backlog past this bound is shed with a structured
-        ``overloaded`` response.  ``0`` disables shedding (unbounded).
-    max_batch:
-        Most pairs handed to one ``query_batch`` call; a bigger backlog
-        is split across successive calls.
-    batch_delay:
-        Artificial seconds of executor-side delay per batch.  A testing
-        and demo knob (it makes overload reproducible on a fast
-        machine); leave at ``0.0`` in production.
+        Bind address when *sock* is not given; ``port=0`` picks a free
+        port (read it back from :attr:`port` after :meth:`start`).
+    sock:
+        A listening socket to serve instead of binding one (the
+        multi-process children inherit theirs from the supervisor).
+        An inherited socket is never ``shutdown()``: other processes
+        accept on it too.
+    max_connections:
+        Connection budget; ``0`` means unbounded.
     drain_timeout:
-        Seconds the graceful drain waits for admitted requests before
-        failing the stragglers and shutting down anyway.
-    slowlog:
-        A :class:`repro.obs.slowlog.SlowQueryLog` to feed.  When set,
-        every query request — admitted, shed, or failed — is offered to
-        the log with its trace id and stage breakdown; the log's own
-        threshold/sampling decides what is written.
+        Seconds the drain waits for requests already read.
     """
 
     def __init__(
         self,
-        service,
+        registry,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_pending: int = 4096,
-        max_batch: int = 1024,
-        batch_delay: float = 0.0,
+        sock: Optional[socket.socket] = None,
+        max_connections: int = 1024,
         drain_timeout: float = 10.0,
-        slowlog=None,
-        sock=None,
     ) -> None:
-        if max_pending < 0:
-            raise ValueError(f"max_pending must be >= 0, got {max_pending}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_delay < 0:
-            raise ValueError(f"batch_delay must be >= 0, got {batch_delay}")
-        self.service = service
+        if max_connections < 0:
+            raise ValueError(
+                f"max_connections must be >= 0, got {max_connections}"
+            )
         self.host = host
         self._requested_port = port
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self.batch_delay = batch_delay
-        self.drain_timeout = drain_timeout
-        self.slowlog = slowlog
-        # A pre-bound listening socket (the multi-process path binds
-        # before forking workers so the port is known to all of them).
         self._sock = sock
-
-        self._metrics = ScopedMetrics(service.registry, prefix="net.")
-        for name in (
-            "connections",
-            "requests",
-            "queries",
-            "shed",
-            "shed_pairs",
-            "errors",
-            "batches",
-            "updates_applied",
-        ):
-            self._metrics.registry.counter("net." + name)
-        self._request_latency = self._metrics.histogram("request_latency")
-        self._batch_pairs = self._metrics.stats("batch_pairs")
-        self._metrics.registry.register_callback(
-            "net.pending_pairs", lambda: self._pending_pairs
-        )
-
-        self._queue: deque[_PendingBatch] = deque()
-        self._pending_pairs = 0
-        self._work_available: Optional[asyncio.Event] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._batch_task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
-        self._connections: set[asyncio.Task] = set()
+        self._owns_sock = sock is None
         self._started = False
+        self.max_connections = max_connections
+        self.drain_timeout = drain_timeout
+        self.handlers: dict = {}
+
+        self._metrics = ScopedMetrics(registry, prefix="net.")
+        for name in ("connections", "requests", "queries", "shed", "errors"):
+            self._metrics.registry.counter("net." + name)
+        self._requests = self._metrics.registry.counter("net.requests")
+        self._request_latency = self._metrics.histogram("request_latency")
+
+        self._budget = (
+            threading.BoundedSemaphore(max_connections)
+            if max_connections else None
+        )
+        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        self._conns: set[socket.socket] = set()
+        # Connections with a request in flight (set add/discard are
+        # atomic, so the per-request path takes no lock).
+        self._busy: set[socket.socket] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -186,144 +159,188 @@ class ReachabilityServer:
     @property
     def port(self) -> int:
         """The actually bound port (valid after :meth:`start`)."""
-        if self._server is None:
+        if self._sock is None:
             return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
+        return self._sock.getsockname()[1]
 
-    async def start(self) -> None:
-        """Bind the socket and launch the batcher task."""
-        if self._started:
-            raise RuntimeError("server already started")
-        self._work_available = asyncio.Event()
-        self._stopping = asyncio.Event()
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
+    def start(self) -> None:
+        """Bind (unless a socket was handed in) and start listening."""
+        if self._sock is None:
+            self._sock = socket.create_server(
+                (self.host, self._requested_port), backlog=512
             )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self._requested_port
-            )
-        self._batch_task = asyncio.ensure_future(self._batch_loop())
+        # Accept with a timeout: nothing wakes a thread blocked in
+        # accept() on an inherited socket (closing it from another
+        # thread does not, and a dead supervisor cannot signal), so the
+        # loop comes up for air to notice a shutdown request.  Accepted
+        # connections are blocking regardless.
+        self._sock.settimeout(0.5)
         self._started = True
 
-    async def serve_forever(self, *, install_signal_handlers: bool = True):
-        """Run until :meth:`shutdown` is requested (e.g. by SIGTERM).
+    def serve_forever(
+        self, *, install_signal_handlers: bool = True,
+        watch_parent: bool = False,
+    ) -> None:
+        """Accept connections until :meth:`request_shutdown`, then drain.
 
         With *install_signal_handlers*, SIGTERM and SIGINT trigger the
-        graceful drain instead of killing the process mid-request.
+        graceful drain (main thread only).  With *watch_parent*, the
+        server also shuts down when its parent process disappears — a
+        SIGKILLed supervisor cannot signal its children, and an orphan
+        would hold the port, the WAL and its shared memory forever.
         """
-        import signal
-
         if not self._started:
-            await self.start()
-        loop = asyncio.get_event_loop()
+            self.start()
         if install_signal_handlers:
             for sig in (signal.SIGTERM, signal.SIGINT):
                 try:
-                    loop.add_signal_handler(sig, self._stopping.set)
-                except (NotImplementedError, RuntimeError):
-                    pass  # non-main thread / platforms without support
-        await self._stopping.wait()
-        await self.shutdown()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish admitted work, flush.
-
-        The order matters: close the listening socket first (no new
-        admissions), wait for the pending queue and in-flight
-        connections to drain (bounded by ``drain_timeout``), then stop
-        the batcher and flush the service so queued updates — and the
-        WAL behind them, when durability is configured — are applied
-        before the process exits.
-        """
-        self._stopping.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        deadline = time.monotonic() + self.drain_timeout
-        while self._pending_pairs and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        # Admitted work is settled (or timed out); give the connection
-        # tasks a beat to write their last replies, then cut them off —
-        # an idle keep-alive connection must not hold up the drain.
-        await asyncio.sleep(0.05)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
-        if self._batch_task is not None:
-            self._batch_task.cancel()
+                    signal.signal(sig, lambda *_: self.request_shutdown())
+                except ValueError:  # pragma: no cover - non-main thread
+                    pass
+        if watch_parent:
+            self._watch_parent()
+        try:
+            self._accept_loop()
+        finally:
+            self._stopping.set()
             try:
-                await self._batch_task
-            except asyncio.CancelledError:
+                self._sock.close()
+            except OSError:  # pragma: no cover
                 pass
-        # Fail anything still parked in the queue (drain timeout hit).
-        while self._queue:
-            item = self._queue.popleft()
-            self._pending_pairs -= len(item.pairs)
-            if not item.future.done():
-                item.future.set_exception(
-                    ProtocolError("server shut down before answering")
-                )
-        await asyncio.get_event_loop().run_in_executor(
-            None, self.service.flush
-        )
+            self._drain()
 
     def request_shutdown(self) -> None:
-        """Thread-safe shutdown trigger (what the signal handlers call)."""
-        if self._stopping is not None:
-            self._stopping.set()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self._metrics.incr("connections")
-        try:
-            while True:
-                try:
-                    request = await read_frame(reader)
-                except ProtocolError as exc:
-                    # Tell the peer what was wrong with its bytes, then
-                    # close: framing is gone, resync is impossible.
-                    await self._send(
-                        writer,
-                        error_response(None, "bad_request", str(exc)),
-                    )
-                    self._metrics.incr("errors")
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request)
-                await self._send(writer, response)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
+        """Thread- and signal-safe shutdown trigger."""
+        self._stopping.set()
+        if self._owns_sock and self._sock is not None:
+            # Wakes a thread blocked in accept() at once (Linux).
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
 
-    async def _send(self, writer, payload: dict) -> None:
-        writer.write(encode_frame(payload))
-        await writer.drain()
+    def _watch_parent(self, interval: float = 1.0) -> None:
+        parent = os.getppid()
+
+        def watch() -> None:
+            while not self._stopping.wait(interval):
+                if os.getppid() != parent:
+                    self.request_shutdown()
+                    return
+
+        threading.Thread(target=watch, name="ppid-watchdog",
+                         daemon=True).start()
+
+    def _accept_loop(self) -> None:
+        while not self._stopping.is_set():
+            try:
+                conn, _addr = self._sock.accept()
+            except TimeoutError:
+                continue  # re-check _stopping
+            except OSError:
+                return  # listening socket shut down or closed
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            admitted = self._budget is None or self._budget.acquire(
+                blocking=False
+            )
+            if not admitted:
+                conn.settimeout(_SHED_TIMEOUT)
+            self._metrics.incr("connections")
+            with self._lock:
+                self._conns.add(conn)
+            threading.Thread(
+                target=self._serve_connection,
+                args=(conn, admitted),
+                daemon=True,
+            ).start()
+
+    def _drain(self) -> None:
+        deadline = time.monotonic() + self.drain_timeout
+        while self._busy and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with self._lock:
+            idle = list(self._conns)
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 1.0
+        while self._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        self._drained()
+
+    def _drained(self) -> None:
+        """Hook run last in the drain, after the connections are cut."""
 
     # ------------------------------------------------------------------
-    # Request dispatch
+    # The frame loop
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, request: dict) -> dict:
+    def _serve_connection(self, conn: socket.socket, admitted: bool) -> None:
+        handle = self.dispatch if admitted else self._shed
+        buf = bytearray()
+        unpack_len = _HEADER.unpack_from
+        recv = conn.recv
+        send = conn.sendall
+        busy = self._busy
+        try:
+            while not self._stopping.is_set():
+                # Answer every complete frame already buffered before
+                # blocking in recv again.
+                while len(buf) >= 4:
+                    (length,) = unpack_len(buf)
+                    if length > MAX_FRAME_BYTES:
+                        raise ProtocolError(
+                            f"frame length {length} exceeds max "
+                            f"{MAX_FRAME_BYTES}"
+                        )
+                    end = 4 + length
+                    if len(buf) < end:
+                        break
+                    body = bytes(buf[4:end])
+                    del buf[:end]
+                    busy.add(conn)
+                    try:
+                        send(encode_frame(handle(decode_payload(body))))
+                    finally:
+                        busy.discard(conn)
+                    if not admitted:
+                        return
+                chunk = recv(_RECV_CHUNK)
+                if not chunk:
+                    return  # clean EOF
+                buf += chunk
+        except ProtocolError as exc:
+            # Unrecoverable framing: best-effort structured reply, then
+            # hang up — resync inside a byte stream is not possible.
+            self._metrics.incr("errors")
+            try:
+                send(encode_frame(error_response(None, "bad_request",
+                                                 str(exc))))
+            except OSError:
+                pass
+        except OSError:
+            pass  # peer went away mid-frame, or the drain cut it off
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            if admitted and self._budget is not None:
+                self._budget.release()
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
+
+    # ------------------------------------------------------------------
+    # The dispatcher
+    # ------------------------------------------------------------------
+
+    def dispatch(self, request: dict) -> dict:
+        """Answer one request through the role's handlers. Never raises."""
         start = time.perf_counter()
+        self._requests.incr()
         request_id = request.get("id")
-        self._metrics.incr("requests")
         try:
             version = request.get("v", SUPPORTED_VERSIONS[-1])
             if version not in SUPPORTED_VERSIONS:
@@ -334,67 +351,83 @@ class ReachabilityServer:
                     f"server speaks {supported}, got v{version!r}",
                 )
             op = request.get("op")
-            if op == "query":
-                return await self._handle_query(request_id, request, start)
-            if op == "update":
-                return await self._handle_update(request_id, request)
-            if op == "ping":
-                return ok_response(
-                    request_id,
-                    pong=True,
-                    epoch=self.service.epoch,
-                    degraded=self.service.degraded,
+            handler = self.handlers.get(op) if isinstance(op, str) else None
+            if handler is None:
+                return error_response(
+                    request_id, "unknown_op", f"unknown op {op!r}"
                 )
-            if op == "stats":
-                fields = {
-                    "stats": self.service.snapshot(),
-                    "net": self._metrics.scoped_counters(),
-                }
-                publisher = getattr(self.service, "shm_publisher", None)
-                if publisher is not None:
-                    # Multi-process serving: the per-worker breakdown
-                    # lives in the shared control block's stats slots.
-                    section = publisher.health_section()
-                    fields["workers"] = section["workers"]
-                    fields["writer_pid"] = section["writer_pid"]
-                    fields["worker_restarts"] = section["worker_restarts"]
-                    fields["writer_restarts"] = section["writer_restarts"]
-                if request.get("registry"):
-                    # Full registry snapshot for remote scraping
-                    # (`repro metrics --connect`); gauge callbacks may
-                    # briefly take service locks, so keep it off-loop.
-                    fields["registry"] = await asyncio.get_event_loop(
-                    ).run_in_executor(
-                        None, self.service.registry.snapshot
-                    )
-                return ok_response(request_id, **fields)
-            if op == "health":
-                payload = await asyncio.get_event_loop().run_in_executor(
-                    None, self.service.health
-                )
-                return ok_response(request_id, health=payload)
-            return error_response(
-                request_id, "unknown_op", f"unknown op {op!r}"
-            )
-        except ProtocolError as exc:
-            self._metrics.incr("errors")
-            return error_response(request_id, "bad_request", str(exc))
+            return handler(request_id, request)
         except Exception as exc:  # noqa: BLE001 - the wire boundary
-            self._metrics.incr("errors")
             fields = error_fields_for(exc)
+            self._metrics.incr(
+                "writer_unavailable"
+                if fields["code"] == "writer_unavailable" else "errors"
+            )
             return error_response(request_id, **fields)
         finally:
             self._request_latency.record(time.perf_counter() - start)
 
-    async def _handle_query(
-        self, request_id, request: dict, start: float
-    ) -> dict:
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not trace:
-            # Untraced peer (a v1 client, or a v2 client that opted
-            # out): mint an id at admission so server-side records —
-            # slowlog lines, WAL stamps — still correlate.
-            trace = new_trace_id()
+    def _shed(self, request: dict) -> dict:
+        """The one reply an over-budget connection gets before closing."""
+        self._metrics.incr("shed")
+        response = error_response(
+            request.get("id"),
+            "overloaded",
+            f"all {self.max_connections} connection slots are in use",
+            retry_after_ms=RETRY_AFTER_MS,
+        )
+        response["trace"] = request_trace(request)
+        return response
+
+
+class ReachabilityServer(FrameServer):
+    """Serve a :class:`ReachabilityService` over length-prefixed JSON TCP.
+
+    The service-backed role: single-process ``repro serve`` and the
+    multi-process writer (which has a snapshot publisher attached to its
+    service and no budget).  Queries go straight to
+    :meth:`~repro.service.server.ReachabilityService.query_batch_with_epoch`
+    on the connection's thread; duplicate pairs cost one index probe per
+    epoch through the batch dedup and the epoch-stamped cache.
+
+    Parameters
+    ----------
+    service:
+        The (thread-safe, blocking) service to front.
+    slowlog:
+        A :class:`repro.obs.slowlog.SlowQueryLog` to feed.  When set,
+        every query request — admitted, shed, or failed — is offered to
+        the log with its trace id and stage breakdown; the log's own
+        threshold/sampling decides what is written.
+
+    The remaining keywords are :class:`FrameServer`'s.
+    """
+
+    def __init__(self, service, *, slowlog=None, **loop_kwargs) -> None:
+        super().__init__(service.registry, **loop_kwargs)
+        self.service = service
+        self.slowlog = slowlog
+        self._metrics.registry.counter("net.updates_applied")
+        self.handlers = {
+            "query": self._query,
+            "update": self._update,
+            "ping": self._ping,
+            "stats": self._stats,
+            "health": self._health,
+        }
+
+    def _drained(self) -> None:
+        # Queued updates — and the WAL behind them, when durability is
+        # configured — are applied before the process exits.
+        self.service.flush()
+
+    # ------------------------------------------------------------------
+    # Handlers
+    # ------------------------------------------------------------------
+
+    def _query(self, request_id, request: dict) -> dict:
+        start = time.perf_counter()
+        trace = request_trace(request)
         want_timings = bool(request.get("timings"))
         pairs = wire_pairs(request.get("pairs"))
         if not pairs:
@@ -405,64 +438,83 @@ class ReachabilityServer:
                 degraded=self.service.degraded,
                 trace=trace,
             )
-        if self.max_pending and (
-            self._pending_pairs + len(pairs) > self.max_pending
-        ):
-            self._metrics.incr("shed")
-            self._metrics.incr("shed_pairs", len(pairs))
-            # Rough hint: current backlog at the rate one batch clears.
-            retry_ms = max(1.0, 1e3 * self.batch_delay) * (
-                1 + self._pending_pairs // max(1, self.max_batch)
-            )
-            self._record_slow(
-                trace, start, pairs, outcome="shed",
-                stages={"admission_ms": self._elapsed_ms(start)},
-            )
-            response = error_response(
-                request_id,
-                "overloaded",
-                f"{self._pending_pairs} pairs queued (max {self.max_pending})",
-                retry_after_ms=retry_ms,
-            )
-            response["trace"] = trace
-            return response
-        future = asyncio.get_event_loop().create_future()
-        enqueued = time.perf_counter()
-        self._queue.append(
-            _PendingBatch(pairs, future, trace, enqueued, want_timings)
-        )
-        self._pending_pairs += len(pairs)
-        self._work_available.set()
+        # The stage clocks run when the client asked for a breakdown or
+        # a slow-query log wants one.
+        timings = {} if want_timings or self.slowlog is not None else None
         try:
-            results, epoch, degraded, batch_timings, picked_up = await future
+            results, epoch, degraded = self.service.query_batch_with_epoch(
+                pairs, timings=timings
+            )
         except ReproError as exc:
             self._record_slow(trace, start, pairs, outcome="error")
             response = error_response(request_id, **error_fields_for(exc))
             response["trace"] = trace
             return response
         self._metrics.incr("queries", len(pairs))
-        stages = {
-            "admission_ms": round((enqueued - start) * 1e3, 4),
-            "coalesce_ms": round((picked_up - enqueued) * 1e3, 4),
-        }
-        if batch_timings:
-            stages.update(batch_timings)
-        stages["total_ms"] = self._elapsed_ms(start)
-        self._record_slow(
-            trace, start, pairs,
-            outcome="ok", stages=stages, epoch=epoch, degraded=degraded,
-        )
+        if timings is not None:
+            timings["total_ms"] = _elapsed_ms(start)
+            self._record_slow(
+                trace, start, pairs, outcome="ok", stages=timings,
+                epoch=epoch, degraded=degraded,
+            )
         response = ok_response(
             request_id, results=results, epoch=epoch, degraded=degraded,
             trace=trace,
         )
         if want_timings:
-            response["timings"] = stages
+            response["timings"] = timings
         return response
 
-    @staticmethod
-    def _elapsed_ms(start: float) -> float:
-        return round((time.perf_counter() - start) * 1e3, 4)
+    def _update(self, request_id, request: dict) -> dict:
+        trace = request_trace(request)
+        ops = decode_update_ops(request.get("ops"))
+        applied = self.service.apply_batch(ops, trace_id=trace)
+        self._metrics.incr("updates_applied", applied)
+        return ok_response(
+            request_id, applied=applied, epoch=self.service.epoch,
+            trace=trace,
+        )
+
+    def _ping(self, request_id, request: dict) -> dict:
+        return ok_response(
+            request_id,
+            pong=True,
+            epoch=self.service.epoch,
+            degraded=self.service.degraded,
+        )
+
+    def _stats(self, request_id, request: dict) -> dict:
+        fields = {
+            "stats": self.service.snapshot(),
+            "net": self._metrics.scoped_counters(),
+        }
+        publisher = getattr(self.service, "shm_publisher", None)
+        if publisher is not None:
+            # Multi-process serving: the per-worker breakdown lives in
+            # the shared control block's stats slots.
+            section = publisher.health_section()
+            fields["workers"] = section["workers"]
+            fields["writer_pid"] = section["writer_pid"]
+            fields["worker_restarts"] = section["worker_restarts"]
+            fields["writer_restarts"] = section["writer_restarts"]
+        if request.get("registry"):
+            # Full registry snapshot for remote scraping
+            # (`repro metrics --connect`).
+            fields["registry"] = self.service.registry.snapshot()
+        return ok_response(request_id, **fields)
+
+    def _health(self, request_id, request: dict) -> dict:
+        return ok_response(request_id, health=self.service.health())
+
+    def _shed(self, request: dict) -> dict:
+        response = super()._shed(request)
+        if request.get("op") == "query":
+            pairs = request.get("pairs")
+            self._record_slow(
+                response["trace"], time.perf_counter(),
+                pairs if isinstance(pairs, list) else [], outcome="shed",
+            )
+        return response
 
     def _record_slow(
         self, trace, start, pairs, *, outcome, stages=None,
@@ -473,7 +525,7 @@ class ReachabilityServer:
         try:
             self.slowlog.record(
                 trace=trace,
-                dur_ms=self._elapsed_ms(start),
+                dur_ms=_elapsed_ms(start),
                 stages=stages,
                 pairs=len(pairs),
                 pair=pairs[0] if len(pairs) == 1 else None,
@@ -484,113 +536,9 @@ class ReachabilityServer:
         except OSError:
             self._metrics.registry.incr("net.slowlog_errors")
 
-    async def _handle_update(self, request_id, request: dict) -> dict:
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not trace:
-            trace = new_trace_id()
-        ops = decode_update_ops(request.get("ops"))
-        service = self.service
-        applied = await asyncio.get_event_loop().run_in_executor(
-            None,
-            lambda: service.apply_batch(ops, trace_id=trace),
-        )
-        self._metrics.incr("updates_applied", applied)
-        return ok_response(
-            request_id, applied=applied, epoch=self.service.epoch,
-            trace=trace,
-        )
 
-    # ------------------------------------------------------------------
-    # The batcher
-    # ------------------------------------------------------------------
-
-    async def _batch_loop(self) -> None:
-        """Coalesce admitted query requests into ``query_batch`` calls.
-
-        Single consumer: batches run strictly one after another, which
-        is what makes "one index probe per distinct pair per epoch" hold
-        across connections — concurrent arrivals meet in one call (batch
-        dedup) or in consecutive calls (the epoch-stamped cache).
-        """
-        loop = asyncio.get_event_loop()
-        while True:
-            await self._work_available.wait()
-            batch: list[_PendingBatch] = []
-            total = 0
-            while self._queue and total < self.max_batch:
-                item = self._queue.popleft()
-                batch.append(item)
-                total += len(item.pairs)
-            if not self._queue:
-                self._work_available.clear()
-            if not batch:
-                continue
-            combined = [p for item in batch for p in item.pairs]
-            self._metrics.incr("batches")
-            self._batch_pairs.record(len(combined))
-            # The service-side stage clocks run when any waiter asked
-            # for a breakdown or a slow-query log wants one; the shared
-            # lock/probe numbers are then fanned to every waiter in the
-            # batch (they shared the acquisition).
-            timed = self.slowlog is not None or any(
-                item.want_timings for item in batch
-            )
-            picked_up = time.perf_counter()
-            try:
-                outcome = await loop.run_in_executor(
-                    None, self._run_batch, combined, timed
-                )
-            except (UnknownVertexError, VertexNotFoundError):
-                # One poisoned pair must not fail every coalesced
-                # waiter: fall back to per-request calls so only the
-                # requests that named the unknown vertex see the error.
-                await self._settle_individually(loop, batch, timed)
-            except Exception as exc:  # noqa: BLE001 - fan the failure out
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-            else:
-                results, epoch, degraded, batch_timings = outcome
-                offset = 0
-                for item in batch:
-                    chunk = results[offset:offset + len(item.pairs)]
-                    offset += len(item.pairs)
-                    if not item.future.done():
-                        item.future.set_result(
-                            (chunk, epoch, degraded, batch_timings, picked_up)
-                        )
-            finally:
-                for item in batch:
-                    self._pending_pairs -= len(item.pairs)
-
-    def _run_batch(self, pairs, timed=False):
-        if self.batch_delay:
-            time.sleep(self.batch_delay)
-        return self._run_batch_undelayed(pairs, timed)
-
-    async def _settle_individually(self, loop, batch, timed=False) -> None:
-        for item in batch:
-            picked_up = time.perf_counter()
-            try:
-                outcome = await loop.run_in_executor(
-                    None, self._run_batch_undelayed, item.pairs, timed
-                )
-            except Exception as exc:  # noqa: BLE001 - per-request verdict
-                if not item.future.done():
-                    item.future.set_exception(exc)
-            else:
-                if not item.future.done():
-                    item.future.set_result((*outcome, picked_up))
-
-    def _run_batch_undelayed(self, pairs, timed):
-        if timed:
-            timings: dict = {}
-            results, epoch, degraded = self.service.query_batch_with_epoch(
-                pairs, timings=timings
-            )
-            return results, epoch, degraded, timings
-        results, epoch, degraded = self.service.query_batch_with_epoch(pairs)
-        return results, epoch, degraded, None
+def _elapsed_ms(start: float) -> float:
+    return round((time.perf_counter() - start) * 1e3, 4)
 
 
 class BackgroundServer:
@@ -598,18 +546,14 @@ class BackgroundServer:
 
     For tests, benchmarks and the in-process half of the network-tax
     comparison: ``with BackgroundServer(service) as bs:`` yields a
-    started server whose ``bs.host`` / ``bs.port`` a blocking client can
-    connect to, and tears it down (graceful drain included) on exit.
+    listening server whose ``bs.host`` / ``bs.port`` a blocking client
+    can connect to, and tears it down (graceful drain included) on exit.
+    Keyword arguments go to :class:`ReachabilityServer`.
     """
 
     def __init__(self, service, **server_kwargs) -> None:
-        self._service = service
-        self._kwargs = server_kwargs
+        self.server = ReachabilityServer(service, **server_kwargs)
         self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self.server: Optional[ReachabilityServer] = None
-        self._error: Optional[BaseException] = None
 
     @property
     def host(self) -> str:
@@ -620,37 +564,16 @@ class BackgroundServer:
         return self.server.port
 
     def __enter__(self) -> "BackgroundServer":
+        self.server.start()
         self._thread = threading.Thread(
-            target=self._run, name="reachability-server", daemon=True
+            target=self.server.serve_forever,
+            kwargs={"install_signal_handlers": False},
+            name="reachability-server",
+            daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("server failed to start within 30s")
-        if self._error is not None:
-            raise RuntimeError("server failed to start") from self._error
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._loop is not None and self.server is not None:
-            self._loop.call_soon_threadsafe(self.server.request_shutdown)
+        self.server.request_shutdown()
         self._thread.join(timeout=30)
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        self.server = ReachabilityServer(self._service, **self._kwargs)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced in __enter__
-            self._error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_until_complete(
-                self.server.serve_forever(install_signal_handlers=False)
-            )
-        finally:
-            loop.close()

@@ -3,24 +3,16 @@
 Each worker is a separate process spawned by :mod:`repro.net.multiproc`
 with two inherited handles: the already-listening public TCP socket
 (all workers share it; the kernel load-balances accepts) and the name of
-the shared-memory control block.  The worker answers ``query`` and
-``ping`` inline from the attached :class:`~repro.shm.reader.
-AttachedSnapshot` — no executor hop, no cross-request batching; the
-snapshot is immutable so a query is just dict lookups and bisects over
-shared buffers.
+the shared-memory control block.  The worker runs the same blocking
+frame loop and dispatcher as every other serving role
+(:class:`~repro.net.server.FrameServer`); only its handlers differ.  It
+answers ``query`` and ``ping`` inline from the attached
+:class:`~repro.shm.reader.AttachedSnapshot` — the snapshot is immutable,
+so a query is just dict lookups and bisects over shared buffers.
 
-Because every client connection is strictly serial (one request in
-flight at a time — the protocol has no pipelining) and the fast path is
-fully synchronous, the worker does not run an event loop at all: it is
-a blocking accept loop handing each connection to a thread that does
-``recv`` → compute → ``sendall``.  Threads parked in ``recv`` cost
-nothing, the GIL is irrelevant on the saturated single-core boxes this
-targets (at most one request is computing anyway), and cutting the
-event-loop machinery — task scheduling, epoll registration, stream
-buffering — roughly halves the per-request CPU next to the asyncio
-front end the single-process server uses.  That per-request efficiency,
-not parallelism, is where the multi-process speedup comes from on a
-small host; on a many-core host the N processes parallelize on top.
+On a saturated small host the per-request efficiency of that loop, not
+parallelism, is where the multi-process speedup comes from; on a
+many-core host the N processes parallelize on top.
 
 Everything the snapshot cannot answer is forwarded verbatim to the
 writer process over a private loopback connection and the writer's
@@ -35,7 +27,10 @@ reply relayed unchanged (ids and trace ids survive the hop):
   may have learned them after the snapshot was frozen.
 
 A forward runs in the connection's own thread, so per-connection reply
-order is preserved by construction.
+order is preserved by construction.  A forward whose request reached the
+writer is sent again after a broken pipe only when the op is read-only;
+an ``update`` is never sent twice (it may already be applied), and the
+client gets ``writer_unavailable`` instead.
 
 Writer outage (docs/robustness.md): when the writer process is dead or
 restarting, snapshot-answerable queries keep flowing in
@@ -63,16 +58,12 @@ from __future__ import annotations
 
 import gc
 import os
-import signal
 import socket
-import struct
 import threading
 import time
 
-from ..errors import ProtocolError, SnapshotError, WriterUnavailableError
+from ..errors import NetworkError, SnapshotError, WriterUnavailableError
 from ..obs.registry import MetricRegistry
-from ..obs.trace import new_trace_id
-from ..service.metrics import ScopedMetrics
 from ..shm.control import (
     SLOT_ATTACH_TS,
     SLOT_EPOCH,
@@ -80,92 +71,61 @@ from ..shm.control import (
     SLOT_GENERATION,
     SLOT_PID,
     SLOT_REQUESTS,
+    SLOT_SHED,
 )
 from ..shm.reader import SnapshotReader
-from .protocol import (
-    MAX_FRAME_BYTES,
-    SUPPORTED_VERSIONS,
-    decode_payload,
-    encode_frame,
-    error_fields_for,
-    error_response,
-    ok_response,
-    recv_frame_file,
-    send_frame_sync,
-    wire_pairs,
-)
+from .client import ReachabilityClient
+from .protocol import error_response, ok_response, wire_pairs
+from .server import FrameServer, request_trace
 
 __all__ = ["run_reader_worker"]
 
 #: Per-snapshot answer memo bound (entries, i.e. distinct pairs).
 MEMO_LIMIT = 200_000
 
-#: Per-connection receive chunk — one recv typically drains one frame.
-_RECV_CHUNK = 65536
-
-_HEADER = struct.Struct("!I")
+#: Ops the writer link may send twice: replaying them changes nothing.
+READ_ONLY_OPS = frozenset({"query", "ping", "stats", "health"})
 
 
 class _WriterLink:
-    """A lazy, lock-serialized frame pipe to the writer process.
+    """A lazy, lock-serialized pipe to the writer process.
 
-    *timeout* bounds the connect and every send/recv: the supervisor
-    holds the writer's listening fd, so while the writer is dead a
-    connect *succeeds* and the request then sits in the backlog — only
-    a deadline gets the calling thread back.
+    A :class:`~repro.net.client.ReachabilityClient` relaying frames
+    verbatim with one reconnect.  *timeout* bounds each forward: the
+    supervisor holds the writer's listening fd, so while the writer is
+    dead a connect *succeeds* and the request then sits in the backlog —
+    only a deadline gets the calling thread back.  A forward whose
+    request reached the writer is sent again only for
+    :data:`READ_ONLY_OPS`: the writer may have applied an update before
+    the pipe broke (a slow apply past the timeout, a crash after logging
+    the batch), so replaying it could apply it twice.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 5.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._rfile = None
+        self._client: ReachabilityClient | None = None
         self._lock = threading.Lock()
 
-    def _connect(self) -> None:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        sock.settimeout(self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-
-    def _drop(self) -> None:
-        for closer in (self._rfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._sock = None
-        self._rfile = None
-
     def forward(self, request: dict) -> dict:
-        """Round-trip *request* to the writer; one reconnect on a dead pipe."""
         with self._lock:
-            for attempt in (0, 1):
-                if self._sock is None:
-                    self._connect()
-                try:
-                    send_frame_sync(self._sock, request)
-                    reply = recv_frame_file(self._rfile)
-                    if reply is None:
-                        raise ConnectionResetError("writer closed the pipe")
-                    return reply
-                except (OSError, ProtocolError):
-                    self._drop()
-                    if attempt:
-                        raise
-            raise ConnectionResetError("unreachable")  # pragma: no cover
+            if self._client is None:
+                self._client = ReachabilityClient(
+                    self.host, self.port, timeout=self.timeout, retries=1,
+                    backoff=0.0, breaker_threshold=0,
+                )
+            return self._client.relay(
+                request, idempotent=request.get("op") in READ_ONLY_OPS
+            )
 
     def close(self) -> None:
         with self._lock:
-            self._drop()
+            if self._client is not None:
+                self._client.close()
 
 
-class _ReaderWorker:
+class _ReaderWorker(FrameServer):
     def __init__(
         self,
         *,
@@ -176,28 +136,38 @@ class _ReaderWorker:
         worker_id: int,
         max_staleness: float = 0.0,
         forward_timeout: float = 5.0,
+        max_connections: int = 0,
     ) -> None:
+        super().__init__(
+            MetricRegistry(),
+            sock=socket.socket(fileno=listen_fd),
+            max_connections=max_connections,
+        )
         self.worker_id = worker_id
         self.max_staleness = max_staleness
-        self.sock = socket.socket(fileno=listen_fd)
         self.reader = SnapshotReader(control_name)
         self.link = _WriterLink(writer_host, writer_port,
                                 timeout=forward_timeout)
-        self.registry = MetricRegistry()
-        self.metrics = ScopedMetrics(self.registry, prefix="net.")
         self.slot = self.reader.control.worker_cells(worker_id)
         self.slot[SLOT_PID] = os.getpid()
         self._memo: dict = {}
         self._memo_generation = -1
         self._attach_lock = threading.Lock()
-        self._requests = 0
+        self._requests_seen = 0
         self._forwarded = 0
-        self._stopping = threading.Event()
         # Cached writer-liveness probe (a signal-0 syscall): refreshed
         # at most every 50 ms so the per-request hot path stays free of
         # it while outage detection stays prompt.
         self._writer_alive_cached = True
         self._writer_checked = 0.0
+        self.handlers = {
+            "query": self._query,
+            "ping": self._ping,
+            # Writer-owned ops.
+            "update": self._forward,
+            "stats": self._forward,
+            "health": self._forward,
+        }
 
     # ------------------------------------------------------------------
     # Request handling
@@ -224,53 +194,34 @@ class _ReaderWorker:
             self._writer_alive_cached = self.reader.control.writer_alive()
         return self._writer_alive_cached
 
-    def _dispatch(self, request: dict) -> dict:
-        """Answer one request (inline or via the writer). Never raises."""
-        self._requests += 1
-        self.slot[SLOT_REQUESTS] = self._requests
-        request_id = request.get("id")
+    def dispatch(self, request: dict) -> dict:
+        self._requests_seen += 1
+        self.slot[SLOT_REQUESTS] = self._requests_seen
+        return super().dispatch(request)
+
+    def _shed(self, request: dict) -> dict:
+        response = super()._shed(request)
+        self.slot[SLOT_SHED] = self._metrics.counter("shed")
+        return response
+
+    def _ping(self, request_id, request: dict) -> dict:
         try:
-            version = request.get("v", SUPPORTED_VERSIONS[-1])
-            if version not in SUPPORTED_VERSIONS:
-                supported = "/".join(f"v{v}" for v in SUPPORTED_VERSIONS)
-                return error_response(
-                    request_id,
-                    "unsupported_version",
-                    f"server speaks {supported}, got v{version!r}",
-                )
-            op = request.get("op")
-            if op == "query":
-                response = self._fast_query(request_id, request)
-                if response is None:
-                    response = self._forward(request)
-                return response
-            if op == "ping":
-                try:
-                    snap = self._snapshot()
-                    epoch = snap.epoch
-                except SnapshotError:
-                    epoch = 0
-                return ok_response(
-                    request_id,
-                    pong=True,
-                    epoch=epoch,
-                    degraded=self.reader.degraded,
-                    worker=self.worker_id,
-                )
-            if op in ("update", "stats", "health"):
-                return self._forward(request)  # writer-owned
-            return error_response(
-                request_id, "unknown_op", f"unknown op {op!r}"
-            )
-        except WriterUnavailableError as exc:
-            self.metrics.incr("writer_unavailable")
-            return error_response(request_id, **error_fields_for(exc))
-        except ProtocolError as exc:
-            self.metrics.incr("errors")
-            return error_response(request_id, "bad_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 - the wire boundary
-            self.metrics.incr("errors")
-            return error_response(request_id, **error_fields_for(exc))
+            epoch = self._snapshot().epoch
+        except SnapshotError:
+            epoch = 0
+        return ok_response(
+            request_id,
+            pong=True,
+            epoch=epoch,
+            degraded=self.reader.degraded,
+            worker=self.worker_id,
+        )
+
+    def _query(self, request_id, request: dict) -> dict:
+        response = self._fast_query(request_id, request)
+        if response is None:
+            response = self._forward(request_id, request)
+        return response
 
     def _fast_query(self, request_id, request: dict):
         """Snapshot-plane answer, or ``None`` when the writer must."""
@@ -287,9 +238,7 @@ class _ReaderWorker:
             # nothing published) and nothing held to stale-serve: the
             # writer's live index is the fallback plane.
             return None
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not trace:
-            trace = new_trace_id()
+        trace = request_trace(request)
         memo = self._memo
         comp_of = snap.component_of
         frozen_query = snap.frozen.query
@@ -324,7 +273,7 @@ class _ReaderWorker:
                 self.max_staleness > 0
                 and stale_ms > self.max_staleness * 1000.0
             ):
-                self.metrics.incr("staleness_refused")
+                self._metrics.incr("staleness_refused")
                 return error_response(
                     request_id,
                     "writer_unavailable",
@@ -343,7 +292,7 @@ class _ReaderWorker:
             }
         return response
 
-    def _forward(self, request: dict) -> dict:
+    def _forward(self, request_id, request: dict) -> dict:
         if not self.reader.control.writer_alive():
             # Uncached probe: forwards are rare and the fast-fail must
             # not lag recovery.  The supervisor zeroes the pid the
@@ -354,99 +303,21 @@ class _ReaderWorker:
             )
         self._forwarded += 1
         self.slot[SLOT_FORWARDED] = self._forwarded
-        self.metrics.incr("forwarded")
+        self._metrics.incr("forwarded")
         try:
             return self.link.forward(request)
-        except (OSError, ProtocolError) as exc:
-            # Both attempts (including one reconnect) failed: the writer
-            # died mid-conversation or is wedged past the timeout.
+        except (OSError, NetworkError) as exc:
+            # The writer died mid-conversation or is wedged past the
+            # timeout, and the request may not (or need not) be resent.
             raise WriterUnavailableError(
                 f"writer connection failed ({type(exc).__name__}: {exc})"
             ) from exc
 
     # ------------------------------------------------------------------
-    # Serving loop (blocking sockets, one thread per connection)
+    # Process lifecycle
     # ------------------------------------------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        self.metrics.incr("connections")
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        buf = bytearray()
-        unpack_len = _HEADER.unpack_from
-        recv_into = conn.recv
-        send = conn.sendall
-        try:
-            while not self._stopping.is_set():
-                # Parse every complete frame already buffered before
-                # blocking in recv again.
-                while True:
-                    if len(buf) < 4:
-                        break
-                    (length,) = unpack_len(buf)
-                    if length > MAX_FRAME_BYTES:
-                        raise ProtocolError(
-                            f"frame length {length} exceeds max "
-                            f"{MAX_FRAME_BYTES}"
-                        )
-                    end = 4 + length
-                    if len(buf) < end:
-                        break
-                    body = bytes(buf[4:end])
-                    del buf[:end]
-                    send(encode_frame(self._dispatch(decode_payload(body))))
-                chunk = recv_into(_RECV_CHUNK)
-                if not chunk:
-                    return  # clean EOF
-                buf += chunk
-        except ProtocolError as exc:
-            # Unrecoverable framing: best-effort structured reply, then
-            # hang up — resync inside a byte stream is not possible.
-            self.metrics.incr("errors")
-            try:
-                send(encode_frame(error_response(None, "bad_request",
-                                                 str(exc))))
-            except OSError:
-                pass
-        except OSError:
-            pass  # peer went away mid-frame
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def _stop(self, *_args) -> None:
-        self._stopping.set()
-        # Unblock the accept loop; a closed listening socket raises
-        # OSError there, which is the shutdown signal.
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def _start_ppid_watchdog(self, interval: float = 1.0) -> None:
-        """Exit when the supervisor disappears (it cannot signal us then).
-
-        Without this, a SIGKILLed supervisor leaves workers holding the
-        public port forever — the next server cannot bind it and the
-        shm janitor cannot reap the family (worker pids are alive).
-        """
-        parent = os.getppid()
-
-        def watch() -> None:
-            while not self._stopping.is_set():
-                time.sleep(interval)
-                if os.getppid() != parent:
-                    self._stop()
-                    return
-
-        threading.Thread(target=watch, name="ppid-watchdog",
-                         daemon=True).start()
-
     def run(self) -> int:
-        signal.signal(signal.SIGTERM, self._stop)
-        signal.signal(signal.SIGINT, self._stop)
-        self._start_ppid_watchdog()
         # Attach eagerly so the first request doesn't pay the attach and
         # the parent's health report shows the worker immediately.  A
         # worker respawned mid-outage may find nothing attachable yet;
@@ -463,33 +334,9 @@ class _ReaderWorker:
         gc.collect()
         gc.freeze()
         gc.set_threshold(100_000, 50, 50)
-        # Accept with a timeout: a close() from the ppid watchdog's
-        # thread does not wake a thread already blocked in accept() (a
-        # signal would, but a dead supervisor cannot send one), so the
-        # loop must come up for air to notice _stopping.  Accepted
-        # connections are switched back to blocking by socket.accept().
-        self.sock.settimeout(0.5)
         try:
-            while not self._stopping.is_set():
-                try:
-                    conn, _addr = self.sock.accept()
-                except TimeoutError:
-                    continue  # re-check _stopping
-                except OSError:
-                    break  # listening socket closed by _stop
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    daemon=True,
-                    name=f"conn-w{self.worker_id}",
-                )
-                thread.start()
+            self.serve_forever(watch_parent=True)
         finally:
-            self._stopping.set()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
             self.link.close()
             self.slot.release()
             self.reader.close()
@@ -505,6 +352,7 @@ def run_reader_worker(
     worker_id: int,
     max_staleness: float = 0.0,
     forward_timeout: float = 5.0,
+    max_connections: int = 0,
 ) -> int:
     """Entry point for the hidden ``repro serve-worker`` subcommand."""
     worker = _ReaderWorker(
@@ -515,5 +363,6 @@ def run_reader_worker(
         worker_id=worker_id,
         max_staleness=max_staleness,
         forward_timeout=forward_timeout,
+        max_connections=max_connections,
     )
     return worker.run()

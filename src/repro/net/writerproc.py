@@ -1,18 +1,18 @@
-"""The writer subprocess behind ``repro serve --workers``.
+"""The service-backed serving process: single-process ``repro serve`` and
+the writer child behind ``repro serve --workers``.
 
-PR 9 ran the writer *in* the supervisor process, which made a writer
-crash fatal to the whole assembly.  Now the writer is a child like the
-readers, and this module is its ``main``: build (or **recover**) the
-:class:`~repro.service.server.ReachabilityService`, attach a
-:class:`~repro.shm.publisher.SnapshotPublisher` to the control block
-the supervisor owns, and run the asyncio
-:class:`~repro.net.server.ReachabilityServer` on the writer socket fd
+Both build (or **recover**) a
+:class:`~repro.service.server.ReachabilityService` and serve it on the
+blocking :class:`~repro.net.server.ReachabilityServer` loop;
+single-process serving is the writer without a snapshot publisher.  The
+writer child attaches a :class:`~repro.shm.publisher.SnapshotPublisher`
+to the control block the supervisor owns and serves the writer socket fd
 inherited from the supervisor — the supervisor holds the listening
 socket, so the writer's *port never changes* across respawns and
 workers reconnect to the same address after a failover.
 
 Boot sequence (identical for first boot and every respawn — the
-filesystem decides which it is):
+filesystem decides which it is; steps 3 and 4 are the writer's):
 
 1. arm a chaos injector from ``REPRO_CHAOS`` if the harness set one
    (one-shot: the respawn after an injected kill boots clean);
@@ -25,8 +25,8 @@ filesystem decides which it is):
    and retire the dead writer's segment;
 4. stamp our pid into the control block — readers use its liveness to
    fail forwarded ops fast while we are gone;
-5. serve until SIGTERM, the supervisor dies (ppid watchdog), or the
-   control block's shutdown flag rises.
+5. serve until SIGTERM/SIGINT or, for the writer, until the supervisor
+   dies (ppid watchdog).
 
 Without ``--wal``, a respawned writer rebuilds from the original
 source: acknowledged updates since boot are lost (readers notice the
@@ -37,9 +37,7 @@ contract — run ``--workers`` with ``--wal`` for real failover.
 from __future__ import annotations
 
 import os
-import socket
-import threading
-import time
+import signal
 from pathlib import Path
 from typing import Optional
 
@@ -52,8 +50,9 @@ from ..obs.slowlog import SlowQueryLog
 from ..service.server import ReachabilityService
 from ..shm.publisher import SnapshotPublisher
 from .chaos import injector_from_env
+from .server import ReachabilityServer
 
-__all__ = ["run_writer_process", "wal_has_state"]
+__all__ = ["serve_service", "wal_has_state"]
 
 
 def wal_has_state(directory) -> bool:
@@ -64,26 +63,6 @@ def wal_has_state(directory) -> bool:
     if (root / "wal.log").exists():
         return True
     return any((root / "checkpoints").glob("ckpt-*"))
-
-
-def _start_ppid_watchdog(on_orphaned, *, interval: float = 1.0) -> None:
-    """Exit when the parent (the supervisor) disappears.
-
-    A SIGKILLed supervisor cannot signal its children; without this the
-    writer would hold the WAL and the port forever.  Reparenting (to
-    pid 1 or a subreaper) changes ``getppid``, which is the signal.
-    """
-    parent = os.getppid()
-
-    def watch() -> None:
-        while True:
-            time.sleep(interval)
-            if os.getppid() != parent:
-                on_orphaned()
-                return
-
-    threading.Thread(target=watch, name="ppid-watchdog",
-                     daemon=True).start()
 
 
 def _build_service(
@@ -128,44 +107,54 @@ def _build_service(
                                **common)
 
 
-def run_writer_process(
+def serve_service(
     *,
-    listen_fd: int,
-    control_name: str,
+    sock=None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    control_name: Optional[str] = None,
     graph: Optional[str] = None,
     snapshot: Optional[str] = None,
     wal: Optional[str] = None,
     fsync: str = "batch",
     checkpoint_every: int = 256,
     grace_period: float = 5.0,
-    max_pending: int = 4096,
-    max_batch: int = 1024,
-    batch_delay: float = 0.0,
+    max_connections: int = 0,
     drain_timeout: float = 10.0,
     slowlog_path: Optional[str] = None,
     slow_ms: float = 10.0,
+    slowlog_sample: float = 0.0,
     flight_dir: Optional[str] = None,
+    flight_capacity: int = 256,
+    flight_interval: float = 1.0,
     metrics_out: Optional[str] = None,
     cache_size: int = 4096,
     flush_threshold: int = 1,
     order: str = "butterfly-u",
-) -> int:
-    """Entry point for the hidden ``repro serve-writer`` subcommand."""
-    import asyncio
-    import signal
+    on_listening=None,
+) -> dict:
+    """Build or recover the service, serve it until drained, tear down.
 
-    from .server import ReachabilityServer
-
+    *sock* is an inherited listening socket (else bind *host*:*port*).
+    With *control_name* this is the writer child: it publishes snapshots
+    to that control block and exits when the supervisor dies.
+    *on_listening(server, service)* runs once the socket listens.
+    Returns what the caller may report after the drain: the
+    ``service``, the slow-query log's ``slowlog`` stats and the
+    ``metrics_format`` written to *metrics_out* (``None`` when unused).
+    """
     injector = injector_from_env()
     registry = MetricRegistry()
     if metrics_out:
         obs_trace.enable(registry)
     flight = None
     if flight_dir:
-        flight = FlightRecorder(registry, dump_dir=flight_dir)
+        flight = FlightRecorder(registry, capacity=flight_capacity,
+                                interval=flight_interval, dump_dir=flight_dir)
     slowlog = None
     if slowlog_path:
-        slowlog = SlowQueryLog(slowlog_path, threshold_ms=slow_ms)
+        slowlog = SlowQueryLog(slowlog_path, threshold_ms=slow_ms,
+                               sample_rate=slowlog_sample)
 
     service = _build_service(
         graph=graph, snapshot=snapshot, wal=wal, fsync=fsync,
@@ -178,65 +167,60 @@ def run_writer_process(
     )
     bind_health_gauges(registry, service)
 
-    publisher = SnapshotPublisher(
-        service,
-        control=control_name,
-        grace_period=grace_period,
-        registry=registry,
-        injector=injector,
-    )
-    service.shm_publisher = publisher
-    publisher.control.set_writer_pid(os.getpid())
-    publisher.publish()
+    publisher = None
+    if control_name:
+        publisher = SnapshotPublisher(
+            service,
+            control=control_name,
+            grace_period=grace_period,
+            registry=registry,
+            injector=injector,
+        )
+        service.shm_publisher = publisher
+        publisher.control.set_writer_pid(os.getpid())
+        publisher.publish()
 
-    writer_sock = socket.socket(fileno=listen_fd)
     server = ReachabilityServer(
         service,
-        host="127.0.0.1",
-        max_pending=max_pending,
-        max_batch=max_batch,
-        batch_delay=batch_delay,
+        sock=sock,
+        host=host,
+        port=port,
+        max_connections=max_connections,
         drain_timeout=drain_timeout,
         slowlog=slowlog,
-        sock=writer_sock,
     )
-
-    exit_code = 0
+    report = {"service": service, "slowlog": None, "metrics_format": None}
     try:
-        async def run() -> None:
-            stopping = asyncio.Event()
-            loop = asyncio.get_event_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, stopping.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-            _start_ppid_watchdog(
-                lambda: loop.call_soon_threadsafe(stopping.set)
-            )
-            await server.start()
+        server.start()
+        if publisher is not None:
             publisher.start()
-            if flight is not None:
-                flight.start()
-            await stopping.wait()
-            await server.shutdown()
-
-        asyncio.run(run())
+        if flight is not None:
+            flight.start()
+            # SIGQUIT (ctrl-\) dumps the metric timeline without
+            # stopping the server — the "what just happened" probe.
+            signal.signal(
+                signal.SIGQUIT, lambda *_: flight.auto_dump("sigquit")
+            )
+        if on_listening is not None:
+            on_listening(server, service)
+        server.serve_forever(watch_parent=publisher is not None)
     finally:
-        try:
-            publisher.control.set_writer_pid(0)
-        except Exception:  # pragma: no cover - control block gone
-            pass
-        publisher.close()
+        if publisher is not None:
+            try:
+                publisher.control.set_writer_pid(0)
+            except Exception:  # pragma: no cover - control block gone
+                pass
+            publisher.close()
         if flight is not None:
             flight.stop()
         if slowlog is not None:
             slowlog.close()
+            report["slowlog"] = slowlog.stats()
         if metrics_out:
             obs_trace.disable()
             from ..obs.export import write_metrics
 
-            write_metrics(registry, metrics_out)
+            report["metrics_format"] = write_metrics(registry, metrics_out)
         if service.durability is not None:
             service.durability.close()
-    return exit_code
+    return report

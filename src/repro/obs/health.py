@@ -30,7 +30,7 @@ Payload shape (``None``-valued sections mean "not configured")::
                   "publishes":, "segments_unlinked":, "worker_restarts":,
                   "workers": [{"worker":, "pid":, "generation":,
                                "epoch":, "requests":, "forwarded":,
-                               "snapshot_age_s":, "alive":}, ...]} | None,
+                               "shed":, "snapshot_age_s":, "alive":}, ...]} | None,
      "cache": {...}}
 
 ``order.decile_coverage[d]`` is the fraction of all label entries that

@@ -4,8 +4,8 @@ Aggregate histograms answer "how slow is the p99?" but not "why was
 *this* query slow?".  The slow-query log keeps the individual evidence:
 every request whose total latency crosses ``threshold_ms`` is written as
 one JSON line carrying its trace id, pair count, first pair, epoch,
-outcome and the per-stage timing breakdown the network front end
-measured (admission wait, batch coalesce, lock wait, cache/index probe).
+outcome and the per-stage timing breakdown the network server measured
+(read-lock wait, cache/index probe, cache hits and misses, total).
 Requests *below* the threshold are probabilistically sampled at
 ``sample_rate`` so the log also holds a baseline of normal traffic to
 compare the outliers against.
@@ -15,10 +15,10 @@ The record schema (one JSON object per line)::
     {"ts": 1754489000.1, "trace": "9f2a...", "dur_ms": 83.2,
      "slow": true, "outcome": "ok", "pairs": 16,
      "pair": ["a", "b"], "epoch": 412, "degraded": false,
-     "stages": {"admission_ms": 0.1, "coalesce_ms": 41.0,
-                "lock_ms": 38.5, "probe_ms": 3.2, ...}}
+     "stages": {"lock_ms": 79.6, "probe_ms": 3.2, "cache_hits": 3,
+                "cache_misses": 13, "total_ms": 83.2, ...}}
 
-``outcome`` is ``"ok"``, ``"shed"`` (admission control refused the
+``outcome`` is ``"ok"``, ``"shed"`` (the connection budget refused the
 request — shed replies are always logged when a threshold is set to 0,
 otherwise they obey the same gate) or ``"error"``.
 

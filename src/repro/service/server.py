@@ -347,27 +347,15 @@ class ReachabilityService:
     def query_with_epoch(self, s: Vertex, t: Vertex) -> tuple[bool, int]:
         """Answer ``s -> t`` and report the epoch the answer is valid at.
 
-        The epoch is read under the same read-lock hold that computes (or
-        fetches) the answer, so the pair is consistent even while a writer
-        is waiting.  In degraded mode — or when ``query_deadline`` expires
-        before the read lock is free — the answer comes from bidirectional
-        BFS over the mirror instead, under the mirror lock, with the same
-        (answer, epoch) consistency.
+        A one-pair :meth:`query_batch_with_epoch`: the epoch is read
+        under the same read-lock hold that computes (or fetches) the
+        answer, so the pair is consistent even while a writer is
+        waiting; in degraded mode — or when ``query_deadline`` expires
+        before the read lock is free — the answer comes from BFS over
+        the mirror instead, with the same consistency.
         """
-        start = time.perf_counter()
-        if self._degraded.is_set():
-            answer, epoch = self._answer_degraded(s, t)
-        elif not self._rwlock.acquire_read(timeout=self._query_deadline):
-            answer, epoch = self._answer_degraded(s, t)
-        else:
-            try:
-                epoch = self._epoch.value
-                answer = self._answer_locked(s, t, epoch)
-            finally:
-                self._rwlock.release_read()
-        self._metrics.query_latency.record(time.perf_counter() - start)
-        self._metrics.incr("queries")
-        return answer, epoch
+        answers, epoch, _ = self.query_batch_with_epoch(((s, t),))
+        return answers[0], epoch
 
     def query_many(self, pairs: Iterable[Pair]) -> list[bool]:
         """Answer a batch of queries, in input order.
@@ -414,67 +402,24 @@ class ReachabilityService:
         the degraded mirror-BFS path instead of the index.  The network
         front end uses this to stamp every reply envelope.
 
-        When *timings* is a dict, the call takes the instrumented path
-        and fills it in place with the stage breakdown the tracing tier
-        reports per reply: ``lock_ms`` (read-lock wait), ``probe_ms``
-        (cache + index time), ``cache_hits`` / ``cache_misses``, and
-        ``degraded``.  The default ``timings=None`` path is byte-for-byte
-        the pre-instrumentation hot path — the disabled-path overhead
-        budget (benchmarks/bench_obs_overhead.py) depends on that.
+        When *timings* is a dict, the call also fills it in place with
+        the stage breakdown the tracing tier reports per reply:
+        ``lock_ms`` (read-lock wait), ``probe_ms`` (cache + index time),
+        ``cache_hits`` / ``cache_misses``, and ``degraded``.  The extra
+        work is one clock read per batch; per pair, the timed and the
+        default call do the same work (the disabled-path overhead
+        budget in benchmarks/bench_obs_overhead.py depends on that).
         """
-        if timings is not None:
-            return self._query_batch_timed(pairs, timings)
         pairs = list(pairs)
         unique: dict[Pair, bool] = dict.fromkeys(pairs)  # insertion-ordered
         start = time.perf_counter()
-        degraded = False
-        if self._degraded.is_set() or not self._rwlock.acquire_read(
+        degraded = self._degraded.is_set() or not self._rwlock.acquire_read(
             timeout=self._query_deadline
-        ):
-            degraded = True
-            with self._mirror_lock:
-                epoch = self._epoch.value
-                for pair in unique:
-                    unique[pair] = bidirectional_reachable(
-                        self._mirror, pair[0], pair[1]
-                    )
-            self._metrics.registry.incr("degraded.queries", len(pairs))
-        else:
-            try:
-                epoch = self._epoch.value
-                for pair in unique:
-                    unique[pair] = self._answer_locked(pair[0], pair[1], epoch)
-            finally:
-                self._rwlock.release_read()
-        self._metrics.query_latency.record(time.perf_counter() - start)
-        self._metrics.incr("queries", len(pairs))
-        self._metrics.incr("batch_calls")
-        self._metrics.incr("batch_dedup_saved", len(pairs) - len(unique))
-        return [unique[pair] for pair in pairs], epoch, degraded
-
-    def _query_batch_timed(
-        self, pairs: Iterable[Pair], timings: dict
-    ) -> tuple[list[bool], int, bool]:
-        """The instrumented twin of :meth:`query_batch_with_epoch`.
-
-        Same semantics (one lock acquisition, deduplicated probes,
-        mirror fallback), but every stage is clocked into *timings* so
-        the network front end can hand the breakdown back to a traced
-        client.  Kept separate so the untimed path stays free of the
-        extra ``perf_counter`` calls and bookkeeping.
-        """
-        pairs = list(pairs)
-        unique: dict[Pair, bool] = dict.fromkeys(pairs)
-        start = time.perf_counter()
-        degraded = False
+        )
+        if timings is not None:
+            lock_done = time.perf_counter()
         hits = 0
-        if self._degraded.is_set():
-            acquired = False
-        else:
-            acquired = self._rwlock.acquire_read(timeout=self._query_deadline)
-        lock_done = time.perf_counter()
-        if not acquired:
-            degraded = True
+        if degraded:
             with self._mirror_lock:
                 epoch = self._epoch.value
                 for pair in unique:
@@ -486,51 +431,29 @@ class ReachabilityService:
             try:
                 epoch = self._epoch.value
                 cache = self._cache
+                index_query = self._index.query
                 for pair in unique:
-                    cached = cache.get(pair, epoch)
-                    if cached is not MISS:
-                        hits += 1
-                        unique[pair] = cached
-                    else:
-                        answer = self._index.query(pair[0], pair[1])
+                    answer = cache.get(pair, epoch)
+                    if answer is MISS:
+                        answer = index_query(pair[0], pair[1])
                         cache.put(pair, epoch, answer)
-                        unique[pair] = answer
+                    else:
+                        hits += 1
+                    unique[pair] = answer
             finally:
                 self._rwlock.release_read()
         end = time.perf_counter()
-        timings["lock_ms"] = round((lock_done - start) * 1e3, 4)
-        timings["probe_ms"] = round((end - lock_done) * 1e3, 4)
-        timings["cache_hits"] = hits
-        timings["cache_misses"] = 0 if degraded else len(unique) - hits
-        timings["degraded"] = degraded
+        if timings is not None:
+            timings["lock_ms"] = round((lock_done - start) * 1e3, 4)
+            timings["probe_ms"] = round((end - lock_done) * 1e3, 4)
+            timings["cache_hits"] = hits
+            timings["cache_misses"] = 0 if degraded else len(unique) - hits
+            timings["degraded"] = degraded
         self._metrics.query_latency.record(end - start)
         self._metrics.incr("queries", len(pairs))
         self._metrics.incr("batch_calls")
         self._metrics.incr("batch_dedup_saved", len(pairs) - len(unique))
         return [unique[pair] for pair in pairs], epoch, degraded
-
-    def _answer_locked(self, s: Vertex, t: Vertex, epoch: int) -> bool:
-        """Cache-through lookup; caller must hold the read lock."""
-        key = (s, t)
-        cached = self._cache.get(key, epoch)
-        if cached is not MISS:
-            return cached  # type: ignore[return-value]
-        answer = self._index.query(s, t)
-        self._cache.put(key, epoch, answer)
-        return answer
-
-    def _answer_degraded(self, s: Vertex, t: Vertex) -> tuple[bool, int]:
-        """BFS over the mirror — correct by Definition 1, index-free.
-
-        Runs under the mirror lock, where the writer also bumps the
-        epoch, so the (answer, epoch) pair stays consistent.  Answers
-        are not cached (they would poison the cache for the epoch).
-        """
-        with self._mirror_lock:
-            epoch = self._epoch.value
-            answer = bidirectional_reachable(self._mirror, s, t)
-        self._metrics.registry.incr("degraded.queries")
-        return answer, epoch
 
     # ------------------------------------------------------------------
     # Write path

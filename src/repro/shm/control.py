@@ -83,6 +83,7 @@ SLOT_EPOCH = 2
 SLOT_REQUESTS = 3
 SLOT_ATTACH_TS = 4
 SLOT_FORWARDED = 5
+SLOT_SHED = 6
 
 
 def new_base_name() -> str:
@@ -381,6 +382,7 @@ class ControlBlock:
             "epoch": slot[SLOT_EPOCH],
             "requests": slot[SLOT_REQUESTS],
             "forwarded": slot[SLOT_FORWARDED],
+            "shed": slot[SLOT_SHED],
             "attach_ts_ns": slot[SLOT_ATTACH_TS],
         }
 

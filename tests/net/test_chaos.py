@@ -26,8 +26,6 @@ import time
 import pytest
 
 from repro.errors import ReproError, WriterUnavailableError
-from repro.graph.generators import random_dag
-from repro.graph.io import write_edge_list
 from repro.graph.traversal import bidirectional_reachable
 from repro.net.chaos import CHAOS_ENV, SPENT_ENV
 from repro.net.client import ReachabilityClient
@@ -41,18 +39,6 @@ WORKERS_ARGS = ["--workers", "2"]
 #: How long a writer failover may take end to end (SIGKILL detection,
 #: respawn, WAL replay, republish) before the test calls it stuck.
 RECOVERY_S = 45.0
-
-
-@pytest.fixture(scope="module")
-def graph():
-    return random_dag(100, 300, seed=21)
-
-
-@pytest.fixture(scope="module")
-def graph_file(graph, tmp_path_factory):
-    path = tmp_path_factory.mktemp("chaos") / "graph.txt"
-    write_edge_list(graph, path)
-    return path
 
 
 def non_edges(graph, count):
@@ -297,7 +283,14 @@ class TestKillPublisherMidFlip:
         with spawned_server(graph_file, server_args=args, env=env) as server:
             first_pid, _ = wait_for_writer(server.host, server.port)
             with ReachabilityClient(server.host, server.port) as client:
-                client.apply(UpdateOp.insert_edge(tail, head))
+                try:
+                    client.apply(UpdateOp.insert_edge(tail, head))
+                except WriterUnavailableError:
+                    # The kill can land before the writer's reply leaves.
+                    # The insert was logged before the flip, and the
+                    # reader never re-sends an update whose reply was
+                    # lost; the WAL check below still demands it.
+                    pass
 
             # The publish thread picks up the epoch change within 50ms
             # and dies mid-flip.  Readers must keep answering from the
@@ -327,8 +320,8 @@ class TestKillPublisherMidFlip:
             assert snapshot["seqlock_repaired"] is True
             assert snapshot["writer_restarts"] >= 1
 
-            # The acknowledged insert survived via the WAL and made it
-            # into the successor's snapshot.
+            # The insert survived via the WAL and made it into the
+            # successor's snapshot.
             reply = wait_for_results(
                 server.host, server.port, [(tail, head)], [True]
             )

@@ -19,7 +19,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.net.client import ReachabilityClient
-from repro.net.protocol import recv_frame_sync, send_frame_sync
+from repro.net.protocol import recv_frame_file, send_frame_sync
 
 
 class StubServer:
@@ -61,7 +61,7 @@ class StubServer:
 def answer(op_fields):
     """Handler: read one request, reply with *op_fields*, close."""
     def handler(server, conn):
-        request = recv_frame_sync(conn)
+        request = recv_frame_file(conn.makefile("rb"))
         if request is None:
             return
         server.requests.append(request)
@@ -73,7 +73,7 @@ def answer(op_fields):
 
 def drop_after_read(server, conn):
     """Handler: read the request, then close without replying."""
-    request = recv_frame_sync(conn)
+    request = recv_frame_file(conn.makefile("rb"))
     if request is not None:
         server.requests.append(request)
 
@@ -84,7 +84,7 @@ def drop_immediately(server, conn):
 
 def hang_after_read(server, conn):
     """Handler: read the request, then go silent (connection open)."""
-    request = recv_frame_sync(conn)
+    request = recv_frame_file(conn.makefile("rb"))
     if request is not None:
         server.requests.append(request)
     try:
@@ -96,8 +96,9 @@ def hang_after_read(server, conn):
 
 def serve_forever(server, conn):
     """Handler: keep answering pings on one connection."""
+    rfile = conn.makefile("rb")
     while True:
-        request = recv_frame_sync(conn)
+        request = recv_frame_file(rfile)
         if request is None:
             return
         server.requests.append(request)

@@ -95,7 +95,9 @@ class TestLoadgenEndToEnd:
     def test_overload_sheds_but_admitted_answers_stay_correct(
         self, graph, graph_file
     ):
-        args = ["--max-pending", "24", "--batch-delay", "0.02"]
+        # Four clients against a two-connection budget: two hold their
+        # connections, the other two are shed on every attempt.
+        args = ["--max-connections", "2"]
         with spawned_server(graph_file, server_args=args) as server:
             result = run_loadgen(
                 server.host,

@@ -23,7 +23,7 @@ from repro.net.protocol import (
     error_response,
     ok_response,
     raise_for_error,
-    recv_frame_sync,
+    recv_frame_file,
     send_frame_sync,
     wire_pairs,
     wire_vertex,
@@ -46,7 +46,7 @@ class TestFraming:
                 target=send_frame_sync, args=(a, payload)
             )
             sender.start()
-            assert recv_frame_sync(b) == payload
+            assert recv_frame_file(b.makefile("rb")) == payload
             sender.join()
         finally:
             a.close()
@@ -56,7 +56,7 @@ class TestFraming:
         a, b = socket.socketpair()
         a.close()
         try:
-            assert recv_frame_sync(b) is None
+            assert recv_frame_file(b.makefile("rb")) is None
         finally:
             b.close()
 
@@ -66,7 +66,7 @@ class TestFraming:
             a.sendall(encode_frame({"op": "ping"})[:5])
             a.close()
             with pytest.raises(ProtocolError):
-                recv_frame_sync(b)
+                recv_frame_file(b.makefile("rb"))
         finally:
             b.close()
 
@@ -75,7 +75,7 @@ class TestFraming:
         try:
             a.sendall(struct.pack("!I", MAX_FRAME_BYTES + 1))
             with pytest.raises(ProtocolError, match="exceeds max"):
-                recv_frame_sync(b)
+                recv_frame_file(b.makefile("rb"))
         finally:
             a.close()
             b.close()

@@ -1,13 +1,17 @@
-"""Integration tests for the asyncio front end.
+"""Integration tests for the serving loop.
 
 Every test runs a real server (:class:`BackgroundServer` on a daemon
 thread) and talks to it over real sockets with the blocking client —
-the same path production traffic takes, minus the network.
+the same path production traffic takes, minus the network.  The
+wire-contract cases (:class:`WireContract`) also run against a
+``repro serve --workers 1`` assembly, whose reader worker answers
+through the same dispatcher.
 """
 
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -19,7 +23,8 @@ from repro.errors import (
 from repro.graph.generators import random_dag
 from repro.graph.traversal import bidirectional_reachable
 from repro.net.client import ReachabilityClient
-from repro.net.protocol import recv_frame_sync
+from repro.net.loadgen import spawned_server
+from repro.net.protocol import recv_frame_file, send_frame_sync
 from repro.net.server import BackgroundServer
 from repro.service.server import ReachabilityService
 from repro.service.updates import UpdateOp
@@ -43,6 +48,19 @@ def running(service):
 
 def oracle(graph, pairs):
     return [bidirectional_reachable(graph, s, t) for s, t in pairs]
+
+
+#: Connection budget of the servers the wire-contract cases run against.
+BUDGET = 2
+
+
+def shed_count(client):
+    """``net.shed`` of whichever process shed: the server itself, or the
+    reader workers (reported through their control-block slots)."""
+    stats = client._call({"op": "stats"})
+    return stats["net"]["shed"] + sum(
+        w["shed"] for w in stats.get("workers", [])
+    )
 
 
 class TestQueries:
@@ -129,104 +147,167 @@ class TestUpdates:
             assert client.ping()["pong"] is True
 
 
-class TestProtocolErrors:
-    def test_unknown_vertex_query_keeps_the_connection(self, running):
-        with ReachabilityClient(running.host, running.port) as client:
+class WireContract:
+    """Protocol cases every serving role answers through one dispatcher.
+
+    Subclasses provide an ``endpoint`` fixture: ``(host, port)`` of a
+    server with a connection budget of :data:`BUDGET`.
+    """
+
+    def test_unknown_vertex_query_keeps_the_connection(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
             with pytest.raises(UnknownVertexError):
                 client.query(123456, 0)
             assert client.ping()["pong"] is True
 
-    def test_unknown_op(self, running):
-        with ReachabilityClient(running.host, running.port) as client:
+    def test_unknown_op(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
             with pytest.raises(ProtocolError, match="unknown_op"):
                 client._call({"op": "frobnicate"})
 
-    def test_unsupported_version(self, running):
-        with ReachabilityClient(running.host, running.port) as client:
+    def test_unsupported_version(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
             client._next_id += 1
-            from repro.net.protocol import send_frame_sync
-
             send_frame_sync(
                 client._sock,
                 {"v": 99, "id": client._next_id, "op": "ping"},
             )
-            response = recv_frame_sync(client._sock)
+            response = recv_frame_file(client._rfile)
             assert response["ok"] is False
             assert response["error"]["code"] == "unsupported_version"
 
-    def test_bad_pairs_shape(self, running):
-        with ReachabilityClient(running.host, running.port) as client:
+    def test_bad_pairs_shape(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
             with pytest.raises(ProtocolError):
                 client._call({"op": "query", "pairs": [[1, 2, 3]]})
 
-    def test_garbage_bytes_get_an_error_then_close(self, running):
-        sock = socket.create_connection(
-            (running.host, running.port), timeout=10
-        )
+    def _bad_request_then_close(self, endpoint, frame):
+        sock = socket.create_connection(endpoint, timeout=10)
+        rfile = sock.makefile("rb")
         try:
-            # A length prefix far beyond MAX_FRAME_BYTES.
-            sock.sendall(struct.pack("!I", 0xFFFFFFFF))
-            response = recv_frame_sync(sock)
+            sock.sendall(frame)
+            response = recv_frame_file(rfile)
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
             # Server closes after a framing error (resync is impossible).
-            assert recv_frame_sync(sock) is None
+            assert recv_frame_file(rfile) is None
         finally:
             sock.close()
 
+    def test_garbage_bytes_get_an_error_then_close(self, endpoint):
+        # A length prefix far beyond MAX_FRAME_BYTES.
+        self._bad_request_then_close(endpoint, struct.pack("!I", 0xFFFFFFFF))
 
-class TestCoalescing:
-    """Concurrent submitters coalesce into one probe per pair per epoch."""
+    def test_non_json_body_is_bad_request_then_close(self, endpoint):
+        self._bad_request_then_close(
+            endpoint, struct.pack("!I", 5) + b"nope!"
+        )
 
-    def _count_probes(self, service):
-        counts = {}
-        lock = threading.Lock()
-        real_query = service._index.query
+    def test_ping(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
+            pong = client.ping()
+        assert pong["pong"] is True
+        assert pong["epoch"] == 0
+        assert pong["degraded"] is False
 
-        def counting_query(s, t):
-            with lock:
-                counts[(s, t)] = counts.get((s, t), 0) + 1
-            return real_query(s, t)
+    def test_empty_batch_still_carries_a_trace(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
+            reply = client.query_many([], trace="00ff00ff00ff00ff")
+        assert reply.trace == "00ff00ff00ff00ff"
+        assert reply.results == []
 
-        service._index.query = counting_query
-        return counts
+    def test_over_budget_connection_is_shed_then_closed(self, endpoint):
+        held = []
+        try:
+            # Fill the budget.  A connection an earlier test closed may
+            # still hold its slot for a moment, so retry until admitted.
+            deadline = time.monotonic() + 10.0
+            while len(held) < BUDGET:
+                client = ReachabilityClient(*endpoint)
+                try:
+                    client.ping()
+                except OverloadedError:
+                    client.close()
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                    continue
+                held.append(client)
+            before = shed_count(held[0])
+
+            sock = socket.create_connection(endpoint, timeout=10)
+            rfile = sock.makefile("rb")
+            try:
+                send_frame_sync(sock, {"v": 2, "id": 1, "op": "query",
+                                       "pairs": [[0, 1]], "trace": "5eed"})
+                response = recv_frame_file(rfile)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "overloaded"
+                assert response["error"]["retry_after_ms"] > 0
+                assert response["trace"] == "5eed"
+                assert recv_frame_file(rfile) is None  # then closed
+            finally:
+                sock.close()
+
+            assert shed_count(held[0]) == before + 1
+            # Admitted connections keep being served.
+            assert all(c.ping()["pong"] for c in held)
+        finally:
+            for client in held:
+                client.close()
+
+
+class TestProtocolErrors(WireContract):
+    """The wire contract against the in-process service-backed server."""
+
+    @pytest.fixture()
+    def endpoint(self, dag):
+        service = ReachabilityService(dag.copy(), cache_size=4096)
+        with BackgroundServer(service, max_connections=BUDGET) as bs:
+            yield bs.host, bs.port
+
+
+@pytest.mark.slow
+class TestProtocolErrorsOverWorkers(WireContract):
+    """The same contract against a reader worker of ``repro serve``."""
+
+    @pytest.fixture(scope="class")
+    def endpoint(self, graph_file):
+        args = ["--workers", "1", "--max-connections", str(BUDGET)]
+        with spawned_server(graph_file, server_args=args) as server:
+            yield server.host, server.port
+            assert server.terminate() == 0
+
+
+class TestEpochCache:
+    """Clients taken in turn: one probe per distinct pair per epoch."""
 
     def test_one_probe_per_distinct_pair_per_epoch(self, dag):
         service = ReachabilityService(dag.copy(), cache_size=4096)
-        counts = self._count_probes(service)
-        # Slow batches force concurrent requests to pile into the queue
-        # while a batch is in flight.
-        with BackgroundServer(service, batch_delay=0.02) as bs:
-            pairs_a = [(0, 10), (10, 20), (20, 30), (0, 10)]
-            pairs_b = [(10, 20), (30, 40), (0, 10)]
-            pairs_c = [(20, 30), (30, 40), (40, 50)]
-            replies = {}
+        counts = {}
+        real_query = service._index.query
 
-            def worker(name, pairs):
-                with ReachabilityClient(bs.host, bs.port) as client:
-                    for _ in range(3):  # repeats stress the dedup layers
-                        replies[name] = client.query_many(pairs)
+        def counting_query(s, t):
+            counts[(s, t)] = counts.get((s, t), 0) + 1
+            return real_query(s, t)
 
-            threads = [
-                threading.Thread(target=worker, args=(n, p))
-                for n, p in [("a", pairs_a), ("b", pairs_b), ("c", pairs_c)]
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        service._index.query = counting_query
+        batches = [
+            [(0, 10), (10, 20), (20, 30), (0, 10)],
+            [(10, 20), (30, 40), (0, 10)],
+            [(20, 30), (30, 40), (40, 50)],
+        ]
+        with BackgroundServer(service) as bs:
+            for _ in range(3):  # repeats stress the dedup layers
+                for pairs in batches:
+                    with ReachabilityClient(bs.host, bs.port) as client:
+                        assert client.query_many(pairs).results == oracle(
+                            dag, pairs
+                        )
 
-            # Fan-out: every waiter got its own answers, in its own order.
-            assert replies["a"].results == oracle(dag, pairs_a)
-            assert replies["b"].results == oracle(dag, pairs_b)
-            assert replies["c"].results == oracle(dag, pairs_c)
-
-            # 9 requests, 30 pairs, 7 distinct — but the single-consumer
-            # batcher + batch dedup + the epoch-stamped cache mean the
-            # index was probed exactly once per distinct pair.
-            distinct = set(pairs_a) | set(pairs_b) | set(pairs_c)
-            assert set(counts) == distinct
-            assert all(n == 1 for n in counts.values()), counts
+            # 9 requests, 30 pairs, 7 distinct — batch dedup plus the
+            # epoch-stamped cache probe the index once per distinct pair.
+            distinct = {p for pairs in batches for p in pairs}
+            assert counts == dict.fromkeys(distinct, 1)
 
             # A new epoch invalidates the cache: the same pairs probe
             # exactly once more each.
@@ -234,9 +315,39 @@ class TestCoalescing:
                 client.update([UpdateOp.insert_vertex("fresh")])
                 reply = client.query_many(sorted(distinct))
             assert reply.epoch == 1
-            assert all(
-                counts[p] == 2 for p in distinct
-            ), {p: counts[p] for p in distinct}
+            assert counts == dict.fromkeys(distinct, 2)
+
+
+class TestConcurrentClients:
+    def test_each_client_gets_its_own_answers_in_order(self, dag, running):
+        batches = {
+            "a": [(0, 10), (10, 20), (20, 30), (0, 10)],
+            "b": [(10, 20), (30, 40), (0, 10)],
+            "c": [(20, 30), (30, 40), (40, 50)],
+            "d": [(79, 0), (3, 3), (5, 40), (40, 5), (12, 60)],
+        }
+        wrong = []
+
+        def worker(pairs):
+            expected = oracle(dag, pairs)
+            try:
+                with ReachabilityClient(running.host, running.port) as client:
+                    for _ in range(25):
+                        reply = client.query_many(pairs)
+                        if reply.results != expected:
+                            wrong.append((pairs, reply.results))
+            except Exception as exc:  # noqa: BLE001
+                wrong.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=worker, args=(pairs,))
+            for pairs in batches.values()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not wrong
 
 
 class TestAdmissionControl:
@@ -244,22 +355,22 @@ class TestAdmissionControl:
         self, dag
     ):
         service = ReachabilityService(dag.copy(), cache_size=4096)
-        with BackgroundServer(
-            service, max_pending=8, batch_delay=0.02, max_batch=8
-        ) as bs:
+        with BackgroundServer(service, max_connections=2) as bs:
             shed = []
             answered = []
             failures = []
+            start = threading.Barrier(8)
 
             def flood(seed):
                 pairs = [(seed % 80, (seed * 7 + i) % 80) for i in range(8)]
                 try:
                     with ReachabilityClient(bs.host, bs.port) as client:
+                        start.wait()
                         for _ in range(6):
                             try:
                                 reply = client.query_many(pairs)
                             except OverloadedError as exc:
-                                assert exc.retry_after_ms >= 0
+                                assert exc.retry_after_ms > 0
                                 shed.append(1)
                                 continue
                             if reply.results != oracle(dag, pairs):
@@ -281,12 +392,20 @@ class TestAdmissionControl:
             assert answered, "admitted queries must still be served"
             assert service.registry.counter("net.shed").value == len(shed)
 
-    def test_shedding_disabled_when_max_pending_is_zero(self, dag):
+    def test_no_budget_when_max_connections_is_zero(self, dag):
         service = ReachabilityService(dag.copy(), cache_size=4096)
-        with BackgroundServer(service, max_pending=0) as bs:
-            with ReachabilityClient(bs.host, bs.port) as client:
-                reply = client.query_many([(0, 1)] * 64)
-                assert len(reply.results) == 64
+        with BackgroundServer(service, max_connections=0) as bs:
+            clients = [ReachabilityClient(bs.host, bs.port) for _ in range(16)]
+            try:
+                assert all(c.ping()["pong"] for c in clients)
+                assert all(
+                    len(c.query_many([(0, 1)] * 64).results) == 64
+                    for c in clients
+                )
+            finally:
+                for c in clients:
+                    c.close()
+            assert service.registry.counter("net.shed").value == 0
 
 
 class TestLifecycle:

@@ -1,42 +1,34 @@
 """End-to-end tests for multi-process serving (``repro serve --workers``).
 
-Each test boots the real thing as a subprocess: a writer process plus N
-reader workers sharing one listening socket and one shared-memory
+Each slow test boots the real thing as a subprocess: a writer process
+plus N reader workers sharing one listening socket and one shared-memory
 snapshot.  Covered here: query correctness against a BFS oracle, the
 per-worker stats/health surfaces, epoch monotonicity under a live
 update stream, worker supervision (kill one, watch it respawn), and
-booting from a ``repro build`` ``.tolf`` pack.
+booting from a ``repro build`` ``.tolf`` pack.  :class:`TestWriterLink`
+drives one reader worker in process against a fake writer.
 """
 
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.graph.generators import random_dag
-from repro.graph.io import write_edge_list
 from repro.graph.traversal import bidirectional_reachable
 from repro.net.client import ReachabilityClient
 from repro.net.loadgen import spawned_server
+from repro.net.protocol import recv_frame_file
+from repro.net.worker import _ReaderWorker
 from repro.service.updates import UpdateOp
+from repro.shm.control import ControlBlock, new_base_name, unlink_segment
 
 WORKERS_ARGS = ["--workers", "2"]
-
-
-@pytest.fixture(scope="module")
-def graph():
-    return random_dag(100, 300, seed=21)
-
-
-@pytest.fixture(scope="module")
-def graph_file(graph, tmp_path_factory):
-    path = tmp_path_factory.mktemp("workers") / "graph.txt"
-    write_edge_list(graph, path)
-    return path
 
 
 def oracle(graph, pairs):
@@ -190,3 +182,82 @@ class TestSnapshotBoot:
                 tail, head = non_edges(graph, 1)[0]
                 assert client.apply(UpdateOp.insert_edge(tail, head)) == 1
             server.terminate()
+
+
+class OneFrameWriter:
+    """A fake writer: reads one frame from each connection, then closes it."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self.received = []
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with conn:
+                request = recv_frame_file(conn.makefile("rb"))
+                if request is not None:
+                    self.received.append(request["op"])
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+        self.thread.join(timeout=5)
+
+
+class TestWriterLink:
+    """A forward that fails after its request reached the writer."""
+
+    @pytest.fixture()
+    def writer(self):
+        fake = OneFrameWriter()
+        yield fake
+        fake.close()
+
+    @pytest.fixture()
+    def worker(self, writer):
+        control = ControlBlock.create(new_base_name(), num_workers=1)
+        control.set_writer_pid(os.getpid())  # the fake writer "lives"
+        listener = socket.create_server(("127.0.0.1", 0))
+        worker = _ReaderWorker(
+            listen_fd=listener.detach(),
+            control_name=control.name,
+            writer_host="127.0.0.1",
+            writer_port=writer.port,
+            worker_id=0,
+            forward_timeout=5.0,
+        )
+        yield worker
+        worker.link.close()
+        worker.slot.release()
+        worker.reader.close()
+        worker._sock.close()
+        control.close()
+        # The worker's attach handed the name off the resource tracker,
+        # so unlink without tracker traffic.
+        unlink_segment(control.name)
+
+    def test_update_is_sent_once_and_answered_writer_unavailable(
+        self, writer, worker
+    ):
+        reply = worker.dispatch({
+            "v": 2, "id": 7, "op": "update",
+            "ops": [UpdateOp.insert_vertex("once").to_dict()],
+        })
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "writer_unavailable"
+        assert writer.received == ["update"]
+
+    def test_query_is_still_retried_once(self, writer, worker):
+        # Nothing is published, so the query is forwarded to the writer.
+        reply = worker.dispatch(
+            {"v": 2, "id": 8, "op": "query", "pairs": [[0, 1]]}
+        )
+        assert reply["error"]["code"] == "writer_unavailable"
+        assert writer.received == ["query", "query"]

@@ -62,7 +62,7 @@ class TestSchema:
             log.record(
                 trace="feedbeef",
                 dur_ms=83.21234,
-                stages={"admission_ms": 0.123456, "lock_ms": 38.5,
+                stages={"probe_ms": 0.123456, "lock_ms": 38.5,
                         "cache_hits": 3, "degraded": False},
                 pairs=16,
                 pair=("a", "b"),
@@ -75,7 +75,7 @@ class TestSchema:
         assert rec["pair"] == ["a", "b"]  # tuples become JSON arrays
         assert rec["epoch"] == 412
         assert rec["outcome"] == "ok"
-        assert rec["stages"]["admission_ms"] == 0.1235
+        assert rec["stages"]["probe_ms"] == 0.1235
         assert rec["stages"]["cache_hits"] == 3
         assert rec["stages"]["degraded"] is False
         assert "ts" in rec
