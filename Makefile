@@ -25,8 +25,9 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ --quick -q
 
-# Update-kernel headline at full scale: refreshes BENCH_update.json and
-# gates the mean insert/delete at <= 1/4 of a full rebuild of the graph.
+# Update-kernel headline at full scale: refreshes BENCH_update.json (and
+# appends a sha + host row to its history) and gates the mean
+# insert/delete at <= 1/4 of a full rebuild of the graph.
 bench-update:
 	$(PYTHON) -m pytest benchmarks/bench_update_kernels.py -q
 
@@ -88,7 +89,7 @@ serve-demo:
 	$(PYTHON) -m repro trace-generate .demo/graph.txt .demo/ops.trace \
 		--ops 600 --query-fraction 0.6
 	$(PYTHON) -m repro serve-replay .demo/graph.txt .demo/ops.trace \
-		--readers 8 --rounds 2 --flush-threshold 8
+		--readers 8 --rounds 2
 
 # Replay a trace with full core-span tracing and print the Prometheus
 # rendering of the unified metric registry (see docs/observability.md).
@@ -118,7 +119,7 @@ recover-demo:
 	$(PYTHON) -m repro trace-generate .demo/graph.txt .demo/ops.trace \
 		--ops 600 --query-fraction 0.6
 	$(PYTHON) -m repro serve-replay .demo/graph.txt .demo/ops.trace \
-		--readers 4 --flush-threshold 8 --wal .demo/state
+		--readers 4 --wal .demo/state
 	$(PYTHON) -m repro recover .demo/state --checkpoint
 
 clean:

@@ -4,8 +4,9 @@ Shapes to look for: construction cost tracks index size, so BU/BL build
 faster than DL/TF on the dense RG rows; Dagger's interval labeling is the
 cheapest build but the worst queries (Figure 7).
 
-``test_build_headline`` additionally emits the repo-root
-``BENCH_build.json`` headline — vertices/sec for BU and BL preprocessing
+``test_build_headline`` additionally emits the ``BENCH_build.json``
+headline (repo root at full scale, ``results-smoke/`` under
+``--quick``; see :mod:`_provenance`) — vertices/sec for BU and BL preprocessing
 (order computation + Butterfly build) on standard synthetic sizes.  Each
 pipeline is timed against a yardstick run in the same process on the
 same host, interleaved with it: the independent PLL construction
@@ -17,9 +18,7 @@ pipeline must be at least as fast as the PLL one.
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -39,9 +38,7 @@ from _config import (
     cached,
     publish,
 )
-
-#: Repo-root headline artifact (committed at full scale).
-BENCH_BUILD_JSON = Path(__file__).parent.parent / "BENCH_build.json"
+from _provenance import write_headline
 
 #: Standard synthetic sizes for the headline (full scale / smoke scale).
 HEADLINE_SIZES = [(300, 1200)] if QUICK else [(2000, 8000), (5000, 20000)]
@@ -166,9 +163,7 @@ def test_build_headline(benchmark):
         "headline": headline,
         "graphs": graphs,
     }
-    BENCH_BUILD_JSON.write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_headline("BENCH_build.json", payload)
     benchmark.extra_info.update(headline)
     benchmark.pedantic(
         _time_pipeline,

@@ -9,8 +9,9 @@ query stream (the regime caches are built for) and measures:
   flat totals, not linear speedup — the point is that correctness and
   latency hold under contention, and that the lock does not collapse);
 * the effect of cache size (off / small / large) on the same stream;
-* mixed throughput with one writer thread batching updates through the
-  coalescing queue while readers hammer queries;
+* mixed throughput with one writer thread applying updates in
+  :meth:`~repro.service.server.ReachabilityService.apply_batch` chunks
+  while readers hammer queries;
 * steady-state write-path overhead of the durability layer (WAL off vs
   each fsync policy), so the crash-safety tax is a measured number;
 * the protocol/serialization tax of the network front end: the same
@@ -31,7 +32,7 @@ from repro.net.client import ReachabilityClient
 from repro.net.server import BackgroundServer
 from repro.service.durability import DurabilityManager
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 from _config import QUICK, cached
 
@@ -52,6 +53,12 @@ def _queries():
             _graph(), NUM_QUERIES, skew=ZIPF_SKEW, seed=13
         ),
     )
+
+
+def _apply_in_chunks(service, ops, size):
+    """Apply *ops* through ``apply_batch`` calls of *size* ops each."""
+    for lo in range(0, len(ops), size):
+        service.apply_batch(ops[lo:lo + size])
 
 
 def _run_readers(service, pairs, num_threads):
@@ -102,22 +109,18 @@ def test_read_throughput_vs_cache_size(benchmark, cache_size):
         assert stats["hit_rate"] and stats["hit_rate"] > 0
 
 
-@pytest.mark.parametrize("flush_threshold", [1, 16])
-def test_mixed_readers_plus_writer(benchmark, flush_threshold):
+@pytest.mark.parametrize("chunk", [1, 16])
+def test_mixed_readers_plus_writer(benchmark, chunk):
     graph = _graph()
     trace = generate_trace(graph, 60, seed=14, query_fraction=0.0)
     mutations = [UpdateOp.from_trace_op(op) for op in trace]
     pairs = list(_queries().pairs)
 
     def run():
-        service = ReachabilityService(
-            graph, cache_size=8192, flush_threshold=flush_threshold
-        )
+        service = ReachabilityService(graph, cache_size=8192)
 
         def writer():
-            for op in mutations:
-                service.submit_update(op)
-            service.flush()
+            _apply_in_chunks(service, mutations, chunk)
 
         threads = [
             threading.Thread(
@@ -136,9 +139,7 @@ def test_mixed_readers_plus_writer(benchmark, flush_threshold):
 
     service = benchmark.pedantic(run, rounds=2, iterations=1)
     snap = service.snapshot()
-    benchmark.extra_info["flush_threshold"] = flush_threshold
-    benchmark.extra_info["batches"] = snap["queue"]["drained_batches"]
-    benchmark.extra_info["coalesced"] = snap["queue"]["coalesced"]
+    benchmark.extra_info["chunk"] = chunk
     assert snap["epoch"] > 0
     # Operation counts live under the "counters" sub-dict (they used to
     # be merged flat into the snapshot, colliding with recorder keys).
@@ -149,10 +150,10 @@ def test_mixed_readers_plus_writer(benchmark, flush_threshold):
 def test_writer_throughput(benchmark):
     """Pure-writer throughput through the service.
 
-    A mutation trace is batched through the coalescing queue;
+    A mutation trace is applied in ``apply_batch`` chunks of 16;
     ``extra_info`` records writer ops/s — the serving-layer view of the
-    ``BENCH_update.json`` kernel rates, queue and service bookkeeping
-    included.
+    ``BENCH_update.json`` kernel rates, validation and service
+    bookkeeping included.
     """
     graph = _graph()
     num_ops = 40 if QUICK else 200
@@ -160,13 +161,9 @@ def test_writer_throughput(benchmark):
     mutations = [UpdateOp.from_trace_op(op) for op in trace]
 
     def drive():
-        service = ReachabilityService(
-            graph, cache_size=0, flush_threshold=16
-        )
+        service = ReachabilityService(graph, cache_size=0)
         start = time.perf_counter()
-        for op in mutations:
-            service.submit_update(op)
-        service.flush()
+        _apply_in_chunks(service, mutations, 16)
         elapsed = time.perf_counter() - start
         applied = service.snapshot()["counters"]["updates_applied"]
         assert applied > 0
@@ -185,9 +182,9 @@ def test_write_path_wal_overhead(benchmark, wal, tmp_path):
 
     Same mutation trace through the same service; the only variable is
     the durability configuration, so the delta *is* the WAL tax.
-    ``never`` isolates the encode+write cost, ``batch`` adds one fsync
-    per flushed batch (the recommended setting), ``always`` pays one per
-    record.
+    Ops go in ``apply_batch`` chunks of 8.  ``never`` isolates the
+    encode+write cost, ``batch`` adds one fsync per batch (the
+    recommended setting), ``always`` pays one per record.
     """
     graph = _graph()
     num_ops = 12 if QUICK else 120
@@ -204,11 +201,9 @@ def test_write_path_wal_overhead(benchmark, wal, tmp_path):
                 checkpoint_every=0,  # isolate the log from snapshot cost
             )
         service = ReachabilityService(
-            graph, cache_size=0, flush_threshold=8, durability=durability
+            graph, cache_size=0, durability=durability
         )
-        for op in mutations:
-            service.submit_update(op)
-        service.flush()
+        _apply_in_chunks(service, mutations, 8)
         if durability is not None:
             durability.close()
         return service

@@ -3,7 +3,8 @@
 The Section-5 update algorithms (Algorithms 1–4) run on preallocated
 scratch arrays (:mod:`repro.core.scratch`).  This bench measures
 steady-state ``insert_vertex`` / ``delete_vertex`` throughput on a churn
-workload and emits the repo-root ``BENCH_update.json`` headline —
+workload and emits the ``BENCH_update.json`` headline (repo root at full
+scale, ``results-smoke/`` under ``--quick``; see :mod:`_provenance`) —
 inserts/sec and deletes/sec — together with the cost of one full
 ``TOLIndex.build`` of the base graph, timed in the same process on the
 same host, interleaved with the churn reps.
@@ -31,26 +32,27 @@ source, so a run on an older checkout adds a comparable row.
 """
 
 import gc
-import json
-import os
-import platform
 import random
-import subprocess
 import time
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro import datasets
 from repro.core.index import ReachabilityIndex, TOLIndex
 from repro.graph.generators import random_dag
 from repro.graph.traversal import bidirectional_reachable
 
 from _config import QUICK
+from _provenance import (
+    host,
+    read_bench,
+    source_sha,
+    write_bench,
+    write_headline,
+)
 
-#: Repo-root headline artifact (committed at full scale).
-BENCH_UPDATE_JSON = Path(__file__).parent.parent / "BENCH_update.json"
+#: Headline artifact (committed at full scale).
+BENCH_UPDATE = "BENCH_update.json"
 
 #: Base graph size (vertices, edges) — smoke scale / full scale.
 HEADLINE_SIZE = (150, 600) if QUICK else (1200, 4800)
@@ -197,7 +199,7 @@ def test_update_headline(benchmark):
         "delete_seconds": round(del_s, 6),
         "rebuild_seconds": round(build_s, 6),
     }
-    _write_bench(payload)
+    write_headline(BENCH_UPDATE, payload)
     benchmark.extra_info.update(headline)
     benchmark.pedantic(
         lambda: _time_churn(
@@ -212,62 +214,6 @@ def test_update_headline(benchmark):
         f"mean update {update_s * 1e3:.3f}ms "
         f"({rebuild_over_update:.2f}x)"
     )
-
-
-def _read_bench() -> dict:
-    try:
-        return json.loads(BENCH_UPDATE_JSON.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return {}
-
-
-def _write_bench(payload: dict) -> None:
-    """Write *payload* into ``BENCH_update.json``, keeping the keys it
-    does not set (the appended ``rg5_10k`` history)."""
-    merged = _read_bench()
-    merged.update(payload)
-    BENCH_UPDATE_JSON.write_text(
-        json.dumps(merged, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _host() -> str:
-    """CPU model, logical CPU count and Python version of this machine."""
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return (
-        f"{model}, {os.cpu_count()} CPUs, "
-        f"Python {platform.python_version()}"
-    )
-
-
-def _source_sha() -> str:
-    """Short sha of the checkout the measured ``repro`` comes from.
-
-    ``+dirty`` marks uncommitted changes under ``src/``; ``unknown``
-    means the package is not in a git checkout.
-    """
-    root = Path(repro.__file__).resolve().parents[2]
-
-    def git(*args):
-        return subprocess.run(
-            ["git", *args], cwd=root, capture_output=True, text=True,
-            check=True,
-        ).stdout.strip()
-
-    try:
-        sha = git("rev-parse", "--short", "HEAD")
-        dirty = git("status", "--porcelain", "--", "src")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return sha + ("+dirty" if dirty else "")
 
 
 def _rg5_rep(index, graph, victims, edges):
@@ -323,14 +269,14 @@ def test_rg5_rates():
 
     del_s, edge_del_s, edge_ins_s = best
     row = {
-        "sha": _source_sha(),
-        "host": _host(),
+        "sha": source_sha(),
+        "host": host(),
         "deletes_per_second": round(RG5_SAMPLE / del_s, 1),
         "edge_deletes_per_second": round(RG5_SAMPLE / edge_del_s, 1),
         "edge_inserts_per_second": round(RG5_SAMPLE / edge_ins_s, 1),
     }
-    history = _read_bench().get("rg5_10k", {}).get("history", [])
-    _write_bench({"rg5_10k": {
+    history = read_bench(BENCH_UPDATE).get("rg5_10k", {}).get("history", [])
+    write_bench(BENCH_UPDATE, {"rg5_10k": {
         "graph": 'datasets.load("RG5", num_vertices=10000, seed=0)',
         "protocol": (
             f"ReachabilityIndex; {RG5_SAMPLE} random vertices deleted "

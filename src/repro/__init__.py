@@ -28,7 +28,8 @@ Package map
 * :mod:`repro.bench` — workloads and experiment drivers for every table
   and figure of the paper's Section 8.
 * :mod:`repro.service` — concurrent serving layer: reader-writer locked
-  index, epoch-invalidated query cache, coalescing update queue, metrics.
+  index, epoch-invalidated query cache, one validated and WAL-logged
+  batch write path, metrics.
 """
 
 from .core.frozen import FrozenTOLIndex, freeze

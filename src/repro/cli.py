@@ -271,9 +271,10 @@ def render_snapshot(snapshot: dict) -> str:
 def cmd_serve_replay(args: argparse.Namespace) -> int:
     """`repro serve-replay`: drive a trace through the concurrent service.
 
-    The trace's mutations go through one writer thread (batched and
-    coalesced by the service's update queue); its queries are replayed by
-    ``--readers`` concurrent reader threads, each starting from a
+    The trace's mutations go through one writer thread, one
+    :meth:`~repro.service.server.ReachabilityService.apply` (validated,
+    WAL-logged with ``--wal``, applied) per op; its queries are replayed
+    by ``--readers`` concurrent reader threads, each starting from a
     different offset so the cache sees a mixed stream.
     """
     import threading
@@ -292,10 +293,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         print(f"error: --rounds must be >= 1, got {args.rounds}",
               file=sys.stderr)
-        return 2
-    if args.flush_threshold < 1:
-        print(f"error: --flush-threshold must be >= 1, "
-              f"got {args.flush_threshold}", file=sys.stderr)
         return 2
 
     graph = read_edge_list(args.graph)
@@ -328,7 +325,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
         service = ReachabilityService(
             graph,
             cache_size=args.cache_size,
-            flush_threshold=args.flush_threshold,
             registry=registry,
             durability=durability,
         )
@@ -372,7 +368,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
         def writer() -> None:
             for op in mutations:
                 service.apply(UpdateOp.from_trace_op(op))
-            service.flush()
 
         threads = [
             threading.Thread(target=reader, args=(i,), name=f"reader-{i}")
@@ -470,23 +465,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             graph=args.graph,
-            snapshot=args.snapshot,
-            wal=args.wal,
-            fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
             max_connections=args.max_connections,
-            drain_timeout=args.drain_timeout,
-            slowlog_path=args.slowlog,
-            slow_ms=args.slow_ms,
-            slowlog_sample=args.slowlog_sample,
-            flight_dir=args.flight_dir,
-            flight_capacity=args.flight_capacity,
-            flight_interval=args.flight_interval,
-            metrics_out=args.metrics_out,
-            cache_size=args.cache_size,
-            flush_threshold=args.flush_threshold,
-            order=args.order,
             on_listening=on_listening,
+            **_service_kwargs(args),
         )
     finally:
         if args.port_file:
@@ -533,35 +514,9 @@ def _cmd_serve_multiprocess(args: argparse.Namespace) -> int:
     from .net.multiproc import MultiProcessServer
     from .net.protocol import PROTOCOL_VERSION
 
-    writer_args = []
-    if args.graph:
-        writer_args += ["--graph", args.graph]
-    if args.snapshot:
-        writer_args += ["--snapshot", args.snapshot]
-    if args.wal:
-        writer_args += [
-            "--wal", args.wal,
-            "--fsync", args.fsync,
-            "--checkpoint-every", str(args.checkpoint_every),
-        ]
-    writer_args += [
-        "--order", args.order,
-        "--cache-size", str(args.cache_size),
-        "--flush-threshold", str(args.flush_threshold),
-        "--drain-timeout", str(args.drain_timeout),
-        "--grace-period", str(args.grace_period),
-    ]
-    if args.slowlog:
-        writer_args += ["--slowlog", args.slowlog,
-                        "--slow-ms", str(args.slow_ms)]
-    if args.flight_dir:
-        writer_args += ["--flight-dir", args.flight_dir]
-    if args.metrics_out:
-        writer_args += ["--metrics-out", args.metrics_out]
-
     mp = MultiProcessServer(
         workers=args.workers,
-        writer_args=writer_args,
+        writer_args=_writer_argv(args),
         host=args.host,
         port=args.port,
         max_staleness=args.max_staleness,
@@ -600,22 +555,99 @@ def cmd_serve_writer(args: argparse.Namespace) -> int:
         sock=socket.socket(fileno=args.fd),
         control_name=args.control,
         graph=args.graph,
-        snapshot=args.snapshot,
-        wal=args.wal,
-        fsync=args.fsync,
-        checkpoint_every=args.checkpoint_every,
-        grace_period=args.grace_period,
         max_connections=0,
-        drain_timeout=args.drain_timeout,
-        slowlog_path=args.slowlog,
-        slow_ms=args.slow_ms,
-        flight_dir=args.flight_dir,
-        metrics_out=args.metrics_out,
-        cache_size=args.cache_size,
-        flush_threshold=args.flush_threshold,
-        order=args.order,
+        **_service_kwargs(args),
     )
     return 0
+
+
+#: Options of the service a serving process builds, shared by `repro
+#: serve` and the hidden `serve-writer` child it spawns with --workers:
+#: ``(flag, serve_service keyword, add_argument keywords)``.  Defined
+#: once, so the writer parses exactly what `serve` accepts and
+#: :func:`_writer_argv` forwards every one of them.
+_SERVICE_OPTIONS = (
+    ("--snapshot", "snapshot", dict(
+        default=None, metavar="FILE.tolf",
+        help="boot from a `repro build` pack instead of building the "
+             "index from the edge list")),
+    ("--order", "order", dict(
+        default="butterfly-u", choices=sorted(set(ORDER_STRATEGIES)))),
+    ("--cache-size", "cache_size", dict(
+        type=int, default=4096,
+        help="query-result LRU capacity (0 disables)")),
+    ("--wal", "wal", dict(
+        default=None, metavar="DIR",
+        help="durability directory (WAL + checkpoints)")),
+    ("--fsync", "fsync", dict(
+        default="batch", choices=["always", "batch", "never"],
+        help="WAL fsync policy (with --wal)")),
+    ("--checkpoint-every", "checkpoint_every", dict(
+        type=int, default=256,
+        help="checkpoint after this many WAL records (with --wal)")),
+    ("--grace-period", "grace_period", dict(
+        type=float, default=5.0,
+        help="seconds a superseded shared-memory segment stays linked "
+             "for late readers, at most (with --workers)")),
+    ("--drain-timeout", "drain_timeout", dict(
+        type=float, default=10.0,
+        help="seconds the SIGTERM drain waits for requests already read")),
+    ("--metrics-out", "metrics_out", dict(
+        default=None, metavar="PATH",
+        help="export the metric registry after the drain "
+             "(.json = JSON, else Prometheus text)")),
+    ("--slowlog", "slowlog_path", dict(
+        default=None, metavar="PATH",
+        help="write a JSONL slow-query log here (read it back with "
+             "`repro slowlog`)")),
+    ("--slow-ms", "slow_ms", dict(
+        type=float, default=50.0,
+        help="slow-query threshold in milliseconds (with --slowlog)")),
+    ("--slowlog-sample", "slowlog_sample", dict(
+        type=float, default=0.0,
+        help="fraction of below-threshold requests to sample into the "
+             "log anyway (with --slowlog)")),
+    ("--flight-dir", "flight_dir", dict(
+        default=None, metavar="DIR",
+        help="enable the flight recorder and write its dumps here "
+             "(auto-dumps on degraded entry, quarantine, recovery; "
+             "SIGQUIT dumps on demand)")),
+    ("--flight-interval", "flight_interval", dict(
+        type=float, default=1.0,
+        help="seconds between flight-recorder snapshots (with "
+             "--flight-dir)")),
+    ("--flight-capacity", "flight_capacity", dict(
+        type=int, default=256,
+        help="snapshots retained in the flight-recorder ring (with "
+             "--flight-dir)")),
+)
+
+
+def _option_dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_service_options(parser: argparse.ArgumentParser) -> None:
+    for flag, _, kwargs in _SERVICE_OPTIONS:
+        parser.add_argument(flag, **kwargs)
+
+
+def _service_kwargs(args: argparse.Namespace) -> dict:
+    """The :func:`~repro.net.writerproc.serve_service` keywords of *args*."""
+    return {
+        keyword: getattr(args, _option_dest(flag))
+        for flag, keyword, _ in _SERVICE_OPTIONS
+    }
+
+
+def _writer_argv(args: argparse.Namespace) -> list:
+    """`serve-writer` arguments carrying every service option of *args*."""
+    argv = ["--graph", args.graph] if args.graph else []
+    for flag, _, _ in _SERVICE_OPTIONS:
+        value = getattr(args, _option_dest(flag))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
 
 
 def cmd_shm_janitor(args: argparse.Namespace) -> int:
@@ -936,7 +968,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                         pass  # the trace may query a deleted endpoint
                 else:
                     service.apply(UpdateOp.from_trace_op(op))
-            service.flush()
             if args.reduce_rounds:
                 service.reduce_labels(max_rounds=args.reduce_rounds)
     finally:
@@ -1162,8 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="times each reader replays the query stream")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="query-result LRU capacity (0 disables)")
-    p.add_argument("--flush-threshold", type=int, default=8,
-                   help="apply queued updates once this many are pending")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="export the metric registry after the replay "
                         "(.json = JSON, else Prometheus text); also "
@@ -1185,17 +1214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", default=None,
                    help="edge-list file of the graph to serve (optional "
                         "with --snapshot)")
-    p.add_argument("--snapshot", default=None, metavar="FILE.tolf",
-                   help="boot from a `repro build` pack instead of "
-                        "building the index from the edge list")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="multi-process mode: N reader processes answer "
                         "queries from a shared-memory frozen snapshot; "
                         "this process becomes the writer (0 = classic "
                         "single-process serving)")
-    p.add_argument("--grace-period", type=float, default=5.0,
-                   help="seconds a superseded shared-memory segment stays "
-                        "linked for late readers, at most (with --workers)")
     p.add_argument("--max-staleness", type=float, default=0.0,
                    help="with --workers: refuse snapshot answers older "
                         "than this many seconds while the writer is down "
@@ -1211,50 +1234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port-file", default=None, metavar="PATH",
                    help="write the actually bound port here once listening "
                         "(for scripts and the load generator)")
-    p.add_argument("--order", default="butterfly-u",
-                   choices=sorted(set(ORDER_STRATEGIES)))
-    p.add_argument("--cache-size", type=int, default=4096,
-                   help="query-result LRU capacity (0 disables)")
-    p.add_argument("--flush-threshold", type=int, default=8,
-                   help="apply queued updates once this many are pending")
     p.add_argument("--max-connections", type=int, default=1024,
                    help="connection budget per serving process (each "
                         "reader worker with --workers); a connection "
                         "over it gets a structured 'overloaded' reply "
                         "to its first request and is closed "
                         "(0 = unbounded)")
-    p.add_argument("--drain-timeout", type=float, default=10.0,
-                   help="seconds the SIGTERM drain waits for requests "
-                        "already read")
-    p.add_argument("--wal", default=None, metavar="DIR",
-                   help="durability directory (WAL + checkpoints)")
-    p.add_argument("--fsync", default="batch",
-                   choices=["always", "batch", "never"],
-                   help="WAL fsync policy (with --wal)")
-    p.add_argument("--checkpoint-every", type=int, default=256,
-                   help="checkpoint after this many WAL records (with --wal)")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="export the metric registry after the drain "
-                        "(.json = JSON, else Prometheus text)")
-    p.add_argument("--slowlog", default=None, metavar="PATH",
-                   help="write a JSONL slow-query log here (read it back "
-                        "with `repro slowlog`)")
-    p.add_argument("--slow-ms", type=float, default=50.0,
-                   help="slow-query threshold in milliseconds (with "
-                        "--slowlog)")
-    p.add_argument("--slowlog-sample", type=float, default=0.0,
-                   help="fraction of below-threshold requests to sample "
-                        "into the log anyway (with --slowlog)")
-    p.add_argument("--flight-dir", default=None, metavar="DIR",
-                   help="enable the flight recorder and write its dumps "
-                        "here (auto-dumps on degraded entry, quarantine, "
-                        "recovery; SIGQUIT dumps on demand)")
-    p.add_argument("--flight-interval", type=float, default=1.0,
-                   help="seconds between flight-recorder snapshots "
-                        "(with --flight-dir)")
-    p.add_argument("--flight-capacity", type=int, default=256,
-                   help="snapshots retained in the flight-recorder ring "
-                        "(with --flight-dir)")
+    _add_service_options(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1346,21 +1332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd", type=int, required=True)
     p.add_argument("--control", required=True)
     p.add_argument("--graph", default=None)
-    p.add_argument("--snapshot", default=None)
-    p.add_argument("--wal", default=None)
-    p.add_argument("--fsync", default="batch",
-                   choices=["always", "batch", "never"])
-    p.add_argument("--checkpoint-every", type=int, default=256)
-    p.add_argument("--order", default="butterfly-u",
-                   choices=sorted(set(ORDER_STRATEGIES)))
-    p.add_argument("--cache-size", type=int, default=4096)
-    p.add_argument("--flush-threshold", type=int, default=8)
-    p.add_argument("--drain-timeout", type=float, default=10.0)
-    p.add_argument("--grace-period", type=float, default=5.0)
-    p.add_argument("--slowlog", default=None)
-    p.add_argument("--slow-ms", type=float, default=50.0)
-    p.add_argument("--flight-dir", default=None)
-    p.add_argument("--metrics-out", default=None)
+    _add_service_options(p)
     p.set_defaults(func=cmd_serve_writer)
 
     p = sub.add_parser(

@@ -3,7 +3,7 @@
 Before this module, four surfaces each carried their own encoding of "a
 pending index mutation":
 
-* the service update queue held ``UpdateOp`` objects with trace-style
+* the service's update path held ``UpdateOp`` objects with trace-style
   short kinds (``addv``/``delv``/``adde``/``dele``),
 * WAL records serialized those through ``to_wire()`` dicts,
 * the net protocol's update envelope shipped the same dicts under a

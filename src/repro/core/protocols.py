@@ -11,7 +11,8 @@ protocol and handed any facade (``tests/core/test_protocols.py`` drives
 one random update/query trace through all four plus a BFS oracle).
 
 The protocol is read-only by design: update methods differ legitimately
-across facades (a frozen index has none; the service queues them), but
+across facades (a frozen index has none; the service logs and applies
+them in batches), but
 queries, witness extraction, membership and size accounting are the
 invariant surface.
 """

@@ -196,8 +196,7 @@ class ReachabilityClient:
         """Answer a batch of ``(source, target)`` pairs in one frame.
 
         *timings=True* asks the server for the stage breakdown
-        (admission wait, coalesce wait, lock wait, probe time, cache
-        hits/misses) on :attr:`BatchReply.timings`.  *trace* propagates
+        (lock wait, probe time, cache hits/misses) on :attr:`BatchReply.timings`.  *trace* propagates
         an existing trace id instead of minting a fresh one — pass it
         when this query is part of a larger traced operation.
         *deadline* caps the whole call (all transport attempts and
@@ -251,9 +250,6 @@ class ReachabilityClient:
             deadline=deadline,
             idempotent=False,
         )["applied"]
-
-    # Historical name for apply_batch.
-    update = apply_batch
 
     def insert_vertex(self, v, in_neighbors=(), out_neighbors=()) -> int:
         """Convenience single-op update (routes through :meth:`apply`)."""

@@ -58,7 +58,7 @@ them on the way in.
 The ``update`` envelope's ``ops`` field carries
 :meth:`repro.core.ops.UpdateOp.to_dict` dicts — the same encoding WAL
 records use — via :func:`encode_update_ops` / :func:`decode_update_ops`,
-so the queue, the log, and the wire all speak one format.
+so the service, the log, and the wire all speak one format.
 """
 
 from __future__ import annotations

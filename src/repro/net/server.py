@@ -27,9 +27,10 @@ unbounded.  Admitted connections keep their latency.
 Lifecycle: :meth:`FrameServer.serve_forever` installs SIGTERM / SIGINT
 handlers that trigger a graceful drain, in this order: stop accepting;
 let requests already read finish (bounded by ``drain_timeout``);
-``shutdown(SHUT_RDWR)`` the idle connections so their ``recv`` returns;
-then the role's final hook (the service role flushes the service and
-its WAL).
+``shutdown(SHUT_RDWR)`` the idle connections so their ``recv`` returns.
+Every acknowledged update was logged and applied before its reply, so
+nothing is left to flush; the serving process closes the WAL after
+:meth:`FrameServer.serve_forever` returns.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ class FrameServer:
     """Blocking thread-per-connection frame loop plus the one dispatcher.
 
     Subclasses register their op handlers in :attr:`handlers` — each a
-    ``handler(request_id, request) -> reply`` — and may override
-    :meth:`_drained` (the drain's last step).  Everything else —
+    ``handler(request_id, request) -> reply``.  Everything else —
     framing, the connection budget, version checks, op routing, error
     mapping, metrics under ``net.``, drain — lives here once.
 
@@ -268,10 +268,6 @@ class FrameServer:
         deadline = time.monotonic() + 1.0
         while self._conns and time.monotonic() < deadline:
             time.sleep(0.01)
-        self._drained()
-
-    def _drained(self) -> None:
-        """Hook run last in the drain, after the connections are cut."""
 
     # ------------------------------------------------------------------
     # The frame loop
@@ -415,11 +411,6 @@ class ReachabilityServer(FrameServer):
             "stats": self._stats,
             "health": self._health,
         }
-
-    def _drained(self) -> None:
-        # Queued updates — and the WAL behind them, when durability is
-        # configured — are applied before the process exits.
-        self.service.flush()
 
     # ------------------------------------------------------------------
     # Handlers

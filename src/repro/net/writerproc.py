@@ -129,7 +129,6 @@ def serve_service(
     flight_interval: float = 1.0,
     metrics_out: Optional[str] = None,
     cache_size: int = 4096,
-    flush_threshold: int = 1,
     order: str = "butterfly-u",
     on_listening=None,
 ) -> dict:
@@ -160,10 +159,7 @@ def serve_service(
         graph=graph, snapshot=snapshot, wal=wal, fsync=fsync,
         checkpoint_every=checkpoint_every, registry=registry, flight=flight,
         injector=injector,
-        service_kwargs=dict(
-            cache_size=cache_size, flush_threshold=flush_threshold,
-            order=order,
-        ),
+        service_kwargs=dict(cache_size=cache_size, order=order),
     )
     bind_health_gauges(registry, service)
 

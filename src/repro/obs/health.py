@@ -18,7 +18,6 @@ dict, served three ways:
 Payload shape (``None``-valued sections mean "not configured")::
 
     {"epoch": ..., "degraded": ..., "quarantine_depth": ...,
-     "queue_depth": ...,
      "index": {"num_vertices": ..., "num_edges": ..., "total_labels": ...,
                "labels": {"in":  {"mean":, "p50":, "p95":, "max":},
                           "out": {"mean":, "p50":, "p95":, "max":}},
@@ -137,7 +136,6 @@ def collect_health(service) -> dict:
         "epoch": service.epoch,
         "degraded": service.degraded,
         "quarantine_depth": len(service.quarantined),
-        "queue_depth": service.queue_depth,
         "cache": service.cache.stats(),
     }
 
@@ -247,8 +245,7 @@ def render_health(payload: dict) -> str:
     lines = [
         f"epoch {payload['epoch']}  "
         f"degraded {payload['degraded']}  "
-        f"quarantine {payload['quarantine_depth']}  "
-        f"queue {payload['queue_depth']}"
+        f"quarantine {payload['quarantine_depth']}"
     ]
     index = payload.get("index") or {}
     if index.get("stale"):

@@ -12,8 +12,6 @@ Dynamic Graphs"):
 * :mod:`repro.service.cache` — a bounded LRU query cache whose entries
   are stamped with the epoch they were computed at, so one integer bump
   lazily invalidates the whole cache without scanning it;
-* :mod:`repro.service.updates` — a coalescing update queue that merges
-  redundant insert/delete operations before they reach the index;
 * :mod:`repro.service.metrics` — the serving-layer naming over the
   unified :class:`~repro.obs.registry.MetricRegistry` (instrument
   classes live in :mod:`repro.obs`), behind a single ``snapshot()``
@@ -27,8 +25,10 @@ Dynamic Graphs"):
   :class:`~repro.service.faults.FaultPolicy` for poison updates;
 * :mod:`repro.service.server` — :class:`ReachabilityService`, the facade
   tying them together around a
-  :class:`~repro.core.index.ReachabilityIndex`, including degraded-mode
-  BFS serving and the sampled Definition-1 self-audit.
+  :class:`~repro.core.index.ReachabilityIndex`: one write path that
+  validates, WAL-logs and applies each update request as one batch of
+  :class:`~repro.core.ops.UpdateOp` values, degraded-mode BFS serving
+  and the sampled Definition-1 self-audit.
 
 See ``docs/service.md`` for the lock discipline and invalidation rules,
 ``docs/robustness.md`` for the crash-safety story,
@@ -36,6 +36,7 @@ See ``docs/service.md`` for the lock discipline and invalidation rules,
 and ``benchmarks/bench_service_mixed.py`` for throughput measurements.
 """
 
+from ..core.ops import UpdateOp
 from .cache import EpochLRUCache
 from .concurrency import EpochCounter, RWLock
 from .durability import (
@@ -54,14 +55,12 @@ from .faults import (
 )
 from .metrics import LatencyHistogram, ServiceMetrics
 from .server import ReachabilityService
-from .updates import CoalescingUpdateQueue, UpdateOp
 
 __all__ = [
     "ReachabilityService",
     "RWLock",
     "EpochCounter",
     "EpochLRUCache",
-    "CoalescingUpdateQueue",
     "UpdateOp",
     "ServiceMetrics",
     "LatencyHistogram",

@@ -7,7 +7,7 @@ Two small pieces, both deliberately boring:
   proceed in parallel; the update algorithms (Section 5) mutate labels,
   inverted lists and the order structure together and therefore need full
   exclusion.  Writer preference keeps a steady query stream from starving
-  the update queue — the paper's dynamic experiments interleave both.
+  the writer — the paper's dynamic experiments interleave both.
 
 * :class:`EpochCounter` — a monotonic version number for the index.  Every
   successful insert/delete/reduction bumps it exactly once; readers stamp

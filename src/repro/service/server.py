@@ -11,15 +11,13 @@ the index:
   answer, the epoch stamp and the cache entry are mutually consistent.
   :meth:`ReachabilityService.query_batch` answers a whole deduplicated
   batch under a single acquisition.
-* **Updates** never touch the index directly: they are submitted to a
-  :class:`~repro.service.updates.CoalescingUpdateQueue` and applied by
-  whichever thread triggers a flush — the whole drained batch inside one
-  write-locked critical section, with the epoch bumped once per
-  *successful* mutation.  A ``flush_threshold`` of 1 (the default) makes
-  every update apply immediately; larger thresholds trade staleness for
-  update throughput (fewer lock round-trips, more coalescing).
-* A separate writer mutex serializes flushers, so two threads calling
-  :meth:`flush` concurrently cannot interleave their batches.
+* **Updates** arrive as batches: :meth:`ReachabilityService.apply_batch`
+  (one op for :meth:`~ReachabilityService.apply`) validates the whole
+  batch, WAL-logs it, and applies it inside one write-locked critical
+  section, with the epoch bumped once per *successful* mutation.
+* A separate writer mutex serializes batches, so two threads calling
+  :meth:`~ReachabilityService.apply_batch` concurrently cannot
+  interleave their ops.
 
 Because cached answers are epoch-stamped and every write bumps the epoch,
 a query can never return an answer computed against a different graph
@@ -48,7 +46,7 @@ together).  The mirror powers three things:
   audit compares index answers against.
 
 Durability is optional: pass a
-:class:`~repro.service.durability.DurabilityManager` and every drained
+:class:`~repro.service.durability.DurabilityManager` and every
 batch is appended to its write-ahead log (and synced, per its fsync
 policy) *before* any op touches the index, with periodic checkpoints
 covering the WAL prefix.  :meth:`ReachabilityService.recover` rebuilds a
@@ -70,6 +68,7 @@ from random import Random
 from typing import Optional, Union
 
 from ..core.index import ReachabilityIndex
+from ..core.ops import UpdateOp
 from ..core.orders import resolve_order_strategy
 from ..errors import ReproError, UnknownVertexError
 from ..graph.digraph import DiGraph
@@ -88,7 +87,6 @@ from .faults import (
     QuarantinedUpdate,
 )
 from .metrics import ServiceMetrics
-from .updates import CoalescingUpdateQueue, UpdateOp
 
 __all__ = ["ReachabilityService"]
 
@@ -117,9 +115,6 @@ class ReachabilityService:
         passed.
     cache_size:
         Capacity of the query-result LRU (0 disables caching).
-    flush_threshold:
-        Apply queued updates as soon as this many are pending.  1 =
-        write-through; larger values batch and coalesce.
     record_applied:
         Keep an in-order log of ``(epoch, op)`` for every successfully
         applied mutation, readable via :attr:`applied_ops`.  Used by the
@@ -135,7 +130,7 @@ class ReachabilityService:
         core-algorithm spans — cache hit-rate through label churn.
     durability:
         A :class:`~repro.service.durability.DurabilityManager`; when set,
-        every drained batch is WAL-logged before it is applied and
+        every batch is WAL-logged before it is applied and
         checkpoints are taken per the manager's cadence.
     fault_policy:
         Retry/quarantine policy for non-deterministic op failures
@@ -147,7 +142,7 @@ class ReachabilityService:
         Seconds a query may wait for the read lock before answering from
         the mirror in degraded mode (``None`` = wait forever).
     audit_interval:
-        Run a sampled Definition-1 self-audit every this many flushed
+        Run a sampled Definition-1 self-audit every this many applied
         batches (0 = only when :meth:`self_audit` is called explicitly).
     audit_samples:
         Vertex pairs checked per audit.
@@ -158,7 +153,7 @@ class ReachabilityService:
     >>> service = ReachabilityService(g)
     >>> service.query("a", "c")
     True
-    >>> service.submit_update(UpdateOp.delete_vertex("b"))
+    >>> service.apply(UpdateOp.delete_vertex("b"))
     >>> service.query("a", "c")
     False
     >>> service.epoch
@@ -171,7 +166,6 @@ class ReachabilityService:
         *,
         index: Optional[ReachabilityIndex] = None,
         cache_size: int = 4096,
-        flush_threshold: int = 1,
         order: Union[str, object] = "butterfly-u",
         record_applied: bool = False,
         registry: Optional[MetricRegistry] = None,
@@ -185,10 +179,6 @@ class ReachabilityService:
     ) -> None:
         if index is not None and graph is not None:
             raise ValueError("pass either graph or index, not both")
-        if flush_threshold < 1:
-            raise ValueError(
-                f"flush_threshold must be >= 1, got {flush_threshold}"
-            )
         if query_deadline is not None and query_deadline <= 0:
             raise ValueError(
                 f"query_deadline must be positive, got {query_deadline}"
@@ -208,10 +198,8 @@ class ReachabilityService:
         self._rwlock = RWLock()
         self._epoch = EpochCounter()
         self._cache = EpochLRUCache(cache_size)
-        self._queue = CoalescingUpdateQueue()
-        self._flush_threshold = flush_threshold
-        self._flush_mutex = threading.Lock()
-        self._flushes = 0
+        self._write_mutex = threading.Lock()
+        self._batches = 0
         self._metrics = ServiceMetrics(registry)
         self._cache.bind_registry(self._metrics.registry)
 
@@ -231,12 +219,8 @@ class ReachabilityService:
         self._last_recovery: Optional[RecoveryReport] = None
         # Post-mortem flight recorder (see repro.obs.flight): when wired,
         # the service auto-dumps its timeline on degraded-mode entry,
-        # quarantine and recovery.  Trace ids submitted with updates are
-        # remembered (keyed by op identity) until the op is flushed, so
-        # WAL records and quarantine entries carry the originating
-        # batch's trace.
+        # quarantine and recovery.
         self._flight = flight
-        self._op_traces: dict[int, str] = {}
 
         reg = self._metrics.registry
         if durability is not None:
@@ -459,157 +443,58 @@ class ReachabilityService:
     # Write path
     # ------------------------------------------------------------------
 
-    def submit_update(
-        self,
-        op: UpdateOp,
-        *,
-        validate: bool = True,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """Queue one mutation; flush if the threshold is reached.
+    def apply(self, op: UpdateOp, *, trace_id: Optional[str] = None) -> None:
+        """Apply one :class:`~repro.core.ops.UpdateOp` (a one-op batch).
 
-        With ``validate=True`` (the default), an op referencing a vertex
-        that neither exists nor is pending insertion is rejected *here*
-        with :class:`~repro.errors.UnknownVertexError`, before it ever
-        enters the queue — the caller gets the error on the submitting
-        thread instead of a silent apply-time rejection counted in a
-        metric.  Apply-time rejection still backstops races (a vertex
-        deleted by another writer between validation and apply).
-
-        *trace_id* tags the op with the request trace it arrived under;
-        the tag follows the op into its WAL record, any retry/quarantine
-        events, and the quarantine log entry, so a failed update can be
-        walked back to the client call that sent it.
+        The named convenience methods (:meth:`insert_vertex` …) all
+        construct an :class:`UpdateOp` and route through here.  Passing
+        anything other than an :class:`UpdateOp` — raw tuples or wire
+        dicts — is not supported.
         """
-        if validate:
-            self._validate_refs(op)
-        if trace_id is not None:
-            if len(self._op_traces) > 4096:
-                # Ops coalesced away in the queue never reach a flush,
-                # so their tags would otherwise accumulate forever.
-                self._op_traces.clear()
-            self._op_traces[id(op)] = trace_id
-        self._queue.submit(op)
-        if len(self._queue) >= self._flush_threshold:
-            self.flush()
-
-    def _validate_refs(self, op: UpdateOp) -> None:
-        """Raise :class:`UnknownVertexError` for dangling references.
-
-        The membership view is the mirror (all applied ops) adjusted by
-        the pending queue in submission order, so a queued-but-unapplied
-        ``insert_vertex`` already satisfies references and a queued
-        ``delete_vertex`` already invalidates them.
-        """
-        refs = op.referenced_vertices()
-        if not refs:
-            return
-        added: set[Vertex] = set()
-        removed: set[Vertex] = set()
-        for pending in self._queue.pending_ops():
-            if pending.kind == "insert_vertex":
-                added.add(pending.vertex)
-                removed.discard(pending.vertex)
-            elif pending.kind == "delete_vertex":
-                removed.add(pending.vertex)
-                added.discard(pending.vertex)
-        with self._mirror_lock:
-            for v in refs:
-                if v in removed or (
-                    v not in added and not self._mirror.has_vertex(v)
-                ):
-                    raise UnknownVertexError(v)
-
-    def apply(
-        self,
-        op: UpdateOp,
-        *,
-        validate: bool = True,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """Queue one :class:`~repro.core.ops.UpdateOp`.
-
-        The unified write entry point: the named convenience methods
-        (:meth:`insert_vertex` …) all construct an :class:`UpdateOp` and
-        route through here, and :meth:`apply_batch` loops over it.
-        Equivalent to :meth:`submit_update` (kept as the historical
-        name); passing anything other than an :class:`UpdateOp` — raw
-        tuples or wire dicts — is not supported.
-        """
-        self.submit_update(op, validate=validate, trace_id=trace_id)
+        self.apply_batch((op,), trace_id=trace_id)
 
     def apply_batch(
-        self,
-        ops: Iterable[UpdateOp],
-        *,
-        validate: bool = True,
-        trace_id: Optional[str] = None,
+        self, ops: Iterable[UpdateOp], *, trace_id: Optional[str] = None
     ) -> int:
-        """Queue every op in *ops*, then flush; return ops accepted.
+        """Validate, log and apply *ops* as one batch; return ops accepted.
 
-        Validation failures (:class:`~repro.errors.UnknownVertexError`)
-        raise on the offending op, leaving earlier ops queued — call
-        :meth:`flush` (or submit more ops) to land them.  *trace_id*
-        tags every op in the batch (see :meth:`submit_update`).
-        """
-        accepted = 0
-        for op in ops:
-            self.apply(op, validate=validate, trace_id=trace_id)
-            accepted += 1
-        self.flush()
-        return accepted
+        The service's one write path, under the writer mutex:
 
-    def insert_vertex(
-        self,
-        v: Vertex,
-        in_neighbors: Iterable[Vertex] = (),
-        out_neighbors: Iterable[Vertex] = (),
-    ) -> None:
-        """Queue a vertex insertion (convenience for :meth:`apply`)."""
-        self.apply(UpdateOp.insert_vertex(v, in_neighbors, out_neighbors))
+        1. validate every op's references against the mirror plus the
+           earlier ops of the same batch — on a dangling reference raise
+           :class:`~repro.errors.UnknownVertexError` before anything is
+           logged or applied, so a rejected batch has no effect;
+        2. WAL-log every op (when durability is configured) and sync once;
+        3. apply under the write lock with per-op retry/quarantine,
+           mirroring each success and bumping the epoch once per
+           successful op under the mirror lock;
+        4. maybe checkpoint, and run the self-audit on its batch cadence.
 
-    def delete_vertex(self, v: Vertex) -> None:
-        """Queue a vertex deletion."""
-        self.apply(UpdateOp.delete_vertex(v))
-
-    def insert_edge(self, tail: Vertex, head: Vertex) -> None:
-        """Queue an edge insertion."""
-        self.apply(UpdateOp.insert_edge(tail, head))
-
-    def delete_edge(self, tail: Vertex, head: Vertex) -> None:
-        """Queue an edge deletion."""
-        self.apply(UpdateOp.delete_edge(tail, head))
-
-    def flush(self) -> int:
-        """Drain the queue and apply the batch; return ops applied.
-
-        The full sequence, per batch: WAL-log every op (when durability
-        is configured) and sync once; apply under the write lock with
-        per-op retry/quarantine; mirror each success and bump the epoch
-        under the mirror lock; then maybe checkpoint.  Invalid
-        operations (:class:`ReproError` — e.g. deleting a vertex that
-        never existed) are rejected individually and counted in
+        An op that passes validation but still fails deterministically
+        at apply time (:class:`ReproError` — e.g. inserting a vertex that
+        already exists) is rejected individually and counted in
         ``updates_rejected``; non-deterministic failures are retried per
-        the :class:`~repro.service.faults.FaultPolicy` and quarantined
-        on exhaustion (``updates_quarantined``) — either way the rest of
-        the batch proceeds and readers never wait on a poison op.
+        the :class:`~repro.service.faults.FaultPolicy` and quarantined on
+        exhaustion (``updates_quarantined``) — either way the rest of the
+        batch proceeds and readers never wait on a poison op.  *trace_id*
+        tags the batch: it is stamped on every WAL record and carried by
+        retry/quarantine events and quarantine entries.
         """
-        with self._flush_mutex:
-            batch = self._queue.drain()
-            if not batch:
-                return 0
-            traces = {
-                id(op): self._op_traces.pop(id(op), None) for op in batch
-            }
+        batch = list(ops)
+        if not batch:
+            return 0
+        accepted = len(batch)
+        with self._write_mutex:
+            self._validate_refs(batch)
             if self._durability is not None:
-                batch = self._log_batch(batch, traces)
+                batch = self._log_batch(batch, trace_id)
                 if not batch:
-                    return 0
+                    return accepted
             applied = 0
             start = time.perf_counter()
             with self._rwlock.write_locked():
                 for op in batch:
-                    epoch = self._apply_one(op, traces.get(id(op)))
+                    epoch = self._apply_one(op, trace_id)
                     if epoch is None:
                         continue
                     if self._applied is not None:
@@ -618,17 +503,62 @@ class ReachabilityService:
             elapsed = time.perf_counter() - start
             if self._durability is not None and applied:
                 self._maybe_checkpoint()
-            self._flushes += 1
-            flushes = self._flushes
+            self._batches += 1
+            batches = self._batches
         self._metrics.batch_apply_latency.record(elapsed)
         self._metrics.batch_size.record(len(batch))
         self._metrics.incr("updates_applied", applied)
-        if self._audit_interval and flushes % self._audit_interval == 0:
+        if self._audit_interval and batches % self._audit_interval == 0:
             self.self_audit(self._audit_samples)
-        return applied
+        return accepted
+
+    def _validate_refs(self, batch: list[UpdateOp]) -> None:
+        """Raise :class:`UnknownVertexError` for a dangling reference.
+
+        The membership view is the mirror (all applied ops) adjusted by
+        the earlier ops of *batch* in order, so an ``insert_vertex``
+        earlier in the batch satisfies later references and a
+        ``delete_vertex`` invalidates them.
+        """
+        added: set[Vertex] = set()
+        removed: set[Vertex] = set()
+        with self._mirror_lock:
+            for op in batch:
+                for v in op.referenced_vertices():
+                    if v in removed or (
+                        v not in added and not self._mirror.has_vertex(v)
+                    ):
+                        raise UnknownVertexError(v)
+                if op.kind == "insert_vertex":
+                    added.add(op.vertex)
+                    removed.discard(op.vertex)
+                elif op.kind == "delete_vertex":
+                    removed.add(op.vertex)
+                    added.discard(op.vertex)
+
+    def insert_vertex(
+        self,
+        v: Vertex,
+        in_neighbors: Iterable[Vertex] = (),
+        out_neighbors: Iterable[Vertex] = (),
+    ) -> None:
+        """Insert a vertex (convenience for :meth:`apply`)."""
+        self.apply(UpdateOp.insert_vertex(v, in_neighbors, out_neighbors))
+
+    def delete_vertex(self, v: Vertex) -> None:
+        """Delete a vertex."""
+        self.apply(UpdateOp.delete_vertex(v))
+
+    def insert_edge(self, tail: Vertex, head: Vertex) -> None:
+        """Insert an edge."""
+        self.apply(UpdateOp.insert_edge(tail, head))
+
+    def delete_edge(self, tail: Vertex, head: Vertex) -> None:
+        """Delete an edge."""
+        self.apply(UpdateOp.delete_edge(tail, head))
 
     def _apply_one(
-        self, op: UpdateOp, trace_id: Optional[str] = None
+        self, op: UpdateOp, trace_id: Optional[str]
     ) -> Optional[int]:
         """Apply one op under the write lock; return its epoch or ``None``.
 
@@ -664,20 +594,19 @@ class ReachabilityService:
                 return self._epoch.bump()
 
     def _log_batch(
-        self, batch: list[UpdateOp], traces: dict[int, Optional[str]]
+        self, batch: list[UpdateOp], trace_id: Optional[str]
     ) -> list[UpdateOp]:
         """WAL-append the batch (with retry/quarantine) and sync once.
 
         Returns the ops that were durably logged; an op whose append
         keeps failing is quarantined *before* apply, so the in-memory
         state never runs ahead of the log.  Each record is stamped with
-        the op's originating trace id (when one was submitted), so WAL
-        replay events after a crash name the batch that wrote them.
+        the batch's trace id (when it has one), so WAL replay events
+        after a crash name the batch that wrote them.
         """
         wal = self._durability.wal
         survivors: list[UpdateOp] = []
         for op in batch:
-            trace_id = traces.get(id(op))
             attempts = 0
             while True:
                 try:
@@ -703,7 +632,7 @@ class ReachabilityService:
             wal.sync()
         except OSError:
             # Records are flushed (process-crash durable) but not synced;
-            # keep serving rather than losing the drained batch.
+            # keep serving rather than losing the batch.
             self._metrics.registry.incr("wal.sync_errors")
         return survivors
 
@@ -712,7 +641,7 @@ class ReachabilityService:
         op: UpdateOp,
         exc: Exception,
         attempts: int,
-        trace_id: Optional[str] = None,
+        trace_id: Optional[str],
     ) -> None:
         self._quarantined.append(
             QuarantinedUpdate(
@@ -732,10 +661,10 @@ class ReachabilityService:
             )
 
     def _maybe_checkpoint(self) -> None:
-        """Checkpoint a mirror copy if one is due; called under the flush mutex.
+        """Checkpoint a mirror copy if one is due; called under the write mutex.
 
         The mirror is copied only when the manager's threshold says a
-        checkpoint will be written, not on every flush.
+        checkpoint will be written, not on every batch.
         """
         if not self._durability.checkpoint_due:
             return
@@ -751,11 +680,10 @@ class ReachabilityService:
             self._metrics.registry.incr("checkpoint.errors")
 
     def checkpoint(self) -> Path:
-        """Flush, then force a checkpoint covering the current WAL position."""
+        """Force a checkpoint covering the current WAL position."""
         if self._durability is None:
             raise ValueError("service has no durability manager")
-        self.flush()
-        with self._flush_mutex:
+        with self._write_mutex:
             with self._mirror_lock:
                 snapshot = self._mirror.copy()
                 meta = {
@@ -765,13 +693,12 @@ class ReachabilityService:
             return self._durability.checkpoint(snapshot, meta)
 
     def reduce_labels(self, *, max_rounds: int = 1):
-        """Flush pending updates, then run Section-6 label reduction.
+        """Run Section-6 label reduction.
 
         The reduction rewrites labels in place, so it runs under the
         write lock and bumps the epoch like any other mutation.
         """
-        self.flush()
-        with self._flush_mutex, self._rwlock.write_locked():
+        with self._write_mutex, self._rwlock.write_locked():
             report = self._index.reduce_labels(max_rounds=max_rounds)
             with self._mirror_lock:
                 self._epoch.bump()
@@ -825,12 +752,12 @@ class ReachabilityService:
         the index is supposed to encode.  Any disagreement flips the
         service into degraded mode (readers instantly fall back to the
         correct path) and returns ``False``; call :meth:`rebuild_index`
-        to repair and resume.  Runs under the flush mutex so no writer
+        to repair and resume.  Runs under the write mutex so no writer
         moves the state between the two reads.
         """
         samples = self._audit_samples if samples is None else samples
         rng = Random(seed)
-        with self._flush_mutex:
+        with self._write_mutex:
             with self._mirror_lock:
                 vertices = list(self._mirror.vertices())
             if len(vertices) < 2:
@@ -863,7 +790,7 @@ class ReachabilityService:
         degraded readers on the mirror, healthy ones on the old index);
         only the final swap takes it.  Returns the post-swap epoch.
         """
-        with self._flush_mutex:
+        with self._write_mutex:
             with self._mirror_lock:
                 snapshot = self._mirror.copy()
             new_index = ReachabilityIndex(snapshot, order=self._order)
@@ -917,11 +844,6 @@ class ReachabilityService:
     def cache(self) -> EpochLRUCache:
         """The query-result cache (shared; treat as read-only)."""
         return self._cache
-
-    @property
-    def queue_depth(self) -> int:
-        """Number of updates waiting to be applied."""
-        return len(self._queue)
 
     @property
     def quarantined(self) -> tuple[QuarantinedUpdate, ...]:
@@ -1002,8 +924,7 @@ class ReachabilityService:
     def snapshot(self) -> dict:
         """All serving metrics as one nested dict (cheap; lock-light).
 
-        Keys: ``epoch``, ``degraded``, ``quarantined``, ``queue``,
-        ``cache``, ``counters`` (plain ``name -> int``), the three
+        Keys: ``epoch``, ``degraded``, ``quarantined``, ``cache``, ``counters`` (plain ``name -> int``), the three
         recorder summaries (``query_latency``, ``batch_apply_latency``,
         ``batch_size``), and — when durability is configured — ``wal``
         (seq position, appends, fsyncs, checkpoint coverage).  For the
@@ -1014,7 +935,6 @@ class ReachabilityService:
             "epoch": self.epoch,
             "degraded": self.degraded,
             "quarantined": len(self._quarantined),
-            "queue": self._queue.stats(),
             "cache": self._cache.stats(),
             **self._metrics.snapshot(),
         }
@@ -1039,21 +959,19 @@ class ReachabilityService:
         return self._flight
 
     # ------------------------------------------------------------------
-    # Context manager: flush on exit
+    # Context manager: close the durability manager on exit
     # ------------------------------------------------------------------
 
     def __enter__(self) -> "ReachabilityService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.flush()
         if self._durability is not None:
             self._durability.close()
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(epoch={self.epoch}, "
-            f"queue_depth={self.queue_depth}, "
             f"degraded={self.degraded}, "
             f"cache={self._cache!r})"
         )

@@ -30,7 +30,7 @@ from repro.graph.traversal import bidirectional_reachable
 from repro.net.chaos import CHAOS_ENV, SPENT_ENV
 from repro.net.client import ReachabilityClient
 from repro.net.loadgen import spawned_server
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 from repro.shm.control import pid_alive
 from repro.shm.janitor import list_families, reap_orphans
 

@@ -27,7 +27,7 @@ from repro.net.loadgen import spawned_server
 from repro.net.protocol import recv_frame_file, send_frame_sync
 from repro.net.server import BackgroundServer
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestUpdates:
     ):
         with ReachabilityClient(running.host, running.port) as client:
             with pytest.raises(UnknownVertexError) as info:
-                client.update([UpdateOp.insert_edge(0, "never-seen")])
+                client.apply_batch([UpdateOp.insert_edge(0, "never-seen")])
             assert info.value.vertex == "never-seen"
             # The connection is still usable afterwards.
             assert client.ping()["pong"] is True
@@ -255,6 +255,28 @@ class WireContract:
             for client in held:
                 client.close()
 
+    def test_update_request_is_all_or_nothing(self, endpoint):
+        # Defined last: it moves the epoch of a class-scoped server.
+        with ReachabilityClient(*endpoint) as client:
+            with pytest.raises(UnknownVertexError) as info:
+                client.apply_batch([
+                    UpdateOp.insert_vertex("new", in_neighbors=[0]),
+                    UpdateOp.delete_vertex("ghost"),
+                ])
+            assert info.value.vertex == "ghost"
+            assert client.apply(UpdateOp.insert_vertex("after")) == 1
+            # Reader workers see the update once the writer republishes.
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    assert client.query("after", "after") is True
+                    break
+                except UnknownVertexError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            with pytest.raises(UnknownVertexError):
+                client.query("new", "new")
+
 
 class TestProtocolErrors(WireContract):
     """The wire contract against the in-process service-backed server."""
@@ -312,7 +334,7 @@ class TestEpochCache:
             # A new epoch invalidates the cache: the same pairs probe
             # exactly once more each.
             with ReachabilityClient(bs.host, bs.port) as client:
-                client.update([UpdateOp.insert_vertex("fresh")])
+                client.apply_batch([UpdateOp.insert_vertex("fresh")])
                 reply = client.query_many(sorted(distinct))
             assert reply.epoch == 1
             assert counts == dict.fromkeys(distinct, 2)
@@ -410,16 +432,13 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_shutdown_flushes_queued_updates(self, dag):
-        service = ReachabilityService(
-            dag.copy(), cache_size=0, flush_threshold=1000
-        )
+        service = ReachabilityService(dag.copy(), cache_size=0)
         with BackgroundServer(service) as bs:
             with ReachabilityClient(bs.host, bs.port) as client:
-                client.update([UpdateOp.insert_vertex("queued-v")])
-        # flush_threshold was never reached server-side per submit, but
-        # the update handler flushes; the drain flushes again on exit.
+                client.apply_batch([UpdateOp.insert_vertex("queued-v")])
+        # An acknowledged update was applied before its reply, so it is
+        # there after the drain.
         assert "queued-v" in service
-        assert service.queue_depth == 0
 
     def test_port_zero_binds_an_ephemeral_port(self, dag):
         service = ReachabilityService(dag.copy())

@@ -24,7 +24,7 @@ from repro.net.server import BackgroundServer
 from repro.obs.slowlog import SlowQueryLog, read_slowlog
 from repro.service.durability import DurabilityManager
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 TRACE_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -146,9 +146,7 @@ class TestIntrospectionOps:
 class TestUpdateTraces:
     def test_update_trace_lands_in_the_wal(self, dag, tmp_path):
         durability = DurabilityManager(tmp_path, fsync="never")
-        service = ReachabilityService(
-            dag.copy(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(dag.copy(), durability=durability)
         with BackgroundServer(service) as bs:
             with ReachabilityClient(bs.host, bs.port) as client:
                 applied = client.apply(
@@ -163,9 +161,7 @@ class TestUpdateTraces:
 
     def test_untraced_local_writes_stay_untraced(self, dag, tmp_path):
         durability = DurabilityManager(tmp_path, fsync="never")
-        service = ReachabilityService(
-            dag.copy(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(dag.copy(), durability=durability)
         service.apply(UpdateOp.insert_vertex("local"))
         [(_, _, trace)] = [
             r for r in durability.wal.records_with_traces()

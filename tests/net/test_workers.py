@@ -25,7 +25,7 @@ from repro.net.client import ReachabilityClient
 from repro.net.loadgen import spawned_server
 from repro.net.protocol import recv_frame_file
 from repro.net.worker import _ReaderWorker
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 from repro.shm.control import ControlBlock, new_base_name, unlink_segment
 
 WORKERS_ARGS = ["--workers", "2"]

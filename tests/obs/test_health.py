@@ -18,7 +18,7 @@ from repro.obs.health import (
 from repro.obs.registry import MetricRegistry
 from repro.service.durability import DurabilityManager
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def chain(n=6):
@@ -87,9 +87,7 @@ class TestCollectHealth:
 
     def test_payload_with_durability(self, tmp_path):
         durability = DurabilityManager(tmp_path, fsync="never")
-        service = ReachabilityService(
-            chain(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(chain(), durability=durability)
         service.apply(UpdateOp.insert_vertex("x"))
         payload = collect_health(service)
         wal = payload["wal"]

@@ -132,7 +132,6 @@ class TestServiceIntegration:
             service.query(vs[0], vs[1])
             service.query(vs[0], vs[1])  # cache hit
             service.delete_vertex(vs[2])
-            service.flush()
             service.reduce_labels(max_rounds=1)
             snap = service.registry.snapshot()
         # Core spans... (reduction round-trips every vertex through

@@ -13,7 +13,7 @@ import pytest
 from repro.graph.generators import random_dag
 from repro.graph.traversal import bidirectional_reachable
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def make_service(dag, **kwargs):
@@ -136,8 +136,7 @@ class TestPerEpochDedup:
         service.query_batch(pairs)
         counts = install_probe_counter(service)
 
-        service.submit_update(UpdateOp.insert_vertex("bump"))
-        service.flush()
+        service.apply(UpdateOp.insert_vertex("bump"))
         assert service.epoch == 1
 
         service.query_batch(pairs + pairs)  # duplicates again

@@ -24,7 +24,7 @@ from repro.service.durability import (
 )
 from repro.service.faults import FaultInjector, InjectedCrash
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def some_ops():
@@ -265,7 +265,7 @@ class TestServiceCheckpointCadence:
         ops = [UpdateOp.insert_vertex(f"n{i}", in_neighbors=[i])
                for i in range(4)]
         for op in ops[:3]:
-            service.apply(op)  # flush_threshold 1: one flush per op
+            service.apply(op)  # one batch per op
         assert copies == []
         assert mgr.checkpointed_seq == 0
 

@@ -25,7 +25,7 @@ from repro.service.faults import (
     InjectedCrash,
 )
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def diamond() -> DiGraph:
@@ -122,9 +122,8 @@ class TestQuarantine:
         service = ReachabilityService(
             diamond(), injector=injector, fault_policy=policy
         )
-        # Poison exactly the next apply attempt(s): with
-        # flush_threshold=1 the first submitted op eats every armed
-        # firing, exhausting its retry budget.
+        # Poison exactly the next apply attempt(s): the next op applied
+        # eats every armed firing, exhausting its retry budget.
         injector.arm("service.apply", "ioerror", times=times)
         return service, injector, policy
 
@@ -167,17 +166,15 @@ class TestQuarantine:
         injector = FaultInjector()
         policy = FaultPolicy(max_retries=1, backoff_base=0.0001)
         service = ReachabilityService(
-            diamond(),
-            flush_threshold=10,
-            injector=injector,
-            fault_policy=policy,
+            diamond(), injector=injector, fault_policy=policy
         )
-        service.submit_update(UpdateOp.insert_vertex("e"))
-        service.submit_update(UpdateOp.insert_vertex("f"))
-        service.submit_update(UpdateOp.insert_vertex("g"))
         # Poison whichever op is applied second, for all its attempts.
         injector.arm("service.apply", "ioerror", after=2, times=policy.max_retries + 1)
-        service.flush()
+        service.apply_batch([
+            UpdateOp.insert_vertex("e"),
+            UpdateOp.insert_vertex("f"),
+            UpdateOp.insert_vertex("g"),
+        ])
         assert len(service.quarantined) == 1
         assert service.epoch == 2  # the other two ops landed
         applied = {v for v in ("e", "f", "g") if v in service}

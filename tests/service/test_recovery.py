@@ -14,7 +14,7 @@ durability directory, and checks two things:
    zero-preprocessing :class:`~repro.baselines.search.BFSBaseline` on a
    Zipfian-sampled query workload over the recovered graph.
 
-``fsync="always"`` with ``flush_threshold=1`` keeps WAL sequence order
+``fsync="always"`` with one op per batch keeps WAL sequence order
 identical to submission order, which is what makes the expected-state
 computation deterministic.
 """
@@ -29,7 +29,7 @@ from repro.graph.generators import random_dag
 from repro.service.durability import DurabilityManager
 from repro.service.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 #: Crash on the Nth hit of the point, tuned so every point fires
 #: mid-trace: WAL/apply points fire once per op, checkpoint points once
@@ -76,10 +76,7 @@ def run_until_crash(tmp_path, point: str):
         tmp_path, fsync="always", checkpoint_every=4, injector=injector
     )
     service = ReachabilityService(
-        base_graph(),
-        flush_threshold=1,
-        durability=durability,
-        injector=injector,
+        base_graph(), durability=durability, injector=injector
     )
 
     acked: list[UpdateOp] = []
@@ -87,15 +84,15 @@ def run_until_crash(tmp_path, point: str):
     try:
         for op in mutation_trace(base_graph()):
             in_flight = op
-            service.submit_update(op)
+            service.apply(op)
             acked.append(op)
             in_flight = None
     except InjectedCrash as crash:
         assert crash.point == point
     else:
         pytest.fail(f"crash point {point!r} never fired")
-    # Simulate the process dying: abandon the wreck without close() or
-    # flush().  Every surviving record was already flushed by append().
+    # Simulate the process dying: abandon the wreck without close().
+    # Every surviving record was already flushed by append().
     return acked, in_flight
 
 
@@ -153,11 +150,10 @@ def test_base_graph_survives_crash_before_first_checkpoint(tmp_path):
     injector.arm("wal.append.before", after=1)  # crash on the very first op
     durability = DurabilityManager(tmp_path, fsync="always", injector=injector)
     service = ReachabilityService(
-        base_graph(), flush_threshold=1, durability=durability,
-        injector=injector,
+        base_graph(), durability=durability, injector=injector
     )
     with pytest.raises(InjectedCrash):
-        service.submit_update(mutation_trace(base_graph())[0])
+        service.apply(mutation_trace(base_graph())[0])
 
     recovered = ReachabilityService.recover(tmp_path, fsync="never")
     assert recovered.last_recovery.graph == base_graph()
@@ -178,11 +174,8 @@ def test_recover_twice_without_new_writes_is_stable(tmp_path):
 def test_clean_shutdown_recovers_everything(tmp_path):
     ops = mutation_trace(base_graph())
     durability = DurabilityManager(tmp_path, fsync="never", checkpoint_every=8)
-    with ReachabilityService(
-        base_graph(), flush_threshold=4, durability=durability
-    ) as service:
-        for op in ops:
-            service.submit_update(op)
+    with ReachabilityService(base_graph(), durability=durability) as service:
+        service.apply_batch(ops)
     service.durability.close()
 
     expected = base_graph()

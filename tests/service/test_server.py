@@ -2,7 +2,8 @@
 
 Concurrency is exercised separately in ``test_concurrency.py``; here we
 pin down the facade's sequential semantics: cache-through queries, batch
-deduplication, queue flushing, epoch accounting and the metrics snapshot.
+deduplication, batch validation, epoch accounting and the metrics
+snapshot.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.errors import UnknownVertexError, VertexNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def diamond() -> DiGraph:
@@ -35,10 +36,6 @@ class TestConstruction:
     def test_graph_and_index_mutually_exclusive(self):
         with pytest.raises(ValueError):
             ReachabilityService(diamond(), index=ReachabilityIndex(diamond()))
-
-    def test_bad_flush_threshold(self):
-        with pytest.raises(ValueError):
-            ReachabilityService(diamond(), flush_threshold=0)
 
     def test_unknown_vertex_propagates(self):
         service = ReachabilityService(diamond())
@@ -109,36 +106,19 @@ class TestUpdatesAndEpochs:
     def test_write_through_by_default(self):
         service = ReachabilityService(diamond())
         service.insert_vertex("e", in_neighbors=["d"])
-        assert service.queue_depth == 0  # flushed immediately
         assert service.query("a", "e")
         assert service.epoch == 1
 
-    def test_batching_defers_application(self):
-        service = ReachabilityService(diamond(), flush_threshold=10)
-        service.insert_edge("b", "c")
-        assert service.queue_depth == 1
-        assert service.query("b", "c") is False  # not applied yet
-        assert service.flush() == 1
-        assert service.query("b", "c") is True
-        assert service.epoch == 1
-
-    def test_coalesced_pair_never_applies(self):
-        service = ReachabilityService(diamond(), flush_threshold=10,
-                                      record_applied=True)
-        service.insert_vertex("e", in_neighbors=["d"])
-        service.delete_vertex("e")
-        assert service.queue_depth == 0
-        service.flush()
-        assert service.applied_ops == []
-        assert service.epoch == 0
-
     def test_epoch_counts_each_successful_op(self):
-        service = ReachabilityService(diamond(), flush_threshold=10)
-        service.insert_edge("b", "c")
-        service.delete_edge("b", "c")  # cancels in the queue
-        service.insert_vertex("e")
-        service.flush()
-        assert service.epoch == 1
+        service = ReachabilityService(diamond())
+        accepted = service.apply_batch([
+            UpdateOp.insert_edge("b", "c"),
+            UpdateOp.delete_edge("b", "c"),
+            UpdateOp.insert_vertex("e"),
+            UpdateOp.insert_vertex("a"),  # exists: rejected at apply
+        ])
+        assert accepted == 4
+        assert service.epoch == 3
 
     def test_unknown_reference_rejected_at_submit(self):
         service = ReachabilityService(diamond())
@@ -148,48 +128,52 @@ class TestUpdatesAndEpochs:
             service.insert_edge("a", "ghost")
         with pytest.raises(UnknownVertexError):
             service.insert_vertex("e", in_neighbors=["ghost"])
-        # Nothing was enqueued or applied.
-        assert service.queue_depth == 0
+        # Nothing was applied.
         assert service.epoch == 0
         assert service.query("a", "d")
 
-    def test_pending_insert_satisfies_references(self):
-        service = ReachabilityService(diamond(), flush_threshold=10)
-        service.insert_vertex("e")
-        service.insert_edge("d", "e")  # "e" exists only in the queue
-        service.delete_vertex("e")     # coalesces the pair away
+    def test_rejected_batch_applies_none_of_its_ops(self):
+        service = ReachabilityService(diamond(), record_applied=True)
         with pytest.raises(UnknownVertexError):
-            service.insert_edge("d", "e")  # and now it is unknown again
+            service.apply_batch([
+                UpdateOp.insert_vertex("new", in_neighbors=["a"]),
+                UpdateOp.delete_vertex("ghost"),
+            ])
+        assert service.epoch == 0 and "new" not in service
+        # The next, unrelated batch does not land the rejected prefix.
+        service.insert_vertex("other")
+        assert service.applied_ops == [(1, UpdateOp.insert_vertex("other"))]
+        assert "new" not in service
+
+    def test_batch_prefix_satisfies_and_invalidates_references(self):
+        service = ReachabilityService(diamond())
+        service.apply_batch([
+            UpdateOp.insert_vertex("e"),
+            UpdateOp.insert_edge("d", "e"),  # "e" exists only in the batch
+        ])
+        assert service.query("a", "e")
+        with pytest.raises(UnknownVertexError):
+            service.apply_batch([
+                UpdateOp.delete_vertex("e"),
+                UpdateOp.insert_edge("d", "e"),  # deleted earlier in the batch
+            ])
+        assert service.epoch == 2 and "e" in service
 
     def test_invalid_op_rejected_at_apply_without_epoch_bump(self):
-        # validate=False falls back to the apply-time rejection path.
+        # Inserting an existing vertex names no unknown vertex, so it
+        # passes validation and is rejected by the index at apply time.
         service = ReachabilityService(diamond())
-        service.submit_update(UpdateOp.delete_vertex("ghost"), validate=False)
+        service.insert_vertex("a")
         snap = service.snapshot()
         assert snap["counters"]["updates_rejected"] == 1
         assert service.epoch == 0
         # Service still healthy.
         assert service.query("a", "d")
 
-    def test_flush_threshold_triggers(self):
-        service = ReachabilityService(diamond(), flush_threshold=2)
-        service.insert_vertex("e")
-        assert service.queue_depth == 1
-        service.insert_vertex("f")
-        assert service.queue_depth == 0
-        assert service.epoch == 2
-
     def test_applied_ops_requires_flag(self):
         service = ReachabilityService(diamond())
         with pytest.raises(ValueError):
             service.applied_ops
-
-    def test_context_manager_flushes(self):
-        with ReachabilityService(diamond(), flush_threshold=100) as service:
-            service.insert_vertex("e", in_neighbors=["d"])
-            assert service.queue_depth == 1
-        assert service.queue_depth == 0
-        assert service.epoch == 1
 
     def test_reduce_labels_bumps_epoch(self):
         service = ReachabilityService(random_dag(30, 80, seed=4))
@@ -202,23 +186,21 @@ class TestUpdatesAndEpochs:
 
 class TestTraceEquivalence:
     def test_trace_through_service_matches_plain_index(self):
-        # The service (with batching + coalescing disabled-by-flush at
-        # each query) must agree with a plain index replaying the same
+        # The service must agree with a plain index replaying the same
         # trace sequentially.
         graph = random_dag(30, 70, seed=5)
         trace = generate_trace(graph, 150, seed=6, query_fraction=0.5)
 
         plain = ReachabilityIndex(graph)
-        service = ReachabilityService(graph, flush_threshold=1000)
+        service = ReachabilityService(graph)
         for op in trace:
             if op.kind == "query":
-                service.flush()  # force same visibility as the plain run
                 assert service.query(op.tail, op.head) == plain.query(
                     op.tail, op.head
                 ), op
             else:
                 UpdateOp.from_trace_op(op).apply(plain)
-                service.submit_update(UpdateOp.from_trace_op(op))
+                service.apply(UpdateOp.from_trace_op(op))
 
 
 class TestIntrospection:
@@ -234,7 +216,6 @@ class TestIntrospection:
         service.insert_vertex("e")
         snap = service.snapshot()
         assert snap["epoch"] == 1
-        assert snap["queue"]["submitted"] == 1
         assert snap["cache"]["misses"] == 1
         assert snap["query_latency"]["count"] == 1
         assert snap["batch_size"]["count"] == 1

@@ -13,7 +13,7 @@ from repro.obs.registry import MetricRegistry
 from repro.service.durability import DurabilityManager
 from repro.service.faults import FaultInjector, FaultPolicy
 from repro.service.server import ReachabilityService
-from repro.service.updates import UpdateOp
+from repro.core.ops import UpdateOp
 
 
 def diamond() -> DiGraph:
@@ -23,9 +23,7 @@ def diamond() -> DiGraph:
 class TestTraceToWal:
     def test_apply_batch_stamps_every_record(self, tmp_path):
         durability = DurabilityManager(tmp_path, fsync="never")
-        service = ReachabilityService(
-            diamond(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(diamond(), durability=durability)
         ops = [
             UpdateOp.insert_vertex("e", in_neighbors=["d"]),
             UpdateOp.insert_edge("a", "e"),
@@ -39,9 +37,7 @@ class TestTraceToWal:
 
     def test_traces_are_per_batch_not_sticky(self, tmp_path):
         durability = DurabilityManager(tmp_path, fsync="never")
-        service = ReachabilityService(
-            diamond(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(diamond(), durability=durability)
         service.apply(UpdateOp.insert_vertex("e"), trace_id="aaaa0000aaaa0000")
         service.apply(UpdateOp.insert_vertex("f"))  # untraced
         by_vertex = {
@@ -51,18 +47,6 @@ class TestTraceToWal:
         }
         assert by_vertex["e"] == "aaaa0000aaaa0000"
         assert by_vertex["f"] is None
-
-    def test_trace_tag_table_is_bounded(self):
-        service = ReachabilityService(diamond(), flush_threshold=10**9)
-        for i in range(5000):
-            service.submit_update(
-                UpdateOp.insert_vertex(f"v{i}"),
-                validate=False,
-                trace_id=f"{i:016x}",
-            )
-        # The id(op) -> trace map must not grow without bound when a
-        # large queue builds up; it is cleared past the cap instead.
-        assert len(service._op_traces) <= 4097
 
 
 class TestQuarantineTraces:
@@ -133,9 +117,7 @@ class TestDegradedFlightDump:
 
     def test_recovery_dumps_a_timeline(self, tmp_path):
         durability = DurabilityManager(tmp_path / "state", fsync="never")
-        service = ReachabilityService(
-            diamond(), flush_threshold=1, durability=durability
-        )
+        service = ReachabilityService(diamond(), durability=durability)
         service.apply(UpdateOp.insert_vertex("e"))
         durability.close()
 

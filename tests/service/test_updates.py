@@ -1,4 +1,4 @@
-"""Tests for the coalescing update queue and UpdateOp."""
+"""Tests for UpdateOp, the one update representation."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.bench.trace import TraceOp
 from repro.core.index import ReachabilityIndex
 from repro.errors import WorkloadError
 from repro.graph.digraph import DiGraph
-from repro.service.updates import CoalescingUpdateQueue, UpdateOp
+from repro.core.ops import UpdateOp
 
 
 class TestUpdateOp:
@@ -48,110 +48,3 @@ class TestUpdateOp:
         UpdateOp.delete_vertex(3).apply(idx)
         assert 3 not in idx
 
-
-class TestCoalescing:
-    def test_plain_fifo_when_nothing_cancels(self):
-        queue = CoalescingUpdateQueue()
-        ops = [
-            UpdateOp.insert_vertex("a"),
-            UpdateOp.insert_edge(1, 2),
-            UpdateOp.delete_vertex("z"),
-        ]
-        for op in ops:
-            assert queue.submit(op) == 0
-        assert queue.drain() == ops
-        assert queue.drain() == []
-
-    def test_insert_then_delete_vertex_cancels(self):
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_vertex("v", ["a"]))
-        assert queue.submit(UpdateOp.delete_vertex("v")) == 2
-        assert len(queue) == 0
-        assert queue.stats()["coalesced"] == 2
-
-    def test_dependent_edge_ops_dropped_with_the_vertex(self):
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_vertex("v"))
-        queue.submit(UpdateOp.insert_edge("a", "v"))
-        queue.submit(UpdateOp.insert_edge("v", "b"))
-        queue.submit(UpdateOp.insert_edge("a", "b"))  # unrelated, survives
-        assert queue.submit(UpdateOp.delete_vertex("v")) == 4
-        assert queue.drain() == [UpdateOp.insert_edge("a", "b")]
-
-    def test_pending_neighbor_reference_pins_the_insertion(self):
-        # insert_vertex w depends on v existing: the pair must NOT cancel.
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_vertex("v"))
-        queue.submit(UpdateOp.insert_vertex("w", in_neighbors=["v"]))
-        assert queue.submit(UpdateOp.delete_vertex("v")) == 0
-        assert [op.kind for op in queue.drain()] == [
-            "insert_vertex", "insert_vertex", "delete_vertex"
-        ]
-
-    def test_earlier_pending_delete_blocks_cancellation(self):
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.delete_vertex("v"))
-        assert queue.submit(UpdateOp.delete_vertex("v")) == 0
-        assert len(queue) == 2
-
-    def test_delete_then_insert_vertex_not_coalesced(self):
-        # delete then insert vertex is NOT a no-op (the new vertex has no edges).
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.delete_vertex("v"))
-        assert queue.submit(UpdateOp.insert_vertex("v")) == 0
-        assert len(queue) == 2
-
-    def test_insert_then_delete_edge_cancels(self):
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_edge(1, 2))
-        assert queue.submit(UpdateOp.delete_edge(1, 2)) == 2
-        assert len(queue) == 0
-
-    def test_edge_cancel_blocked_by_endpoint_vertex_op(self):
-        # delete_vertex 2 between the edge pair already removed the edge; the
-        # stream is only valid if left alone, so no cancellation.
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_edge(1, 2))
-        queue.submit(UpdateOp.delete_vertex(2))
-        assert queue.submit(UpdateOp.delete_edge(1, 2)) == 0
-        assert len(queue) == 3
-
-    def test_edge_cancel_skips_unrelated_ops(self):
-        queue = CoalescingUpdateQueue()
-        queue.submit(UpdateOp.insert_edge(1, 2))
-        queue.submit(UpdateOp.insert_edge(3, 4))
-        assert queue.submit(UpdateOp.delete_edge(1, 2)) == 2
-        assert queue.drain() == [UpdateOp.insert_edge(3, 4)]
-
-
-class TestCoalescingPreservesSemantics:
-    def test_drained_batch_reaches_same_state_as_sequential(self):
-        # Apply a redundant stream both ways; final graphs must agree.
-        stream = [
-            UpdateOp.insert_vertex("x", in_neighbors=[1]),
-            UpdateOp.insert_edge(1, 2),
-            UpdateOp.insert_edge("x", 2),
-            UpdateOp.delete_vertex("x"),
-            UpdateOp.insert_edge(2, 3),
-            UpdateOp.delete_edge(2, 3),
-            UpdateOp.insert_vertex("y", out_neighbors=[3]),
-        ]
-        base = DiGraph(vertices=[1, 2, 3])
-
-        sequential = ReachabilityIndex(base)
-        for op in stream:
-            op.apply(sequential)
-
-        queue = CoalescingUpdateQueue()
-        for op in stream:
-            queue.submit(op)
-        batch = queue.drain()
-        assert len(batch) < len(stream)  # something actually coalesced
-        coalesced = ReachabilityIndex(base)
-        for op in batch:
-            op.apply(coalesced)
-
-        vertices = [1, 2, 3, "y"]
-        for s in vertices:
-            for t in vertices:
-                assert sequential.query(s, t) == coalesced.query(s, t), (s, t)

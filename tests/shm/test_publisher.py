@@ -112,7 +112,6 @@ class TestRepublish:
         assert reader.current().query(s, t) is False
 
         service.insert_edge(s, t)
-        service.flush()
         assert publisher.poll_once() is True  # epoch moved -> republished
 
         snap = reader.current()
@@ -147,7 +146,6 @@ class TestGracePeriod:
                 service.delete_edge(0, 1)
             else:
                 service.insert_edge(0, 1)
-            service.flush()
             publisher.publish()
             # grace 0: the retired generation goes away on the next reap.
             publisher._reap_retired()
@@ -203,7 +201,6 @@ class TestGracePeriod:
                 tail, head = vertices[2 * k], vertices[2 * k + 1]
                 if not graph.has_edge(tail, head):
                     service.insert_edge(tail, head)
-                    service.flush()
                 publisher.publish()
                 snap = reader.current()
                 assert snap.generation == publisher.generation
@@ -324,7 +321,6 @@ class TestFailoverAttach:
             tail, head = vertices[2 * k], vertices[2 * k + 1]
             if not graph.has_edge(tail, head):
                 service_a.insert_edge(tail, head)
-        service_a.flush()
         first = SnapshotPublisher(service_a, grace_period=0.0)
         base = first.base
         try:
@@ -443,7 +439,6 @@ class TestBackgroundThread:
             s, t = vertices[0], vertices[-1]
             if not graph.has_edge(s, t):
                 service.insert_edge(s, t)
-                service.flush()
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if reader.control.generation >= 2:
@@ -473,7 +468,7 @@ class TestBackgroundThread:
             # until the whole burst has landed.
             with publisher._lock:
                 for s, t in pairs:
-                    service.insert_edge(s, t)  # flush_threshold 1: one flush each
+                    service.insert_edge(s, t)  # one batch, one epoch each
                 final_epoch = service.epoch
                 assert final_epoch == before + len(pairs)
                 assert publisher.generation == 1

@@ -246,6 +246,44 @@ class TestServeAndLoadgenParsing:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_writer_receives_every_service_option(self):
+        from repro.cli import _writer_argv, build_parser
+
+        # A non-default value for every option of the served service.
+        options = {
+            "snapshot": "g.tolf",
+            "order": "butterfly-l",
+            "cache_size": 17,
+            "wal": "state",
+            "fsync": "always",
+            "checkpoint_every": 9,
+            "grace_period": 0.75,
+            "drain_timeout": 3.5,
+            "metrics_out": "m.prom",
+            "slowlog": "slow.jsonl",
+            "slow_ms": 2.5,
+            "slowlog_sample": 0.25,
+            "flight_dir": "flight",
+            "flight_interval": 0.2,
+            "flight_capacity": 32,
+        }
+        argv = ["serve", "g.txt", "--workers", "2"]
+        for dest, value in options.items():
+            argv += ["--" + dest.replace("_", "-"), str(value)]
+        parser = build_parser()
+        serve = parser.parse_args(argv)
+        writer = parser.parse_args(
+            ["serve-writer", "--fd", "3", "--control", "ctl",
+             *_writer_argv(serve)]
+        )
+        assert writer.graph == "g.txt"
+        forwarded = {dest: getattr(writer, dest) for dest in options}
+        assert forwarded == {dest: getattr(serve, dest) for dest in options}
+        assert forwarded == options
+        # The writer accepts no service option the test does not cover.
+        plumbing = {"command", "func", "fd", "control", "graph"}
+        assert set(vars(writer)) - plumbing == set(options)
+
     def test_loadgen_requires_spawn_or_port(self, graph_file, capsys):
         assert main(["loadgen", str(graph_file)]) == 2
         assert "--spawn" in capsys.readouterr().err
