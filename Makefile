@@ -82,7 +82,8 @@ serve-smoke:
 		--output BENCH_serve_overload.json
 
 # Replay a mixed query/update trace through the concurrent serving layer
-# (see docs/service.md) and print the metrics snapshot.
+# (see docs/service.md) and print the service's metric registry
+# (Prometheus text).
 serve-demo:
 	mkdir -p .demo
 	$(PYTHON) -m repro generate citeseerx .demo/graph.txt --vertices 400

@@ -138,13 +138,11 @@ def test_mixed_readers_plus_writer(benchmark, chunk):
         return service
 
     service = benchmark.pedantic(run, rounds=2, iterations=1)
-    snap = service.snapshot()
+    counters = service.registry.snapshot()["counters"]
     benchmark.extra_info["chunk"] = chunk
-    assert snap["epoch"] > 0
-    # Operation counts live under the "counters" sub-dict (they used to
-    # be merged flat into the snapshot, colliding with recorder keys).
-    assert snap["counters"]["queries"] > 0
-    assert snap["counters"]["updates_applied"] > 0
+    assert service.epoch > 0
+    assert counters["service.queries"] > 0
+    assert counters["service.updates_applied"] > 0
 
 
 def test_writer_throughput(benchmark):
@@ -165,7 +163,7 @@ def test_writer_throughput(benchmark):
         start = time.perf_counter()
         _apply_in_chunks(service, mutations, 16)
         elapsed = time.perf_counter() - start
-        applied = service.snapshot()["counters"]["updates_applied"]
+        applied = service.registry.counter("service.updates_applied").value
         assert applied > 0
         return len(mutations) / elapsed
 
@@ -209,14 +207,14 @@ def test_write_path_wal_overhead(benchmark, wal, tmp_path):
         return service
 
     service = benchmark.pedantic(run, rounds=2, iterations=1)
-    snap = service.snapshot()
+    counters = service.registry.snapshot()["counters"]
     benchmark.extra_info["wal"] = wal
     benchmark.extra_info["updates"] = num_ops
     if wal != "off":
-        benchmark.extra_info["wal_records"] = snap["wal"]["records_appended"]
-        benchmark.extra_info["wal_fsyncs"] = snap["wal"]["fsyncs"]
-        assert snap["wal"]["records_appended"] > 0
-    assert snap["counters"]["updates_applied"] > 0
+        benchmark.extra_info["wal_records"] = counters["wal.records_appended"]
+        benchmark.extra_info["wal_fsyncs"] = counters["wal.fsyncs"]
+        assert counters["wal.records_appended"] > 0
+    assert counters["service.updates_applied"] > 0
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])

@@ -236,38 +236,6 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-def _format_metric(value, *, latency: bool = False) -> str:
-    """Format one snapshot value; latencies get µs/ms units."""
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if latency:
-            if value < 1e-3:
-                return f"{value * 1e6:.1f}µs"
-            if value < 1.0:
-                return f"{value * 1e3:.2f}ms"
-            return f"{value:.2f}s"
-        return f"{value:.3g}"
-    return str(value)
-
-
-def render_snapshot(snapshot: dict) -> str:
-    """Render a :meth:`ReachabilityService.snapshot` dict as aligned text."""
-    lines = []
-    for key in sorted(snapshot):
-        value = snapshot[key]
-        latency = "latency" in key
-        if isinstance(value, dict):
-            inner = "  ".join(
-                f"{k}={_format_metric(v, latency=latency and k != 'count')}"
-                for k, v in value.items()
-            )
-            lines.append(f"  {key:20s} {inner}")
-        else:
-            lines.append(f"  {key:20s} {_format_metric(value)}")
-    return "\n".join(lines)
-
-
 def cmd_serve_replay(args: argparse.Namespace) -> int:
     """`repro serve-replay`: drive a trace through the concurrent service.
 
@@ -281,7 +249,7 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
 
     from .bench.trace import read_trace
     from .obs import trace as obs_trace
-    from .obs.export import write_metrics
+    from .obs.export import render_prometheus, write_metrics
     from .obs.registry import MetricRegistry
     from .service.server import ReachabilityService
     from .core.ops import UpdateOp
@@ -409,7 +377,7 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
             f"recover with: repro recover {args.wal}"
         )
     print("metrics snapshot:")
-    print(render_snapshot(service.snapshot()))
+    print(render_prometheus(service.registry), end="")
     if args.metrics_out:
         fmt = write_metrics(service.registry, args.metrics_out)
         print(f"wrote {fmt} metrics to {args.metrics_out}")
@@ -439,6 +407,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .net.portfile import remove_port_file, write_port_file
     from .net.protocol import PROTOCOL_VERSION
     from .net.writerproc import serve_service
+    from .obs.export import render_prometheus
 
     if not args.graph and not args.snapshot:
         print("error: pass a graph edge-list file or --snapshot FILE.tolf",
@@ -473,7 +442,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.port_file:
             remove_port_file(args.port_file)
     print("drained; final metrics snapshot:")
-    print(render_snapshot(report["service"].snapshot()))
+    print(render_prometheus(report["service"].registry), end="")
     slow_stats = report["slowlog"]
     if slow_stats is not None:
         print(
@@ -1010,7 +979,7 @@ def _metrics_connect(args: argparse.Namespace) -> int:
 
     host, port = _parse_connect(args.connect)
     with ReachabilityClient(host, port) as client:
-        snapshot = client.registry_snapshot()
+        snapshot = client.stats()
     rendered = (
         json_mod.dumps(snapshot, indent=2, sort_keys=True)
         if args.format == "json"

@@ -5,7 +5,7 @@ pending index mutation":
 
 * the service's update path held ``UpdateOp`` objects with trace-style
   short kinds (``addv``/``delv``/``adde``/``dele``),
-* WAL records serialized those through ``to_wire()`` dicts,
+* WAL records serialized those through their own dict codec,
 * the net protocol's update envelope shipped the same dicts under a
   different name, and
 * ``serve-replay`` re-parsed trace lines into yet another shape before
@@ -22,7 +22,8 @@ keys → ``from_dict`` → ``to_dict`` is byte-identical (pinned by
 ``tests/core/test_ops.py``).
 
 Vertices must be JSON-serializable; tuple vertices round-trip back to
-tuples (the same convention :mod:`repro.core.serialize` uses).
+tuples through :func:`hashable_vertex`, which pack meta and the wire
+protocol use too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import WorkloadError
 
-__all__ = ["UpdateOp", "KINDS"]
+__all__ = ["UpdateOp", "KINDS", "hashable_vertex"]
 
 Vertex = Hashable
 
@@ -49,9 +50,9 @@ _LEGACY_KINDS = {
 }
 
 
-def _unwire(v):
-    """JSON round-trips tuple vertices as lists; make them hashable again."""
-    return tuple(_unwire(x) for x in v) if isinstance(v, list) else v
+def hashable_vertex(v):
+    """JSON round-trip repair: lists (ex-tuples) back to hashable tuples."""
+    return tuple(hashable_vertex(x) for x in v) if isinstance(v, list) else v
 
 
 @dataclass(frozen=True)
@@ -133,17 +134,17 @@ class UpdateOp:
             kind = _LEGACY_KINDS.get(payload["kind"], payload["kind"])
             if kind == "insert_vertex":
                 return cls.insert_vertex(
-                    _unwire(payload["vertex"]),
-                    [_unwire(v) for v in payload.get("ins", ())],
-                    [_unwire(v) for v in payload.get("outs", ())],
+                    hashable_vertex(payload["vertex"]),
+                    [hashable_vertex(v) for v in payload.get("ins", ())],
+                    [hashable_vertex(v) for v in payload.get("outs", ())],
                 )
             if kind == "delete_vertex":
-                return cls.delete_vertex(_unwire(payload["vertex"]))
+                return cls.delete_vertex(hashable_vertex(payload["vertex"]))
             if kind in ("insert_edge", "delete_edge"):
                 return cls(
                     kind,
-                    tail=_unwire(payload["tail"]),
-                    head=_unwire(payload["head"]),
+                    tail=hashable_vertex(payload["tail"]),
+                    head=hashable_vertex(payload["head"]),
                 )
         except (KeyError, TypeError) as exc:
             raise WorkloadError(
@@ -163,12 +164,6 @@ class UpdateOp:
         if self.kind == "delete_vertex":
             return {"kind": "delete_vertex", "vertex": self.vertex}
         return {"kind": self.kind, "tail": self.tail, "head": self.head}
-
-    # Deprecated aliases: earlier releases named the dict codec after the
-    # WAL wire format.  Kept so external callers keep working; in-tree
-    # code uses to_dict/from_dict.
-    to_wire = to_dict
-    from_wire = from_dict
 
     @classmethod
     def from_trace_op(cls, op) -> "UpdateOp":

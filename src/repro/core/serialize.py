@@ -23,7 +23,7 @@ Each kind of content has one section encoding, shared by every writer:
 
 A vertex table is an i64 section when every vertex is a plain int, and a
 JSON array under the same key in meta otherwise (tuples come back as
-tuples, see :func:`hashable_vertex`).  The writers:
+tuples, see :func:`repro.core.ops.hashable_vertex`).  The writers:
 
 * :func:`save_index` / :func:`pack_index` — a live index: labels, DAG
   edges and interner, plus the graph sections for a
@@ -72,6 +72,7 @@ from .frozen import FrozenTOLIndex
 from .index import ReachabilityIndex, TOLIndex
 from .intern import VertexInterner
 from .labeling import TOLLabeling
+from .ops import hashable_vertex
 from .order import LevelOrder
 
 __all__ = [
@@ -89,7 +90,6 @@ __all__ = [
     "unpack_snapshot",
     "pack_graph",
     "unpack_graph",
-    "hashable_vertex",
 ]
 
 PathLike = Union[str, Path]
@@ -139,11 +139,6 @@ def index_to_dict(index: TOLIndex) -> dict:
         "intern_ids": [intern_ids[v] for v in order],
         "free_ids": list(labeling.interner.free_ids),
     }
-
-
-def hashable_vertex(v):
-    """JSON round-trip repair: lists (ex-tuples) back to hashable tuples."""
-    return tuple(hashable_vertex(x) for x in v) if isinstance(v, list) else v
 
 
 # ----------------------------------------------------------------------

@@ -223,7 +223,7 @@ class ReachabilityClient:
         self, op: UpdateOp, *, trace: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> int:
-        """Apply one :class:`~repro.core.ops.UpdateOp`; return ops accepted."""
+        """Apply one :class:`~repro.core.ops.UpdateOp`; return ops applied."""
         return self.apply_batch([op], trace=trace, deadline=deadline)
 
     def apply_batch(
@@ -231,14 +231,13 @@ class ReachabilityClient:
         deadline: Optional[float] = None,
     ) -> int:
         """Apply :class:`~repro.core.ops.UpdateOp` values in one frame;
-        return the number accepted.
+        return the number applied (the batch's epoch delta).
 
         This is the unified update entry point, mirroring
-        :meth:`ReachabilityService.apply_batch` server-side.  Passing
-        raw pre-encoded wire dicts still works but is deprecated —
-        construct :class:`UpdateOp` values instead.  The batch's trace
-        id (minted here unless *trace* is given) ends up on every WAL
-        record the batch produces.
+        :meth:`ReachabilityService.apply_batch` server-side; anything
+        but :class:`UpdateOp` values raises :class:`TypeError`.  The
+        batch's trace id (minted here unless *trace* is given) ends up
+        on every WAL record the batch produces.
 
         Updates are **not** idempotent: the client retries only when
         the send itself failed, never after a reply went missing (the
@@ -272,22 +271,15 @@ class ReachabilityClient:
         return self._call({"op": "ping"}, deadline=deadline)
 
     def stats(self) -> dict:
-        """The server's :meth:`ReachabilityService.snapshot` dict."""
-        return self._call({"op": "stats"})["stats"]
+        """The server's metric-registry snapshot.
 
-    def net_stats(self) -> dict:
-        """The front end's own counters (requests, batches, shed, ...)."""
-        return self._call({"op": "stats"})["net"]
-
-    def registry_snapshot(self) -> dict:
-        """The server's full metric-registry snapshot (for remote scraping).
-
-        Everything :meth:`MetricRegistry.snapshot` reports — counters,
-        gauges (including the ``health.*`` gauges when bound), histogram
-        and stats summaries — as plain JSON.  ``repro metrics --connect``
+        Everything :meth:`MetricRegistry.snapshot` reports — counters
+        (``service.*``, ``net.*``, ``wal.*``, ...), gauges (cache, index
+        size, and the ``health.*`` gauges when bound), histogram and
+        stats summaries — as plain JSON.  ``repro metrics --connect``
         renders this.
         """
-        return self._call({"op": "stats", "registry": True})["registry"]
+        return self._call({"op": "stats"})["registry"]
 
     def health(self) -> dict:
         """The server's live index-health payload.

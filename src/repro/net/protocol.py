@@ -39,9 +39,12 @@ Protocol v2 (backward compatible — servers accept every version in
   and the request's total server time (a reader worker reports probe
   and total time plus its worker id and snapshot generation);
 * the ``health`` op returns the live index-health payload
-  (:func:`repro.obs.health.collect_health`), and ``stats`` accepts
-  ``"registry": true`` to include a full metric-registry snapshot for
-  remote scraping (``repro metrics --connect``).
+  (:func:`repro.obs.health.collect_health`).
+
+The ``stats`` op replies with the server's metric-registry snapshot
+under ``"registry"`` (what ``repro metrics --connect`` renders); a
+multi-process server adds ``workers``, ``writer_pid``,
+``worker_restarts`` and ``writer_restarts``.
 
 v1 peers see none of this: their envelopes carry no ``trace`` field and
 their replies are byte-compatible with the v1 server's.
@@ -52,8 +55,8 @@ them back onto the library's exception hierarchy with
 index surfaces as ``UnknownVertexError`` in the caller's process — a
 structured response, not a connection teardown.
 
-JSON round-trips tuple vertices as lists; :func:`wire_vertex` restores
-them on the way in.
+JSON round-trips tuple vertices as lists;
+:func:`~repro.core.ops.hashable_vertex` restores them on the way in.
 
 The ``update`` envelope's ``ops`` field carries
 :meth:`repro.core.ops.UpdateOp.to_dict` dicts — the same encoding WAL
@@ -67,7 +70,7 @@ import json
 import struct
 from typing import Any, Optional
 
-from ..core.ops import UpdateOp
+from ..core.ops import UpdateOp, hashable_vertex
 from ..errors import (
     OverloadedError,
     ProtocolError,
@@ -91,7 +94,6 @@ __all__ = [
     "error_response",
     "error_fields_for",
     "raise_for_error",
-    "wire_vertex",
     "wire_pairs",
     "encode_update_ops",
     "decode_update_ops",
@@ -247,7 +249,7 @@ def raise_for_error(error: dict) -> None:
     code = error.get("code", "internal")
     message = error.get("message", "")
     if code == "unknown_vertex":
-        raise UnknownVertexError(wire_vertex(error.get("vertex")))
+        raise UnknownVertexError(hashable_vertex(error.get("vertex")))
     if code == "serialization":
         raise SerializationError(message)
     if code == "overloaded":
@@ -265,21 +267,24 @@ def raise_for_error(error: dict) -> None:
 # Vertex coding
 # ----------------------------------------------------------------------
 
-def wire_vertex(v):
-    """Restore a JSON-round-tripped vertex (lists become tuples)."""
-    return tuple(wire_vertex(x) for x in v) if isinstance(v, list) else v
-
-
 def encode_update_ops(ops) -> list:
     """Encode an ``update`` envelope's ``ops`` field.
 
     Each element must be an :class:`~repro.core.ops.UpdateOp`; the
-    result is a list of its canonical :meth:`to_dict` dicts.  (Raw
-    pre-encoded dicts are deprecated — construct ``UpdateOp`` values.)
+    result is a list of its canonical :meth:`to_dict` dicts.
+
+    Raises
+    ------
+    TypeError
+        When an element is not an :class:`~repro.core.ops.UpdateOp`.
     """
     out = []
     for op in ops:
-        out.append(op.to_dict() if isinstance(op, UpdateOp) else op)
+        if not isinstance(op, UpdateOp):
+            raise TypeError(
+                f"update ops must be UpdateOp values, got {type(op).__name__}"
+            )
+        out.append(op.to_dict())
     return out
 
 
@@ -326,11 +331,11 @@ def wire_pairs(raw) -> list:
             if type(s) is not list and type(t) is not list:
                 append((s, t))
             else:
-                append((wire_vertex(s), wire_vertex(t)))
+                append((hashable_vertex(s), hashable_vertex(t)))
             continue
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ProtocolError(
                 f"each pair must be [source, target], got {entry!r}"
             )
-        append((wire_vertex(entry[0]), wire_vertex(entry[1])))
+        append((hashable_vertex(entry[0]), hashable_vertex(entry[1])))
     return pairs

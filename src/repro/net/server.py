@@ -45,7 +45,6 @@ from typing import Optional
 
 from ..errors import ProtocolError, ReproError
 from ..obs.trace import new_trace_id
-from ..service.metrics import ScopedMetrics
 from .protocol import (
     MAX_FRAME_BYTES,
     SUPPORTED_VERSIONS,
@@ -135,11 +134,14 @@ class FrameServer:
         self.drain_timeout = drain_timeout
         self.handlers: dict = {}
 
-        self._metrics = ScopedMetrics(registry, prefix="net.")
-        for name in ("connections", "requests", "queries", "shed", "errors"):
-            self._metrics.registry.counter("net." + name)
-        self._requests = self._metrics.registry.counter("net.requests")
-        self._request_latency = self._metrics.histogram("request_latency")
+        self.registry = registry
+        self._connections = registry.counter("net.connections")
+        self._requests = registry.counter("net.requests")
+        self._queries = registry.counter("net.queries")
+        self._shed_count = registry.counter("net.shed")
+        self._errors = registry.counter("net.errors")
+        self._writer_unavailable = registry.counter("net.writer_unavailable")
+        self._request_latency = registry.histogram("net.request_latency")
 
         self._budget = (
             threading.BoundedSemaphore(max_connections)
@@ -245,7 +247,7 @@ class FrameServer:
             )
             if not admitted:
                 conn.settimeout(_SHED_TIMEOUT)
-            self._metrics.incr("connections")
+            self._connections.incr()
             with self._lock:
                 self._conns.add(conn)
             threading.Thread(
@@ -310,7 +312,7 @@ class FrameServer:
         except ProtocolError as exc:
             # Unrecoverable framing: best-effort structured reply, then
             # hang up — resync inside a byte stream is not possible.
-            self._metrics.incr("errors")
+            self._errors.incr()
             try:
                 send(encode_frame(error_response(None, "bad_request",
                                                  str(exc))))
@@ -355,17 +357,17 @@ class FrameServer:
             return handler(request_id, request)
         except Exception as exc:  # noqa: BLE001 - the wire boundary
             fields = error_fields_for(exc)
-            self._metrics.incr(
-                "writer_unavailable"
-                if fields["code"] == "writer_unavailable" else "errors"
-            )
+            if fields["code"] == "writer_unavailable":
+                self._writer_unavailable.incr()
+            else:
+                self._errors.incr()
             return error_response(request_id, **fields)
         finally:
             self._request_latency.record(time.perf_counter() - start)
 
     def _shed(self, request: dict) -> dict:
         """The one reply an over-budget connection gets before closing."""
-        self._metrics.incr("shed")
+        self._shed_count.incr()
         response = error_response(
             request.get("id"),
             "overloaded",
@@ -403,7 +405,8 @@ class ReachabilityServer(FrameServer):
         super().__init__(service.registry, **loop_kwargs)
         self.service = service
         self.slowlog = slowlog
-        self._metrics.registry.counter("net.updates_applied")
+        self._updates_applied = self.registry.counter("net.updates_applied")
+        self._slowlog_errors = self.registry.counter("net.slowlog_errors")
         self.handlers = {
             "query": self._query,
             "update": self._update,
@@ -441,7 +444,7 @@ class ReachabilityServer(FrameServer):
             response = error_response(request_id, **error_fields_for(exc))
             response["trace"] = trace
             return response
-        self._metrics.incr("queries", len(pairs))
+        self._queries.incr(len(pairs))
         if timings is not None:
             timings["total_ms"] = _elapsed_ms(start)
             self._record_slow(
@@ -460,7 +463,7 @@ class ReachabilityServer(FrameServer):
         trace = request_trace(request)
         ops = decode_update_ops(request.get("ops"))
         applied = self.service.apply_batch(ops, trace_id=trace)
-        self._metrics.incr("updates_applied", applied)
+        self._updates_applied.incr(applied)
         return ok_response(
             request_id, applied=applied, epoch=self.service.epoch,
             trace=trace,
@@ -475,10 +478,7 @@ class ReachabilityServer(FrameServer):
         )
 
     def _stats(self, request_id, request: dict) -> dict:
-        fields = {
-            "stats": self.service.snapshot(),
-            "net": self._metrics.scoped_counters(),
-        }
+        fields = {"registry": self.service.registry.snapshot()}
         publisher = getattr(self.service, "shm_publisher", None)
         if publisher is not None:
             # Multi-process serving: the per-worker breakdown lives in
@@ -488,10 +488,6 @@ class ReachabilityServer(FrameServer):
             fields["writer_pid"] = section["writer_pid"]
             fields["worker_restarts"] = section["worker_restarts"]
             fields["writer_restarts"] = section["writer_restarts"]
-        if request.get("registry"):
-            # Full registry snapshot for remote scraping
-            # (`repro metrics --connect`).
-            fields["registry"] = self.service.registry.snapshot()
         return ok_response(request_id, **fields)
 
     def _health(self, request_id, request: dict) -> dict:
@@ -525,7 +521,7 @@ class ReachabilityServer(FrameServer):
                 degraded=degraded,
             )
         except OSError:
-            self._metrics.registry.incr("net.slowlog_errors")
+            self._slowlog_errors.incr()
 
 
 def _elapsed_ms(start: float) -> float:

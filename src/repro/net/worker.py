@@ -154,7 +154,10 @@ class _ReaderWorker(FrameServer):
         self._memo_generation = -1
         self._attach_lock = threading.Lock()
         self._requests_seen = 0
-        self._forwarded = 0
+        self._forwarded = self.registry.counter("net.forwarded")
+        self._staleness_refused = self.registry.counter(
+            "net.staleness_refused"
+        )
         # Cached writer-liveness probe (a signal-0 syscall): refreshed
         # at most every 50 ms so the per-request hot path stays free of
         # it while outage detection stays prompt.
@@ -201,7 +204,7 @@ class _ReaderWorker(FrameServer):
 
     def _shed(self, request: dict) -> dict:
         response = super()._shed(request)
-        self.slot[SLOT_SHED] = self._metrics.counter("shed")
+        self.slot[SLOT_SHED] = self._shed_count.value
         return response
 
     def _ping(self, request_id, request: dict) -> dict:
@@ -273,7 +276,7 @@ class _ReaderWorker(FrameServer):
                 self.max_staleness > 0
                 and stale_ms > self.max_staleness * 1000.0
             ):
-                self._metrics.incr("staleness_refused")
+                self._staleness_refused.incr()
                 return error_response(
                     request_id,
                     "writer_unavailable",
@@ -301,9 +304,8 @@ class _ReaderWorker(FrameServer):
             raise WriterUnavailableError(
                 "writer process is down; the supervisor is respawning it"
             )
-        self._forwarded += 1
-        self.slot[SLOT_FORWARDED] = self._forwarded
-        self._metrics.incr("forwarded")
+        self._forwarded.incr()
+        self.slot[SLOT_FORWARDED] = self._forwarded.value
         try:
             return self.link.forward(request)
         except (OSError, NetworkError) as exc:

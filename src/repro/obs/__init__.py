@@ -7,8 +7,8 @@ This subpackage makes those costs observable end to end:
 
 * :mod:`repro.obs.registry` — :class:`MetricRegistry`, one thread-safe
   home for counters, gauges, :class:`LatencyHistogram` and
-  :class:`RunningStats` (both moved here from ``repro.service.metrics``,
-  which re-exports them);
+  :class:`RunningStats` — the only place the serving stack records its
+  state;
 * :mod:`repro.obs.trace` — nestable spans and point events with a
   near-zero-cost disabled path and an optional :class:`JsonlSink`;
   the core algorithms are instrumented with it;

@@ -190,17 +190,6 @@ class FlightRecorder:
         except OSError:
             return None
 
-    def stats(self) -> dict:
-        """Counters for snapshots/health: ring depth, ticks, dumps."""
-        return {
-            "depth": len(self._ring),
-            "capacity": self.capacity,
-            "interval_s": self.interval,
-            "ticks": self.ticks,
-            "dumps": self.dumps,
-            "running": self._thread is not None and self._thread.is_alive(),
-        }
-
     def __enter__(self) -> "FlightRecorder":
         return self.start()
 

@@ -12,10 +12,9 @@ Four instrument kinds, each thread-safe on its own internal mutex:
 * :class:`Counter` — a monotonically increasing integer (``incr``);
 * :class:`Gauge` — a last-write-wins number (``set``);
 * :class:`LatencyHistogram` — geometric-bucket duration recorder with
-  one-bucket-accurate percentiles (moved here from
-  ``repro.service.metrics``, which now re-exports it);
+  one-bucket-accurate percentiles;
 * :class:`RunningStats` — count/mean/min/max of an arbitrary numeric
-  stream (ditto).
+  stream.
 
 Instruments are created on first use (``registry.counter(name)`` is
 get-or-create) and a name is permanently bound to its kind — asking for
@@ -49,9 +48,6 @@ __all__ = [
 #: ~67 s doubling each step; anything slower lands in a final overflow
 #: bucket.  26 buckets cover every rate this pure-Python index can hit.
 BUCKET_BOUNDS = tuple(1e-6 * 2**i for i in range(26))
-
-# Backwards-compatible alias (pre-obs code imported the private name).
-_BOUNDS = BUCKET_BOUNDS
 
 
 class Counter:

@@ -7,15 +7,12 @@ index.  This subpackage adds the serving shell a production deployment
 needs for the paper's mixed read/write regime (Section 8, "Experiments on
 Dynamic Graphs"):
 
-* :mod:`repro.service.concurrency` — a writer-preferring reader-writer
-  lock and a monotonic epoch counter bumped on every successful update;
+* :mod:`repro.service.concurrency` — a reader-writer lock that hands
+  off between waiting readers and writers, and a monotonic epoch
+  counter bumped on every successful update;
 * :mod:`repro.service.cache` — a bounded LRU query cache whose entries
   are stamped with the epoch they were computed at, so one integer bump
   lazily invalidates the whole cache without scanning it;
-* :mod:`repro.service.metrics` — the serving-layer naming over the
-  unified :class:`~repro.obs.registry.MetricRegistry` (instrument
-  classes live in :mod:`repro.obs`), behind a single ``snapshot()``
-  dict;
 * :mod:`repro.service.durability` — crash safety: a CRC-checksummed
   write-ahead log with torn-tail truncation, atomic checkpoints over
   :mod:`repro.core.serialize`, and the checkpoint-plus-WAL-suffix
@@ -28,7 +25,9 @@ Dynamic Graphs"):
   :class:`~repro.core.index.ReachabilityIndex`: one write path that
   validates, WAL-logs and applies each update request as one batch of
   :class:`~repro.core.ops.UpdateOp` values, degraded-mode BFS serving
-  and the sampled Definition-1 self-audit.
+  and the sampled Definition-1 self-audit.  Its counters and histograms
+  live in one :class:`~repro.obs.registry.MetricRegistry`
+  (:attr:`ReachabilityService.registry`).
 
 See ``docs/service.md`` for the lock discipline and invalidation rules,
 ``docs/robustness.md`` for the crash-safety story,
@@ -53,7 +52,6 @@ from .faults import (
     InjectedCrash,
     QuarantinedUpdate,
 )
-from .metrics import LatencyHistogram, ServiceMetrics
 from .server import ReachabilityService
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "EpochCounter",
     "EpochLRUCache",
     "UpdateOp",
-    "ServiceMetrics",
-    "LatencyHistogram",
     "WriteAheadLog",
     "CheckpointStore",
     "DurabilityManager",

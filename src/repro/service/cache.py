@@ -122,22 +122,21 @@ class EpochLRUCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    def bind_registry(self, registry, prefix: str = "cache") -> None:
+    def bind_registry(self, registry) -> None:
         """Publish this cache's live stats into a metric registry.
 
         Registers one callback per stat (``cache.hits``,
         ``cache.hit_rate``, ...) so a registry snapshot or Prometheus
         export reads the *current* values — no double bookkeeping, no
         sampling loop.  The callbacks hold a reference to the cache;
-        re-binding a rebuilt cache under the same prefix just replaces
-        them.
+        binding a rebuilt cache just replaces them.
         """
         for stat in (
             "entries", "hits", "misses", "hit_rate", "stale_drops",
             "evictions",
         ):
             registry.register_callback(
-                f"{prefix}.{stat}",
+                f"cache.{stat}",
                 lambda stat=stat: self.stats()[stat],
             )
 
@@ -149,7 +148,7 @@ class EpochLRUCache:
             return self._hits / total if total else None
 
     def stats(self) -> dict:
-        """Counters for :meth:`ReachabilityService.snapshot`."""
+        """Capacity, size and hit/miss/eviction counters, as one dict."""
         with self._lock:
             total = self._hits + self._misses
             return {

@@ -2,12 +2,15 @@
 
 Two small pieces, both deliberately boring:
 
-* :class:`RWLock` — a writer-preferring readers-writer lock.  Queries on a
-  TOL index are pure reads over the label dictionaries, so any number may
-  proceed in parallel; the update algorithms (Section 5) mutate labels,
-  inverted lists and the order structure together and therefore need full
-  exclusion.  Writer preference keeps a steady query stream from starving
-  the writer — the paper's dynamic experiments interleave both.
+* :class:`RWLock` — a readers-writer lock that alternates between the
+  two sides under contention.  Queries on a TOL index are pure reads
+  over the label dictionaries, so any number may proceed in parallel;
+  the update algorithms (Section 5) mutate labels, inverted lists and
+  the order structure together and therefore need full exclusion.  A
+  waiting writer holds back new readers, so a steady query stream cannot
+  starve the writer, and the readers already waiting when a writer
+  releases go before the next writer, so a write burst cannot starve the
+  readers — the paper's dynamic experiments interleave both.
 
 * :class:`EpochCounter` — a monotonic version number for the index.  Every
   successful insert/delete/reduction bumps it exactly once; readers stamp
@@ -29,11 +32,15 @@ __all__ = ["RWLock", "EpochCounter"]
 
 
 class RWLock:
-    """A writer-preferring readers-writer lock.
+    """A readers-writer lock that hands off between the two sides.
 
     Any number of readers may hold the lock together; writers get full
     exclusion.  A waiting writer blocks *new* readers from entering, so
-    writes cannot starve under a continuous query stream.
+    writes cannot starve under a continuous query stream.  When a writer
+    releases, every reader already waiting at that moment is admitted
+    before the next writer may enter, so a back-to-back run of writes
+    cannot starve the readers either: a waiting reader is answered after
+    at most one more write.
 
     The lock is not reentrant: a thread must not acquire it (in either
     mode) while already holding it — upgrading a read hold to a write
@@ -53,6 +60,12 @@ class RWLock:
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._readers_waiting = 0
+        # Each write release that finds readers waiting admits them as
+        # one group: it bumps the generation and counts the group, and
+        # no writer enters until every admitted reader has.
+        self._admit_generation = 0
+        self._admitted = 0
 
     # ------------------------------------------------------------------
     # Reader side
@@ -62,23 +75,34 @@ class RWLock:
         """Enter the read side; return ``True`` on success.
 
         With ``timeout=None`` (the default) this blocks until no writer
-        is active or waiting and always returns ``True``.  With a
-        timeout in seconds it gives up after the deadline and returns
-        ``False`` *without* holding the lock — the serving layer's
-        per-query deadline, which falls back to degraded-mode BFS
-        instead of stalling behind a long writer (e.g. a rebuild).
+        is active or waiting, or until a writer's release admits it, and
+        always returns ``True``.  With a timeout in seconds it gives up
+        after the deadline and returns ``False`` *without* holding the
+        lock — the serving layer's per-query deadline, which falls back
+        to degraded-mode BFS instead of stalling behind a long writer
+        (e.g. a rebuild).
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            if timeout is None:
-                while self._writer_active or self._writers_waiting:
-                    self._cond.wait()
-            else:
-                deadline = time.monotonic() + timeout
-                while self._writer_active or self._writers_waiting:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
+            if self._writer_active or self._writers_waiting:
+                generation = self._admit_generation
+                self._readers_waiting += 1
+                try:
+                    while True:
+                        if self._admit_generation != generation:
+                            self._admitted -= 1  # admitted by a release
+                            break
+                        if not (self._writer_active or self._writers_waiting):
+                            break
+                        if deadline is None:
+                            self._cond.wait()
+                            continue
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            return False
+                        self._cond.wait(remaining)
+                finally:
+                    self._readers_waiting -= 1
             self._active_readers += 1
             return True
 
@@ -106,22 +130,32 @@ class RWLock:
     # ------------------------------------------------------------------
 
     def acquire_write(self) -> None:
-        """Block until the lock is free of readers and writers, then own it."""
+        """Block until the lock is free of readers and writers, then own it.
+
+        Readers admitted by the previous write release count as present
+        until they have entered.
+        """
         with self._cond:
             self._writers_waiting += 1
             try:
-                while self._writer_active or self._active_readers:
+                while (
+                    self._writer_active or self._active_readers
+                    or self._admitted
+                ):
                     self._cond.wait()
             finally:
                 self._writers_waiting -= 1
             self._writer_active = True
 
     def release_write(self) -> None:
-        """Give up write ownership and wake every waiter."""
+        """Give up write ownership, admit the waiting readers, wake all."""
         with self._cond:
             if not self._writer_active:
                 raise RuntimeError("release_write() without acquire_write()")
             self._writer_active = False
+            if self._readers_waiting:
+                self._admit_generation += 1
+                self._admitted = self._readers_waiting
             self._cond.notify_all()
 
     @contextmanager
@@ -138,7 +172,8 @@ class RWLock:
             return (
                 f"{type(self).__name__}(readers={self._active_readers}, "
                 f"writer={self._writer_active}, "
-                f"writers_waiting={self._writers_waiting})"
+                f"writers_waiting={self._writers_waiting}, "
+                f"readers_waiting={self._readers_waiting})"
             )
 
 

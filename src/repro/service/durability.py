@@ -491,9 +491,10 @@ class DurabilityManager:
 
     Layout: ``<directory>/wal.log`` and ``<directory>/checkpoints/``.
     The manager tracks how far the newest checkpoint covers the WAL and
-    triggers a new one every *checkpoint_every* appended records
-    (:meth:`maybe_checkpoint`); after a successful checkpoint the WAL
-    prefix covered by every retained checkpoint is trimmed.
+    reports a new one due every *checkpoint_every* appended records
+    (:attr:`checkpoint_due`; the service then calls :meth:`checkpoint`);
+    after a successful checkpoint the WAL prefix covered by every
+    retained checkpoint is trimmed.
     """
 
     def __init__(
@@ -530,12 +531,6 @@ class DurabilityManager:
         """WAL position covered by the newest checkpoint (0 = none)."""
         return self._checkpointed_seq
 
-    def log_batch(self, ops) -> list[int]:
-        """Append a batch of ops and sync once; return their seq numbers."""
-        seqs = [self.wal.append(op) for op in ops]
-        self.wal.sync()
-        return seqs
-
     @property
     def checkpoint_due(self) -> bool:
         """Whether the uncovered WAL suffix reached the threshold."""
@@ -543,12 +538,6 @@ class DurabilityManager:
             self.wal.last_seq - self._checkpointed_seq
             >= self._checkpoint_every
         )
-
-    def maybe_checkpoint(self, graph: DiGraph, meta: dict) -> Optional[Path]:
-        """Checkpoint if :attr:`checkpoint_due`."""
-        if not self.checkpoint_due:
-            return None
-        return self.checkpoint(graph, meta)
 
     def checkpoint(self, graph: DiGraph, meta: dict) -> Path:
         """Write a snapshot covering the current WAL position, then trim.

@@ -3,8 +3,9 @@
 Lock discipline
 ---------------
 
-One writer-preferring :class:`~repro.service.concurrency.RWLock` guards
-the index:
+One :class:`~repro.service.concurrency.RWLock` guards the index (a
+waiting writer holds back new readers; the readers waiting when a write
+ends go before the next one):
 
 * **Queries** take the read lock, read the epoch, consult the cache and
   (on a miss) the index, all inside one read-locked section — so the
@@ -86,7 +87,6 @@ from .faults import (
     FaultPolicy,
     QuarantinedUpdate,
 )
-from .metrics import ServiceMetrics
 
 __all__ = ["ReachabilityService"]
 
@@ -200,8 +200,35 @@ class ReachabilityService:
         self._cache = EpochLRUCache(cache_size)
         self._write_mutex = threading.Lock()
         self._batches = 0
-        self._metrics = ServiceMetrics(registry)
-        self._cache.bind_registry(self._metrics.registry)
+        reg = self._registry = (
+            registry if registry is not None else MetricRegistry()
+        )
+        self._cache.bind_registry(reg)
+        # Every instrument is bound once, here, so the hot paths touch
+        # the instrument itself and `repro metrics` lists each one (at 0)
+        # before anything happens.
+        self._queries = reg.counter("service.queries")
+        self._batch_calls = reg.counter("service.batch_calls")
+        self._batch_dedup_saved = reg.counter("service.batch_dedup_saved")
+        self._updates_applied = reg.counter("service.updates_applied")
+        self._updates_rejected = reg.counter("service.updates_rejected")
+        self._reductions = reg.counter("service.reductions")
+        self._audits = reg.counter("service.audits")
+        self._audit_failures = reg.counter("service.audit_failures")
+        self._rebuilds = reg.counter("service.rebuilds")
+        self._degraded_queries = reg.counter("degraded.queries")
+        self._quarantine_count = reg.counter("updates.quarantined")
+        self._replayed_records = reg.counter("recovery.replayed_records")
+        self._wal_sync_errors = reg.counter("wal.sync_errors")
+        self._checkpoint_errors = reg.counter("checkpoint.errors")
+        #: Per-query-batch service time (cache hits and misses alike).
+        self._query_latency = reg.histogram("service.query_latency")
+        #: Wall time of one write-lock critical section (whole batch).
+        self._batch_apply_latency = reg.histogram(
+            "service.batch_apply_latency"
+        )
+        #: Ops per applied batch.
+        self._batch_size = reg.stats("service.batch_size")
 
         # Robustness state: mirror graph, degraded flag, fault handling.
         self._mirror = self._index.condensation.graph.copy()
@@ -222,7 +249,6 @@ class ReachabilityService:
         # quarantine and recovery.
         self._flight = flight
 
-        reg = self._metrics.registry
         if durability is not None:
             durability.bind_registry(reg)
             # A fresh durability directory under a non-empty starting
@@ -238,16 +264,9 @@ class ReachabilityService:
                 durability.checkpoint(
                     self._mirror.copy(), {"wal_seq": 0, "epoch": 0}
                 )
-        # Pre-create the robustness counters so they are visible (at 0)
-        # in `repro metrics` before anything goes wrong.
-        for name in (
-            "degraded.queries",
-            "updates.quarantined",
-            "recovery.replayed_records",
-            "wal.records_appended",
-            "wal.fsyncs",
-        ):
-            reg.counter(name)
+        # The WAL owns its counters; show them (at 0) without one too.
+        reg.counter("wal.records_appended")
+        reg.counter("wal.fsyncs")
         reg.register_callback(
             "service.degraded", lambda: int(self._degraded.is_set())
         )
@@ -291,7 +310,7 @@ class ReachabilityService:
         the index from the recovered graph, and returns a service wired
         to the same directory so logging continues where it left off.
         The report is kept on :attr:`last_recovery`, and the number of
-        replayed records lands in the ``recovery_replayed_records``
+        replayed records lands in the ``recovery.replayed_records``
         counter.
         """
         report = recover_state(directory, fsync=fsync, injector=injector)
@@ -309,9 +328,7 @@ class ReachabilityService:
             **service_kwargs,
         )
         service._last_recovery = report
-        service._metrics.registry.incr(
-            "recovery.replayed_records", report.replayed
-        )
+        service._replayed_records.incr(report.replayed)
         if service._flight is not None:
             service._flight.auto_dump(
                 "recovery",
@@ -410,7 +427,7 @@ class ReachabilityService:
                     unique[pair] = bidirectional_reachable(
                         self._mirror, pair[0], pair[1]
                     )
-            self._metrics.registry.incr("degraded.queries", len(pairs))
+            self._degraded_queries.incr(len(pairs))
         else:
             try:
                 epoch = self._epoch.value
@@ -433,10 +450,10 @@ class ReachabilityService:
             timings["cache_hits"] = hits
             timings["cache_misses"] = 0 if degraded else len(unique) - hits
             timings["degraded"] = degraded
-        self._metrics.query_latency.record(end - start)
-        self._metrics.incr("queries", len(pairs))
-        self._metrics.incr("batch_calls")
-        self._metrics.incr("batch_dedup_saved", len(pairs) - len(unique))
+        self._query_latency.record(end - start)
+        self._queries.incr(len(pairs))
+        self._batch_calls.incr()
+        self._batch_dedup_saved.incr(len(pairs) - len(unique))
         return [unique[pair] for pair in pairs], epoch, degraded
 
     # ------------------------------------------------------------------
@@ -456,7 +473,7 @@ class ReachabilityService:
     def apply_batch(
         self, ops: Iterable[UpdateOp], *, trace_id: Optional[str] = None
     ) -> int:
-        """Validate, log and apply *ops* as one batch; return ops accepted.
+        """Validate, log and apply *ops* as one batch; return ops applied.
 
         The service's one write path, under the writer mutex:
 
@@ -479,17 +496,19 @@ class ReachabilityService:
         batch proceeds and readers never wait on a poison op.  *trace_id*
         tags the batch: it is stamped on every WAL record and carried by
         retry/quarantine events and quarantine entries.
+
+        The return value counts only the ops that took effect, so it
+        always equals the epoch delta of the batch.
         """
         batch = list(ops)
         if not batch:
             return 0
-        accepted = len(batch)
         with self._write_mutex:
             self._validate_refs(batch)
             if self._durability is not None:
                 batch = self._log_batch(batch, trace_id)
                 if not batch:
-                    return accepted
+                    return 0
             applied = 0
             start = time.perf_counter()
             with self._rwlock.write_locked():
@@ -505,12 +524,12 @@ class ReachabilityService:
                 self._maybe_checkpoint()
             self._batches += 1
             batches = self._batches
-        self._metrics.batch_apply_latency.record(elapsed)
-        self._metrics.batch_size.record(len(batch))
-        self._metrics.incr("updates_applied", applied)
+        self._batch_apply_latency.record(elapsed)
+        self._batch_size.record(len(batch))
+        self._updates_applied.incr(applied)
         if self._audit_interval and batches % self._audit_interval == 0:
             self.self_audit(self._audit_samples)
-        return accepted
+        return applied
 
     def _validate_refs(self, batch: list[UpdateOp]) -> None:
         """Raise :class:`UnknownVertexError` for a dangling reference.
@@ -571,7 +590,7 @@ class ReachabilityService:
                 self._injector.fire("service.apply")
                 op.apply(self._index)
             except ReproError:
-                self._metrics.incr("updates_rejected")
+                self._updates_rejected.incr()
                 return None
             except Exception as exc:  # noqa: BLE001 - the quarantine boundary
                 attempts += 1
@@ -633,7 +652,7 @@ class ReachabilityService:
         except OSError:
             # Records are flushed (process-crash durable) but not synced;
             # keep serving rather than losing the batch.
-            self._metrics.registry.incr("wal.sync_errors")
+            self._wal_sync_errors.incr()
         return survivors
 
     def _quarantine(
@@ -648,7 +667,7 @@ class ReachabilityService:
                 op=op, error=repr(exc), attempts=attempts, trace_id=trace_id
             )
         )
-        self._metrics.registry.incr("updates.quarantined")
+        self._quarantine_count.incr()
         obs_trace.event(
             "service.quarantined",
             attempts=attempts,
@@ -677,7 +696,7 @@ class ReachabilityService:
         try:
             self._durability.checkpoint(snapshot, meta)
         except OSError:
-            self._metrics.registry.incr("checkpoint.errors")
+            self._checkpoint_errors.incr()
 
     def checkpoint(self) -> Path:
         """Force a checkpoint covering the current WAL position."""
@@ -702,7 +721,7 @@ class ReachabilityService:
             report = self._index.reduce_labels(max_rounds=max_rounds)
             with self._mirror_lock:
                 self._epoch.bump()
-            self._metrics.incr("reductions")
+            self._reductions.incr()
         return report
 
     # ------------------------------------------------------------------
@@ -761,7 +780,7 @@ class ReachabilityService:
             with self._mirror_lock:
                 vertices = list(self._mirror.vertices())
             if len(vertices) < 2:
-                self._metrics.registry.incr("service.audits")
+                self._audits.incr()
                 return True
             for _ in range(samples):
                 s = rng.choice(vertices)
@@ -778,9 +797,9 @@ class ReachabilityService:
                         want = None
                 if got != want:
                     self._trip_degraded("audit_failure")
-                    self._metrics.registry.incr("service.audit_failures")
+                    self._audit_failures.incr()
                     return False
-        self._metrics.registry.incr("service.audits")
+        self._audits.incr()
         return True
 
     def rebuild_index(self) -> int:
@@ -799,7 +818,7 @@ class ReachabilityService:
                 with self._mirror_lock:
                     epoch = self._epoch.bump()
             self.exit_degraded()
-            self._metrics.registry.incr("service.rebuilds")
+            self._rebuilds.incr()
         return epoch
 
     # ------------------------------------------------------------------
@@ -826,11 +845,6 @@ class ReachabilityService:
         self._epoch.signal()
 
     @property
-    def metrics(self) -> ServiceMetrics:
-        """The live metrics recorder."""
-        return self._metrics
-
-    @property
     def registry(self) -> MetricRegistry:
         """The metric registry everything records into.
 
@@ -838,7 +852,7 @@ class ReachabilityService:
         into the same snapshot, or to
         :func:`repro.obs.export.render_prometheus` to scrape it.
         """
-        return self._metrics.registry
+        return self._registry
 
     @property
     def cache(self) -> EpochLRUCache:
@@ -920,29 +934,6 @@ class ReachabilityService:
             finally:
                 self._rwlock.release_read()
         return self._size_gauge
-
-    def snapshot(self) -> dict:
-        """All serving metrics as one nested dict (cheap; lock-light).
-
-        Keys: ``epoch``, ``degraded``, ``quarantined``, ``cache``, ``counters`` (plain ``name -> int``), the three
-        recorder summaries (``query_latency``, ``batch_apply_latency``,
-        ``batch_size``), and — when durability is configured — ``wal``
-        (seq position, appends, fsyncs, checkpoint coverage).  For the
-        full cross-layer view — including core spans when tracing is
-        enabled — snapshot :attr:`registry` instead.
-        """
-        out = {
-            "epoch": self.epoch,
-            "degraded": self.degraded,
-            "quarantined": len(self._quarantined),
-            "cache": self._cache.stats(),
-            **self._metrics.snapshot(),
-        }
-        if self._durability is not None:
-            out["wal"] = self._durability.stats()
-        if self._flight is not None:
-            out["flight"] = self._flight.stats()
-        return out
 
     def health(self) -> dict:
         """Live index-health payload (:func:`repro.obs.health.collect_health`).

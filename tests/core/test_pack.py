@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.frozen import FrozenTOLIndex, freeze
 from repro.core.index import ReachabilityIndex, TOLIndex
+from repro.core.ops import hashable_vertex
 from repro.core.serialize import (
-    hashable_vertex,
     load_index,
     pack_frozen,
     pack_index,

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.core.ops import UpdateOp, hashable_vertex
 from repro.errors import (
     OverloadedError,
     ProtocolError,
@@ -25,8 +26,8 @@ from repro.net.protocol import (
     raise_for_error,
     recv_frame_file,
     send_frame_sync,
+    encode_update_ops,
     wire_pairs,
-    wire_vertex,
 )
 
 
@@ -108,8 +109,17 @@ class TestEnvelopes:
             wire_pairs([[1]])
 
     def test_wire_vertex_restores_tuples(self):
-        assert wire_vertex([1, [2, 3]]) == (1, (2, 3))
-        assert wire_vertex("plain") == "plain"
+        # JSON turns tuple vertices into lists; the wire restores them.
+        assert wire_pairs([[[1, [2, 3]], "plain"]]) == [((1, (2, 3)), "plain")]
+        assert hashable_vertex([1, [2, 3]]) == (1, (2, 3))
+        assert hashable_vertex("plain") == "plain"
+
+    def test_update_ops_must_be_update_op_values(self):
+        assert encode_update_ops([UpdateOp.delete_vertex(1)]) == [
+            {"kind": "delete_vertex", "vertex": 1}
+        ]
+        with pytest.raises(TypeError):
+            encode_update_ops([{"kind": "delete_vertex", "vertex": 1}])
 
 
 class TestErrorMapping:

@@ -58,7 +58,7 @@ def shed_count(client):
     """``net.shed`` of whichever process shed: the server itself, or the
     reader workers (reported through their control-block slots)."""
     stats = client._call({"op": "stats"})
-    return stats["net"]["shed"] + sum(
+    return stats["registry"]["counters"]["net.shed"] + sum(
         w["shed"] for w in stats.get("workers", [])
     )
 
@@ -103,11 +103,10 @@ class TestQueries:
             assert pong["pong"] is True and pong["epoch"] == 0
             client.query(0, 1)
             stats = client.stats()
-            assert stats["counters"]["queries"] >= 1
-            assert stats["epoch"] == 0
-            net = client.net_stats()
-            assert net["requests"] >= 3
-            assert net["queries"] >= 1
+            assert stats["counters"]["service.queries"] >= 1
+            assert stats["gauges"]["service.epoch"] == 0
+            assert stats["counters"]["net.requests"] >= 3
+            assert stats["counters"]["net.queries"] >= 1
 
 
 class TestUpdates:
@@ -255,6 +254,29 @@ class WireContract:
             for client in held:
                 client.close()
 
+    def test_stats_replies_with_the_registry(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
+            client.query(0, 1)
+            registry = client.stats()
+        assert sorted(registry) == ["counters", "gauges", "histograms",
+                                    "stats"]
+        assert registry["counters"]["net.requests"] >= 1
+        assert "service.queries" in registry["counters"]
+        assert "net.request_latency" in registry["histograms"]
+
+    def test_update_that_changes_nothing_reports_zero_applied(
+        self, endpoint
+    ):
+        with ReachabilityClient(*endpoint) as client:
+            epoch = client.ping()["epoch"]
+            # Vertex 0 exists: the op passes validation, and the index
+            # rejects it at apply time, so nothing is applied.
+            assert client.apply(UpdateOp.insert_vertex(0)) == 0
+            assert client.ping()["epoch"] == epoch
+            counters = client.stats()["counters"]
+        # No earlier case of the contract applies an update.
+        assert counters["net.updates_applied"] == 0
+
     def test_update_request_is_all_or_nothing(self, endpoint):
         # Defined last: it moves the epoch of a class-scoped server.
         with ReachabilityClient(*endpoint) as client:
@@ -298,6 +320,14 @@ class TestProtocolErrorsOverWorkers(WireContract):
         with spawned_server(graph_file, server_args=args) as server:
             yield server.host, server.port
             assert server.terminate() == 0
+
+    def test_stats_reply_keeps_the_multiprocess_fields(self, endpoint):
+        with ReachabilityClient(*endpoint) as client:
+            reply = client._call({"op": "stats"})
+        assert reply["registry"]["counters"]["net.requests"] >= 1
+        assert [w["pid"] for w in reply["workers"]]
+        assert reply["writer_pid"] > 0
+        assert "worker_restarts" in reply and "writer_restarts" in reply
 
 
 class TestEpochCache:

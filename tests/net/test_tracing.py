@@ -121,15 +121,6 @@ class TestIntrospectionOps:
         assert len(payload["index"]["order"]["decile_coverage"]) == 10
         assert payload["wal"] is None
 
-    def test_stats_registry_opt_in(self, running):
-        with ReachabilityClient(running.host, running.port) as client:
-            client.query(0, 1)
-            snapshot = client.registry_snapshot()
-            plain = client._call({"op": "stats"})
-        assert snapshot["counters"]["service.queries"] >= 1
-        assert "net.request_latency" in snapshot["histograms"]
-        assert "registry" not in plain  # only shipped when asked for
-
     def test_both_supported_versions_accepted(self, running):
         assert PROTOCOL_VERSION == SUPPORTED_VERSIONS[-1]
         with ReachabilityClient(running.host, running.port) as client:

@@ -65,7 +65,7 @@ class TestSampler:
                 deadline -= 1
                 fr._stop.wait(0.01)
         assert fr.ticks > 0
-        assert not fr.stats()["running"]
+        assert fr._thread is None  # stopped on exit
 
     def test_start_is_idempotent(self):
         fr = make_recorder(interval=60.0)
@@ -126,13 +126,11 @@ class TestDump:
         fr = FlightRecorder(MetricRegistry(), dump_dir=blocker)
         assert fr.auto_dump("degraded") is None  # must not raise
 
-    def test_stats_shape(self, tmp_path):
+    def test_ring_depth_and_dump_count(self, tmp_path):
         fr = make_recorder(tmp_path, capacity=8, interval=2.0)
         fr.tick()
         fr.auto_dump("sigquit")
-        stats = fr.stats()
-        assert stats["capacity"] == 8
-        assert stats["interval_s"] == 2.0
-        assert stats["depth"] == 3  # tick + marker + dump snapshot
-        assert stats["dumps"] == 1
-        assert stats["running"] is False
+        assert (fr.capacity, fr.interval) == (8, 2.0)
+        assert len(fr.snapshots()) == 3  # tick + marker + dump snapshot
+        assert fr.dumps == 1
+        assert fr._thread is None  # never started

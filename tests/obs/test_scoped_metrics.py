@@ -1,10 +1,11 @@
-"""ScopedMetrics prefix semantics and registry snapshot-vs-mutation safety.
+"""Dotted metric namespaces on one registry, and snapshot-vs-mutation safety.
 
-Two hazards pinned here: (1) two scopes on one registry must compose —
-and a short name that would collide with another scope's *instrument
-kind* must fail loudly at bind time, not shadow silently; (2) taking a
-registry snapshot while writer threads mutate every instrument kind must
-never raise or tear an individual instrument's summary.
+Two hazards pinned here: (1) subsystems sharing one registry under
+their own dotted prefixes (``service.``, ``net.``) must compose — and a
+name bound as one instrument kind must fail loudly when asked for as
+another, not shadow silently; (2) taking a registry snapshot while
+writer threads mutate every instrument kind must never raise or tear an
+individual instrument's summary.
 """
 
 import threading
@@ -12,62 +13,43 @@ import threading
 import pytest
 
 from repro.obs.registry import MetricRegistry
-from repro.service.metrics import ScopedMetrics
 
 
 class TestPrefixes:
-    def test_prefix_must_be_dotted(self):
-        with pytest.raises(ValueError):
-            ScopedMetrics(prefix="service")
-
     def test_two_scopes_share_one_registry_without_clashes(self):
         registry = MetricRegistry()
-        service = ScopedMetrics(registry, prefix="service.")
-        net = ScopedMetrics(registry, prefix="net.")
-        service.incr("queries", 3)
-        net.incr("queries", 5)  # same short name, different namespace
-        assert service.counter("queries") == 3
-        assert net.counter("queries") == 5
+        registry.incr("service.queries", 3)
+        registry.incr("net.queries", 5)  # same leaf, different namespace
+        assert registry.counter("service.queries").value == 3
+        assert registry.counter("net.queries").value == 5
         counters = registry.snapshot()["counters"]
         assert counters["service.queries"] == 3
         assert counters["net.queries"] == 5
 
-    def test_scoped_counters_strips_only_own_prefix(self):
-        registry = MetricRegistry()
-        service = ScopedMetrics(registry, prefix="service.")
-        net = ScopedMetrics(registry, prefix="net.")
-        service.incr("queries")
-        net.incr("shed")
-        assert service.scoped_counters() == {"queries": 1}
-        assert net.scoped_counters() == {"shed": 1}
-
     def test_nested_prefix_is_not_a_collision(self):
         registry = MetricRegistry()
-        outer = ScopedMetrics(registry, prefix="service.")
-        inner = ScopedMetrics(registry, prefix="service.cache.")
-        outer.incr("cache.hits")  # fully-qualified: service.cache.hits
-        inner.incr("hits", 2)  # the same registry name, on purpose
-        assert registry.counter("service.cache.hits").value == 3
+        # A name that is a dotted prefix of another is its own metric.
+        registry.counter("service.cache")
+        registry.histogram("service.cache.hits")
+        registry.incr("service.cache", 2)
+        assert registry.counter("service.cache").value == 2
+        assert "service.cache.hits" in registry.snapshot()["histograms"]
 
     def test_same_name_different_kind_rejected(self):
         registry = MetricRegistry()
-        scope = ScopedMetrics(registry, prefix="service.")
-        scope.incr("query_latency")  # binds a counter
+        registry.incr("service.query_latency")  # binds a counter
         with pytest.raises(ValueError, match="already bound to a counter"):
-            scope.histogram("query_latency")
+            registry.histogram("service.query_latency")
 
     def test_cross_scope_kind_collision_on_shared_registry(self):
         registry = MetricRegistry()
-        a = ScopedMetrics(registry, prefix="svc.")
-        b = ScopedMetrics(registry, prefix="svc.")  # misconfigured twin
-        a.histogram("latency")
+        registry.histogram("svc.latency")
         with pytest.raises(ValueError, match="already bound to a histogram"):
-            b.stats("latency")
+            registry.stats("svc.latency")
 
     def test_callback_cannot_shadow_instrument(self):
         registry = MetricRegistry()
-        scope = ScopedMetrics(registry, prefix="service.")
-        scope.incr("queries")
+        registry.incr("service.queries")
         with pytest.raises(ValueError):
             registry.register_callback("service.queries", lambda: 1)
 
@@ -75,16 +57,17 @@ class TestPrefixes:
 class TestSnapshotVsMutation:
     def test_concurrent_snapshots_never_tear(self):
         registry = MetricRegistry()
-        scope = ScopedMetrics(registry, prefix="svc.")
         stop = threading.Event()
         errors = []
 
         def writer(seed):
             i = 0
             while not stop.is_set():
-                scope.incr("ops")
-                scope.histogram("latency").record((seed + i % 7) * 1e-4)
-                scope.stats("batch").record(i % 31)
+                registry.incr("svc.ops")
+                registry.histogram("svc.latency").record(
+                    (seed + i % 7) * 1e-4
+                )
+                registry.stats("svc.batch").record(i % 31)
                 registry.gauge(f"w{seed}.depth").set(i)
                 i += 1
 
@@ -120,13 +103,12 @@ class TestSnapshotVsMutation:
 
     def test_concurrent_get_or_create_yields_one_instrument(self):
         registry = MetricRegistry()
-        scope = ScopedMetrics(registry, prefix="svc.")
         seen = []
         barrier = threading.Barrier(8)
 
         def grab():
             barrier.wait()
-            seen.append(scope.histogram("latency"))
+            seen.append(registry.histogram("svc.latency"))
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:

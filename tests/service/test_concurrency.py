@@ -93,9 +93,8 @@ def test_stress_readers_vs_writer_against_bfs_oracle(batch_size):
     assert checked, "readers must have recorded verifiable answers"
 
     # The repeated rounds over a fixed query set must have hit the cache.
-    snapshot = service.snapshot()
-    assert snapshot["cache"]["hits"] > 0
-    assert snapshot["epoch"] == len(applied)
+    assert service.cache.stats()["hits"] > 0
+    assert service.epoch == len(applied)
 
 
 def test_query_batch_under_concurrent_readers_matches_single_threaded():
@@ -134,4 +133,48 @@ def test_query_batch_under_concurrent_readers_matches_single_threaded():
     for idx in range(READERS):
         assert results[idx] == expected, f"reader {idx} diverged"
     # Eight readers over identical pairs: the cache must have been hot.
-    assert service.snapshot()["cache"]["hit_rate"] > 0.5
+    assert service.cache.stats()["hit_rate"] > 0.5
+
+
+def test_waiting_reader_is_answered_before_a_write_burst_ends():
+    # A reader that queues behind a run of back-to-back one-op writes
+    # must get in at the next write release, not after the whole run:
+    # the readers waiting when a writer releases go before the next
+    # writer.  So a reader querying in a loop is answered about once per
+    # op while the burst runs (a writer-preferring lock answers it once,
+    # after the last op).
+    graph = random_dag(400, 1600, seed=31)
+    trace = generate_trace(graph, 60, seed=32, query_fraction=0.0)
+    mutations = [UpdateOp.from_trace_op(op) for op in trace]
+    vertices = list(graph.vertices())
+    service = ReachabilityService(graph, cache_size=0)
+    op_done: list[float] = []
+    writing = threading.Event()
+    finished = threading.Event()
+    answered: list[float] = []
+
+    def writer() -> None:
+        for op in mutations:
+            service.apply(op)
+            op_done.append(time.perf_counter())
+            writing.set()
+        finished.set()
+
+    def reader() -> None:
+        writing.wait(timeout=60)
+        while not finished.is_set():
+            service.query(vertices[0], vertices[1])
+            answered.append(time.perf_counter())
+
+    threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(op_done) == len(mutations)
+    during = sum(1 for t in answered if t < op_done[-1])
+    assert during >= len(mutations) // 2, (
+        f"reader answered {during} times during a {len(mutations)}-op, "
+        f"{op_done[-1] - op_done[0]:.3f}s burst"
+    )

@@ -229,7 +229,8 @@ class TestDurabilityManager:
             op = UpdateOp.insert_vertex(i)
             mgr.wal.append(op)
             op.apply_to_graph(graph)
-            mgr.maybe_checkpoint(graph, {"wal_seq": mgr.wal.last_seq})
+            if mgr.checkpoint_due:
+                mgr.checkpoint(graph, {"wal_seq": mgr.wal.last_seq})
         # Threshold 3: one checkpoint at seq 3, suffix 4..5 still in WAL.
         assert mgr.checkpointed_seq == 3
         assert [s for s, _ in mgr.wal.records()] == [4, 5]
@@ -238,7 +239,8 @@ class TestDurabilityManager:
 
     def test_reopen_reads_checkpoint_coverage(self, tmp_path):
         mgr = DurabilityManager(tmp_path, checkpoint_every=0, fsync="never")
-        mgr.log_batch([UpdateOp.insert_vertex("a")])
+        mgr.wal.append(UpdateOp.insert_vertex("a"))
+        mgr.wal.sync()
         mgr.checkpoint(DiGraph(vertices=["a"]), {})
         mgr.close()
         again = DurabilityManager(tmp_path, fsync="never")
@@ -358,7 +360,8 @@ class TestCheckpointFallback:
             op = UpdateOp.insert_vertex(i)
             mgr.wal.append(op)
             op.apply_to_graph(graph)
-            mgr.maybe_checkpoint(graph.copy(), {"wal_seq": mgr.wal.last_seq})
+            if mgr.checkpoint_due:
+                mgr.checkpoint(graph.copy(), {"wal_seq": mgr.wal.last_seq})
         mgr.close()
         return mgr.checkpoints.paths()
 

@@ -1,10 +1,14 @@
-"""Tests for serving metrics: histograms, running stats, snapshots."""
+"""Tests for serving metrics: histograms, running stats, the service's
+instruments in its registry."""
 
 import threading
 
 import pytest
 
-from repro.service.metrics import LatencyHistogram, RunningStats, ServiceMetrics
+from repro.core.ops import UpdateOp
+from repro.graph.digraph import DiGraph
+from repro.obs.registry import LatencyHistogram, MetricRegistry, RunningStats
+from repro.service.server import ReachabilityService
 
 
 class TestLatencyHistogram:
@@ -127,36 +131,42 @@ class TestRunningStats:
 
 
 class TestServiceMetrics:
+    @staticmethod
+    def service(registry=None):
+        return ReachabilityService(
+            DiGraph(edges=[("a", "b"), ("b", "c")]), registry=registry
+        )
+
     def test_counters(self):
-        metrics = ServiceMetrics()
-        assert metrics.counter("queries") == 0
-        metrics.incr("queries")
-        metrics.incr("queries", 5)
-        assert metrics.counter("queries") == 6
+        service = self.service()
+        queries = service.registry.counter("service.queries")
+        assert queries.value == 0  # bound at construction
+        service.query("a", "c")
+        service.query_batch([("a", "b")] * 5)
+        assert queries.value == 6
 
     def test_snapshot_shape(self):
-        metrics = ServiceMetrics()
-        metrics.incr("updates_applied", 2)
-        metrics.query_latency.record(1e-5)
-        metrics.batch_size.record(3)
-        snap = metrics.snapshot()
-        assert snap["counters"]["updates_applied"] == 2
-        assert snap["query_latency"]["count"] == 1
-        assert snap["batch_size"]["max"] == 3
-        assert "batch_apply_latency" in snap
-        assert "updates_applied" not in snap  # namespaced, not flat
+        service = self.service()
+        service.apply_batch([
+            UpdateOp.insert_vertex("d"), UpdateOp.insert_vertex("e"),
+        ])
+        service.query("a", "c")
+        snap = service.registry.snapshot()
+        assert snap["counters"]["service.updates_applied"] == 2
+        assert snap["histograms"]["service.query_latency"]["count"] == 1
+        assert snap["stats"]["service.batch_size"]["max"] == 2
+        assert "service.batch_apply_latency" in snap["histograms"]
 
     def test_counter_cannot_shadow_histogram(self):
-        # The old flat merge let a counter named `query_latency` silently
-        # shadow the histogram; the registry now rejects the rebind.
-        metrics = ServiceMetrics()
+        # A counter named like the query-latency histogram would shadow
+        # it in a flat merge; the registry rejects the rebind instead.
+        service = self.service()
         with pytest.raises(ValueError):
-            metrics.incr("query_latency")
+            service.registry.incr("service.query_latency")
 
     def test_shared_registry(self):
-        from repro.obs import MetricRegistry
-
         registry = MetricRegistry()
-        metrics = ServiceMetrics(registry)
-        metrics.incr("queries", 3)
+        service = self.service(registry)
+        for _ in range(3):
+            service.query("a", "b")
         assert registry.snapshot()["counters"]["service.queries"] == 3

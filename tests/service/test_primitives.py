@@ -107,6 +107,65 @@ class TestRWLockExclusion:
         assert writer_done.is_set() and entered.is_set()
 
 
+    def test_handoff_under_contention_keeps_exclusion_and_finishes(self):
+        # Writers back to back, readers with and without a deadline, a
+        # tiny switch interval: every thread finishes (no admitted reader
+        # is lost, so no writer waits forever), a writer is never inside
+        # with anyone else, and the lock ends idle.
+        lock = RWLock()
+        inside = {"readers": 0, "writers": 0}
+        guard = threading.Lock()
+        violations = []
+
+        def check():
+            if inside["writers"] > 1 or (
+                inside["writers"] and inside["readers"]
+            ):
+                violations.append(dict(inside))
+
+        def writer():
+            for _ in range(200):
+                with lock.write_locked():
+                    with guard:
+                        inside["writers"] += 1
+                        check()
+                    with guard:
+                        inside["writers"] -= 1
+
+        def reader(timeout):
+            for _ in range(200):
+                if not lock.acquire_read(timeout=timeout):
+                    continue
+                try:
+                    with guard:
+                        inside["readers"] += 1
+                        check()
+                    with guard:
+                        inside["readers"] -= 1
+                finally:
+                    lock.release_read()
+
+        threads = [threading.Thread(target=writer) for _ in range(3)] + [
+            threading.Thread(target=reader, args=(timeout,))
+            for timeout in (None, None, None, 1e-4, 1e-3, 0.0)
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert violations == []
+        assert repr(lock).endswith(
+            "(readers=0, writer=False, writers_waiting=0, readers_waiting=0)"
+        )
+        assert lock._admitted == 0  # no admitted reader left behind
+
+
 class TestEpochCounter:
     def test_starts_at_zero_and_bumps(self):
         epoch = EpochCounter()

@@ -2,8 +2,8 @@
 
 Concurrency is exercised separately in ``test_concurrency.py``; here we
 pin down the facade's sequential semantics: cache-through queries, batch
-deduplication, batch validation, epoch accounting and the metrics
-snapshot.
+deduplication, batch validation, epoch accounting and the metric
+registry.
 """
 
 import pytest
@@ -72,9 +72,8 @@ class TestQueryCache:
         workload = generate_zipfian_queries(graph, 500, skew=1.1, seed=3)
         for s, t in workload:
             service.query(s, t)
-        snapshot = service.snapshot()
-        assert snapshot["cache"]["hit_rate"] > 0
-        assert snapshot["counters"]["queries"] == 500
+        assert service.cache.stats()["hit_rate"] > 0
+        assert service.registry.counter("service.queries").value == 500
 
 
 class TestQueryBatch:
@@ -91,9 +90,9 @@ class TestQueryBatch:
         service = ReachabilityService(diamond(), cache_size=16)
         pairs = [("a", "d"), ("d", "a"), ("a", "d"), ("a", "d")]
         assert service.query_batch(pairs) == [True, False, True, True]
-        snap = service.snapshot()
-        assert snap["counters"]["batch_dedup_saved"] == 2
-        assert snap["counters"]["queries"] == 4
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.batch_dedup_saved"] == 2
+        assert counters["service.queries"] == 4
         # Only the two unique pairs ever reached cache/index.
         assert service.cache.stats()["misses"] == 2
 
@@ -111,14 +110,19 @@ class TestUpdatesAndEpochs:
 
     def test_epoch_counts_each_successful_op(self):
         service = ReachabilityService(diamond())
-        accepted = service.apply_batch([
+        applied = service.apply_batch([
             UpdateOp.insert_edge("b", "c"),
             UpdateOp.delete_edge("b", "c"),
             UpdateOp.insert_vertex("e"),
             UpdateOp.insert_vertex("a"),  # exists: rejected at apply
         ])
-        assert accepted == 4
+        # The return value, the epoch delta and the applied counter
+        # agree: the rejected op counts in none of them.
+        assert applied == 3
         assert service.epoch == 3
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_applied"] == 3
+        assert counters["service.updates_rejected"] == 1
 
     def test_unknown_reference_rejected_at_submit(self):
         service = ReachabilityService(diamond())
@@ -164,8 +168,7 @@ class TestUpdatesAndEpochs:
         # passes validation and is rejected by the index at apply time.
         service = ReachabilityService(diamond())
         service.insert_vertex("a")
-        snap = service.snapshot()
-        assert snap["counters"]["updates_rejected"] == 1
+        assert service.registry.counter("service.updates_rejected").value == 1
         assert service.epoch == 0
         # Service still healthy.
         assert service.query("a", "d")
@@ -181,7 +184,7 @@ class TestUpdatesAndEpochs:
         report = service.reduce_labels()
         assert service.epoch == before + 1
         assert report.final_size <= report.initial_size
-        assert service.snapshot()["counters"]["reductions"] == 1
+        assert service.registry.counter("service.reductions").value == 1
 
 
 class TestTraceEquivalence:
@@ -214,15 +217,15 @@ class TestIntrospection:
         service = ReachabilityService(diamond())
         service.query("a", "d")
         service.insert_vertex("e")
-        snap = service.snapshot()
-        assert snap["epoch"] == 1
-        assert snap["cache"]["misses"] == 1
-        assert snap["query_latency"]["count"] == 1
-        assert snap["batch_size"]["count"] == 1
-        # Counters are namespaced: a counter can no longer shadow a
-        # histogram key in the flat merge.
-        assert snap["counters"]["queries"] == 1
-        assert "queries" not in snap
+        snap = service.registry.snapshot()
+        assert sorted(snap) == ["counters", "gauges", "histograms", "stats"]
+        assert snap["gauges"]["service.epoch"] == 1
+        assert snap["gauges"]["cache.misses"] == 1
+        assert snap["histograms"]["service.query_latency"]["count"] == 1
+        assert snap["histograms"]["service.batch_apply_latency"]["count"] == 1
+        assert snap["stats"]["service.batch_size"]["count"] == 1
+        assert snap["counters"]["service.queries"] == 1
+        assert snap["counters"]["service.updates_applied"] == 1
 
     def test_registry_covers_service_cache_and_index(self):
         service = ReachabilityService(diamond())
