@@ -34,6 +34,7 @@ from typing import Optional, Union
 
 from ..errors import WorkloadError
 from ..graph.digraph import DiGraph
+from ..graph.scc import condense
 from ..graph.traversal import bidirectional_reachable
 
 __all__ = [
@@ -175,6 +176,26 @@ def write_trace(trace: Trace, path: PathLike) -> None:
     Path(path).write_text(format_trace(trace), encoding="utf-8")
 
 
+def _reach_closure(graph: DiGraph) -> tuple[dict, list[int]]:
+    """Transitive closure of *graph* as Python-int bitsets.
+
+    Returns ``(component_of, reach)``: ``u`` reaches ``v`` iff bit
+    ``component_of[v]`` of ``reach[component_of[u]]`` is set.  The
+    closure is taken over the SCC condensation, whose component ids
+    are a topological order, so one sweep from the sinks up ORs each
+    component's successors into it.
+    """
+    condensation = condense(graph)
+    dag = condensation.dag
+    reach = [0] * condensation.num_components
+    for c in reversed(range(len(reach))):
+        bits = 1 << c
+        for d in dag.out_neighbors(c):
+            bits |= reach[d]
+        reach[c] = bits
+    return condensation.component_of, reach
+
+
 def generate_trace(
     graph: DiGraph,
     num_ops: int,
@@ -240,9 +261,10 @@ def generate_trace(
                 if a != b and not live.has_edge(a, b)
             ]
             if acyclic:
+                component_of, reach = _reach_closure(live)
                 candidates = [
                     (a, b) for a, b in candidates
-                    if not bidirectional_reachable(live, b, a)
+                    if not reach[component_of[b]] >> component_of[a] & 1
                 ]
             if not candidates:
                 continue

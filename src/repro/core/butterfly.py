@@ -126,10 +126,8 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
     free.  Labels accumulate in plain per-vertex lists (list subscripts
     and appends are cheaper than ``array`` ones, and never re-box ints)
     and are packed into the labeling's ``array('i')`` buffers once at the
-    end; the CSR arrays are likewise list-ified once up front.  The
-    frozenset query mirrors need no invalidation because the labeling is
-    unpublished during the build and every slot starts (and therefore
-    stays) stale.  Inverted lists: with ``prune`` the label receivers of
+    end; the CSR arrays are likewise list-ified once up front.
+    Inverted lists: with ``prune`` the label receivers of
     a sweep are exactly its enqueued vertices, so ``Iin(v)``/``Iout(v)``
     is filled with one bulk ``update`` off the queue; the verbatim
     variant also enqueues covered vertices and maintains the sets per

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from typing import Optional, Union
 
-from ..errors import IndexStateError, NotADagError
+from ..errors import IndexStateError, NotADagError, VertexNotFoundError
 from ..graph.condensation import CondensationDelta, DynamicCondensation
 from ..graph.digraph import DiGraph
 from .butterfly import butterfly_build
@@ -436,9 +436,23 @@ class ReachabilityIndex:
     def query_many(
         self, pairs: Iterable[tuple[Vertex, Vertex]]
     ) -> list[bool]:
-        """Answer a batch of queries, in input order."""
-        query = self.query
-        return [query(s, t) for s, t in pairs]
+        """Answer a batch of queries, in input order.
+
+        Maps every pair to its component pair in one pass, then answers
+        them with one :meth:`TOLIndex.query_many` call; a same-SCC pair
+        maps both ends to one id, which the kernel answers ``True``.
+
+        Raises
+        ------
+        VertexNotFoundError
+            If any endpoint is not in the graph.
+        """
+        component_of = self._condensation.component_of
+        try:
+            components = [(component_of[s], component_of[t]) for s, t in pairs]
+        except KeyError as missing:
+            raise VertexNotFoundError(missing.args[0]) from None
+        return self._tol.query_many(components)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._condensation.component_of

@@ -25,13 +25,10 @@ is a C ``memmove``, and the update algorithms mutate the buffers in place
 through the id-level API (:meth:`add_in_id` et al.), so aliases held
 across mutations stay valid.
 
-Single-pair queries additionally consult a *lazy frozenset mirror*
-(:attr:`in_sets` / :attr:`out_sets`): the first query touching a vertex
-materializes ``frozenset(buffer)`` once, every mutation of that vertex's
-buffer invalidates its slot, and the query itself is then three C set
-operations over small ints (two endpoint probes and one ``isdisjoint``) —
-in CPython this beats any bytecode-level merge, while :meth:`witness`
-still runs the ordered two-pointer merge over the arrays to return the
+Queries read the same arrays through one Equation-1 kernel,
+:meth:`query_many` (:meth:`query` is a one-pair batch).  No query-side
+copy of the labels is kept, so the arrays are the whole resident label
+store.  :meth:`witness` runs the ordered two-pointer merge to return the
 lowest-id witness deterministically.
 
 The public API still speaks user vertex objects at the boundary
@@ -208,8 +205,6 @@ class TOLLabeling:
         "out_ids",
         "in_holders",
         "out_holders",
-        "in_sets",
-        "out_sets",
         "label_in",
         "label_out",
         "inv_in",
@@ -231,13 +226,6 @@ class TOLLabeling:
         #: ``in_holders[i]`` is ``Iin(i) = {w : i in Lin(w)}`` as id sets.
         self.in_holders: list[Optional[set[int]]] = []
         self.out_holders: list[Optional[set[int]]] = []
-        #: Lazily-derived ``frozenset`` mirror of each buffer, used by the
-        #: query fast path (C-speed membership/intersection); ``None``
-        #: marks a stale slot, re-materialized on next query.  Mutators
-        #: invalidate; algorithms never read these (they intersect the
-        #: live arrays, whose aliases they hold across mutations).
-        self.in_sets: list[Optional[frozenset]] = []
-        self.out_sets: list[Optional[frozenset]] = []
         self.label_in = _SideView(self, self.in_ids)
         self.label_out = _SideView(self, self.out_ids)
         self.inv_in = _SideView(self, self.in_holders)
@@ -255,8 +243,6 @@ class TOLLabeling:
             self.out_ids.extend([array("i") for _ in range(count)])
             self.in_holders.extend([set() for _ in range(count)])
             self.out_holders.extend([set() for _ in range(count)])
-            self.in_sets.extend([None] * count)
-            self.out_sets.extend([None] * count)
         else:
             # Adoption path (persistence): the caller hands a pre-built
             # interner covering exactly the order's vertices, so a reload
@@ -272,8 +258,6 @@ class TOLLabeling:
                 self.out_ids.append(array("i") if alive else None)
                 self.in_holders.append(set() if alive else None)
                 self.out_holders.append(set() if alive else None)
-                self.in_sets.append(None)
-                self.out_sets.append(None)
 
     # ------------------------------------------------------------------
     # Vertex registry
@@ -286,15 +270,11 @@ class TOLLabeling:
             self.out_ids.append(array("i"))
             self.in_holders.append(set())
             self.out_holders.append(set())
-            self.in_sets.append(None)
-            self.out_sets.append(None)
         else:  # recycled id: the parallel slots already exist
             self.in_ids[i] = array("i")
             self.out_ids[i] = array("i")
             self.in_holders[i] = set()
             self.out_holders[i] = set()
-            self.in_sets[i] = None
-            self.out_sets[i] = None
         return i
 
     def add_vertex(self, v: Vertex) -> None:
@@ -324,8 +304,6 @@ class TOLLabeling:
         self.out_ids[i] = None
         self.in_holders[i] = None
         self.out_holders[i] = None
-        self.in_sets[i] = None
-        self.out_sets[i] = None
         self.interner.release(v)
 
     def __contains__(self, v: Vertex) -> bool:
@@ -387,7 +365,6 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             a.insert(pos, uid)
             self.in_holders[uid].add(vid)
-            self.in_sets[vid] = None
 
     def add_out_id(self, vid: int, uid: int) -> None:
         """Insert id *uid* into ``Lout(vid)``."""
@@ -396,7 +373,6 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             a.insert(pos, uid)
             self.out_holders[uid].add(vid)
-            self.out_sets[vid] = None
 
     def remove_in_id(self, vid: int, uid: int) -> None:
         """Remove id *uid* from ``Lin(vid)`` (KeyError if absent)."""
@@ -406,7 +382,6 @@ class TOLLabeling:
             raise KeyError(uid)
         del a[pos]
         self.in_holders[uid].remove(vid)
-        self.in_sets[vid] = None
 
     def remove_out_id(self, vid: int, uid: int) -> None:
         """Remove id *uid* from ``Lout(vid)``."""
@@ -416,7 +391,6 @@ class TOLLabeling:
             raise KeyError(uid)
         del a[pos]
         self.out_holders[uid].remove(vid)
-        self.out_sets[vid] = None
 
     def discard_in_id(self, vid: int, uid: int) -> bool:
         """Remove *uid* from ``Lin(vid)`` if present; report whether it was."""
@@ -426,7 +400,6 @@ class TOLLabeling:
             return False
         del a[pos]
         self.in_holders[uid].remove(vid)
-        self.in_sets[vid] = None
         return True
 
     def discard_out_id(self, vid: int, uid: int) -> bool:
@@ -437,7 +410,6 @@ class TOLLabeling:
             return False
         del a[pos]
         self.out_holders[uid].remove(vid)
-        self.out_sets[vid] = None
         return True
 
     def clear_in_ids(self, vid: int) -> None:
@@ -446,7 +418,6 @@ class TOLLabeling:
         for uid in a:
             self.in_holders[uid].remove(vid)
         del a[:]
-        self.in_sets[vid] = None
 
     def clear_out_ids(self, vid: int) -> None:
         """Empty ``Lout(vid)`` in place."""
@@ -454,7 +425,6 @@ class TOLLabeling:
         for uid in a:
             self.out_holders[uid].remove(vid)
         del a[:]
-        self.out_sets[vid] = None
 
     def fill_in_ids(self, vid: int, uids) -> None:
         """Bulk-set ``Lin(vid)`` from *uids* (sorted ascending, distinct).
@@ -471,7 +441,6 @@ class TOLLabeling:
         holders = self.in_holders
         for uid in a:
             holders[uid].add(vid)
-        self.in_sets[vid] = None
 
     def fill_out_ids(self, vid: int, uids) -> None:
         """Bulk-set ``Lout(vid)`` (mirror of :meth:`fill_in_ids`)."""
@@ -482,7 +451,6 @@ class TOLLabeling:
         holders = self.out_holders
         for uid in a:
             holders[uid].add(vid)
-        self.out_sets[vid] = None
 
     # ------------------------------------------------------------------
     # Label mutation — user-vertex boundary
@@ -503,37 +471,70 @@ class TOLLabeling:
     # ------------------------------------------------------------------
 
     def query(self, s: Vertex, t: Vertex) -> bool:
-        """Answer the reachability query ``s -> t`` (Equation 1 / Lemma 1).
-
-        The fast path is three C set operations over interned ids: the two
-        endpoint-witness probes (``t ∈ Lout(s)``, ``s ∈ Lin(t)``) and one
-        ``frozenset.isdisjoint`` for ``Lout(s) ∩ Lin(t)``, using the lazy
-        frozenset mirror of the label buffers.
-        """
-        ids = self._vids
-        try:
-            sid = ids[s]
-            tid = ids[t]
-        except KeyError as missing:
-            raise UnknownVertexError(missing.args[0]) from None
-        if sid == tid:
-            return True
-        out_sets = self.out_sets
-        fa = out_sets[sid]
-        if fa is None:
-            fa = out_sets[sid] = frozenset(self.out_ids[sid])
-        in_sets = self.in_sets
-        fb = in_sets[tid]
-        if fb is None:
-            fb = in_sets[tid] = frozenset(self.in_ids[tid])
-        return tid in fa or sid in fb or not fa.isdisjoint(fb)
+        """Answer the reachability query ``s -> t`` (Equation 1 / Lemma 1)."""
+        return self.query_many(((s, t),))[0]
 
     def query_many(
         self, pairs: Iterable[tuple[Vertex, Vertex]]
     ) -> list[bool]:
-        """Answer a batch of queries, in input order."""
-        query = self.query
-        return [query(s, t) for s, t in pairs]
+        """Answer a batch of queries, in input order.
+
+        The one Equation-1 kernel over the sorted label arrays: with
+        ``a = Lout(s)`` and ``b = Lin(t)``, ``W(s, t)`` is non-empty iff
+        ``t ∈ a``, ``s ∈ b`` or ``a ∩ b ≠ ∅``.  The endpoint witness of
+        the shorter array is found by a C scan (``array.__contains__``),
+        that of the longer one by ``bisect_left``; then every id of the
+        shorter array is probed into the longer one by ``bisect_left``,
+        each probe starting where the last one stopped.  ``in`` never
+        runs over the longer side: it boxes every element it passes.
+        """
+        ids = self._vids
+        out_ids = self.out_ids
+        in_ids = self.in_ids
+        answers: list[bool] = []
+        append = answers.append
+        for s, t in pairs:
+            try:
+                sid = ids[s]
+                tid = ids[t]
+            except KeyError as missing:
+                raise UnknownVertexError(missing.args[0]) from None
+            if sid == tid:
+                append(True)
+                continue
+            a = out_ids[sid]  # t witnesses s -> t iff tid in a
+            b = in_ids[tid]  # s witnesses s -> t iff sid in b
+            if len(a) < len(b):
+                # Equation 1 is symmetric in the two sides: make a the
+                # longer one by swapping the ends' roles with it.
+                a, b, sid, tid = b, a, tid, sid
+            if sid in b:
+                append(True)
+                continue
+            if not a:
+                append(False)
+                continue
+            first = a[0]
+            last = a[-1]
+            if first <= tid <= last and a[bisect_left(a, tid)] == tid:
+                append(True)
+                continue
+            if not b or b[0] > last or first > b[-1]:
+                append(False)
+                continue
+            n = len(a)
+            j = 0
+            for x in b:
+                j = bisect_left(a, x, j)
+                if j == n:
+                    append(False)
+                    break
+                if a[j] == x:
+                    append(True)
+                    break
+            else:
+                append(False)
+        return answers
 
     def witness(self, s: Vertex, t: Vertex) -> Optional[Vertex]:
         """Return one element of ``W(s, t)``, or ``None`` if unreachable."""
@@ -574,8 +575,8 @@ class TOLLabeling:
         the index, and matches
         :meth:`repro.core.frozen.FrozenTOLIndex.size_bytes` for a frozen
         copy of the same index (Figure 5's accounting).  Container
-        overhead (offsets, inverted lists, the interner, the lazy query
-        mirror) is excluded on both sides;
+        overhead (offsets, inverted lists, the interner) is excluded on
+        both sides;
         :meth:`FrozenTOLIndex.buffer_bytes` reports the frozen total
         including offsets.
         """
@@ -625,12 +626,6 @@ class TOLLabeling:
             assert lin is not None and lout is not None, v
             assert list(lin) == sorted(set(lin)), f"Lin({v!r}) not sorted-unique"
             assert list(lout) == sorted(set(lout)), f"Lout({v!r}) not sorted-unique"
-            assert self.in_sets[i] is None or self.in_sets[i] == frozenset(
-                lin
-            ), f"stale query mirror for Lin({v!r})"
-            assert self.out_sets[i] is None or self.out_sets[i] == frozenset(
-                lout
-            ), f"stale query mirror for Lout({v!r})"
             for u in lin:
                 assert i in self.in_holders[u], (v, table[u])
                 assert self.order.higher(table[u], v), (

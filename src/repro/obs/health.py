@@ -19,6 +19,7 @@ Payload shape (``None``-valued sections mean "not configured")::
 
     {"epoch": ..., "degraded": ..., "quarantine_depth": ...,
      "index": {"num_vertices": ..., "num_edges": ..., "total_labels": ...,
+               "label_bytes": ..., "holder_bytes": ...,
                "labels": {"in":  {"mean":, "p50":, "p95":, "max":},
                           "out": {"mean":, "p50":, "p95":, "max":}},
                "order": {"decile_coverage": [f, ...x10], "quality": f},
@@ -44,6 +45,7 @@ random), and 0.0 for an empty labeling.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Optional
@@ -79,8 +81,16 @@ def labeling_health(labeling) -> dict:
 
     O(|V| + |L|): one pass over the order to rank it, one pass over
     the label buffers to bucket their references by rank decile.
+    ``label_bytes`` / ``holder_bytes`` are the ``sys.getsizeof`` totals
+    of the live label arrays and of the inverted-list (holder) sets.
     """
     live_ids = list(labeling.interner.ids.values())
+    label_bytes = holder_bytes = 0
+    for i in live_ids:
+        label_bytes += sys.getsizeof(labeling.in_ids[i])
+        label_bytes += sys.getsizeof(labeling.out_ids[i])
+        holder_bytes += sys.getsizeof(labeling.in_holders[i])
+        holder_bytes += sys.getsizeof(labeling.out_holders[i])
     in_dist = _side_distribution(labeling.in_ids, live_ids)
     out_dist = _side_distribution(labeling.out_ids, live_ids)
 
@@ -112,6 +122,8 @@ def labeling_health(labeling) -> dict:
 
     return {
         "total_labels": in_dist["total"] + out_dist["total"],
+        "label_bytes": label_bytes,
+        "holder_bytes": holder_bytes,
         "labels": {
             "in": {k: v for k, v in in_dist.items() if k != "total"},
             "out": {k: v for k, v in out_dist.items() if k != "total"},
@@ -232,6 +244,8 @@ def bind_health_gauges(
         "health.labels.out_p95": ("index", "labels", "out", "p95"),
         "health.labels.out_max": ("index", "labels", "out", "max"),
         "health.order.quality": ("index", "order", "quality"),
+        "health.index.label_bytes": ("index", "label_bytes"),
+        "health.index.holder_bytes": ("index", "holder_bytes"),
         "health.scratch.capacity": ("index", "scratch", "capacity"),
         "health.wal.lag_ops": ("wal", "lag_ops"),
         "health.wal.lag_bytes": ("wal", "lag_bytes"),
@@ -255,6 +269,10 @@ def render_health(payload: dict) -> str:
         lines.append(
             f"index: |V|={index['num_vertices']} |E|={index['num_edges']} "
             f"|L|={index['total_labels']}"
+        )
+        lines.append(
+            f"  bytes: labels {index['label_bytes']:,} "
+            f"holders {index['holder_bytes']:,}"
         )
         lines.append(
             f"  Lin  mean={lin['mean']:.2f} p50={lin['p50']} "

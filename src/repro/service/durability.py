@@ -51,6 +51,7 @@ from ..core.serialize import pack_graph, unpack_graph
 from ..errors import ReproError, SerializationError, UnsupportedFormatError
 from ..graph.digraph import DiGraph
 from ..obs import trace as obs_trace
+from ..obs.registry import MetricRegistry
 from .faults import NULL_INJECTOR, FaultInjector, InjectedCrash
 from ..core.ops import UpdateOp
 
@@ -165,13 +166,11 @@ class WriteAheadLog:
         self._path = Path(path)
         self._fsync = fsync
         self._injector = injector
-        self._registry = registry
         self._lock = threading.RLock()
         self._file = None
         self._base_seq = 0
         self._last_seq = 0
-        self.records_appended = 0
-        self.fsyncs = 0
+        self._bind(MetricRegistry() if registry is None else registry)
         self.truncated_bytes = 0
         self._open()
 
@@ -259,8 +258,7 @@ class WriteAheadLog:
             self._file.flush()
             self._injector.fire("wal.append.after")
             self._last_seq = seq
-            self.records_appended += 1
-            self._count("wal.records_appended")
+            self._appended.incr()
             if self._fsync == "always":
                 self._sync_locked()
             return seq
@@ -278,8 +276,7 @@ class WriteAheadLog:
         if self._fsync == "never":
             return
         os.fsync(self._file.fileno())
-        self.fsyncs += 1
-        self._count("wal.fsyncs")
+        self._fsynced.incr()
 
     # ------------------------------------------------------------------
     # Reading and trimming
@@ -345,13 +342,25 @@ class WriteAheadLog:
     def bind_registry(self, registry) -> None:
         """Route counters into *registry* (seeding it with current totals)."""
         with self._lock:
-            self._registry = registry
-            registry.incr("wal.records_appended", self.records_appended)
-            registry.incr("wal.fsyncs", self.fsyncs)
+            appended = self.records_appended
+            fsyncs = self.fsyncs
+            self._bind(registry)
+            self._appended.incr(appended)
+            self._fsynced.incr(fsyncs)
 
-    def _count(self, name: str) -> None:
-        if self._registry is not None:
-            self._registry.incr(name)
+    def _bind(self, registry) -> None:
+        self._appended = registry.counter("wal.records_appended")
+        self._fsynced = registry.counter("wal.fsyncs")
+
+    @property
+    def records_appended(self) -> int:
+        """Records appended, as counted by the bound registry."""
+        return self._appended.value
+
+    @property
+    def fsyncs(self) -> int:
+        """fsync calls made, as counted by the bound registry."""
+        return self._fsynced.value
 
     def stats(self) -> dict:
         """Counters for snapshots: seq position, appends, fsyncs, trims."""

@@ -403,6 +403,10 @@ class ReachabilityService:
         the degraded mirror-BFS path instead of the index.  The network
         front end uses this to stamp every reply envelope.
 
+        The pairs the cache misses go to the index in one
+        ``query_many`` call.  A batch naming an unknown vertex raises
+        :class:`~repro.errors.VertexNotFoundError` and caches nothing.
+
         When *timings* is a dict, the call also fills it in place with
         the stage breakdown the tracing tier reports per reply:
         ``lock_ms`` (read-lock wait), ``probe_ms`` (cache + index time),
@@ -432,15 +436,19 @@ class ReachabilityService:
             try:
                 epoch = self._epoch.value
                 cache = self._cache
-                index_query = self._index.query
+                misses = []
                 for pair in unique:
                     answer = cache.get(pair, epoch)
                     if answer is MISS:
-                        answer = index_query(pair[0], pair[1])
-                        cache.put(pair, epoch, answer)
+                        misses.append(pair)
                     else:
                         hits += 1
-                    unique[pair] = answer
+                        unique[pair] = answer
+                if misses:
+                    answers = self._index.query_many(misses)
+                    for pair, answer in zip(misses, answers):
+                        cache.put(pair, epoch, answer)
+                        unique[pair] = answer
             finally:
                 self._rwlock.release_read()
         end = time.perf_counter()

@@ -15,6 +15,7 @@ from repro.core.index import ReachabilityIndex
 from repro.baselines.dagger import DaggerIndex
 from repro.baselines.search import BFSBaseline
 from repro.errors import WorkloadError
+from repro.graph.dag import is_dag
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.traversal import bidirectional_reachable
@@ -86,6 +87,80 @@ class TestGenerate:
     def test_invalid_query_fraction(self):
         with pytest.raises(WorkloadError):
             generate_trace(DiGraph(vertices=[1]), 5, query_fraction=2.0)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_acyclic_draws_match_bfs_filter(self, cyclic, seed):
+        g = random_dag(25, 60, seed=seed)
+        if cyclic:
+            for tail, head in [(3, 7), (7, 3), (12, 20), (20, 24), (24, 12)]:
+                g.add_edge_if_absent(tail, head)
+            assert not is_dag(g)
+        got = generate_trace(g, 80, seed=seed, query_fraction=0.3, acyclic=True)
+        want = _bfs_filtered_trace(g, 80, seed=seed, query_fraction=0.3)
+        assert got.counts()["adde"] > 0
+        assert got.ops == want
+
+
+def _bfs_filtered_trace(graph, num_ops, *, seed, query_fraction):
+    """``generate_trace(..., acyclic=True)`` with a BFS per edge candidate.
+
+    The oracle for the closure-based filter: the same draws from the same
+    RNG, each ``adde`` candidate kept iff its head does not reach its tail.
+    """
+    import random
+
+    rng = random.Random(seed)
+    live = graph.copy()
+    ops = []
+    fresh = 0
+    while len(ops) < num_ops:
+        vertices = list(live.vertices())
+        if rng.random() < query_fraction and vertices:
+            s, t = rng.choice(vertices), rng.choice(vertices)
+            ops.append(TraceOp("query", tail=s, head=t))
+            continue
+        roll = rng.random()
+        if roll < 0.25 or not vertices:
+            name = f"t{fresh}"
+            fresh += 1
+            p = 2.0 / max(len(vertices), 1)
+            ins = tuple(v for v in vertices if rng.random() < p)
+            outs = tuple(v for v in vertices if v not in ins and rng.random() < p)
+            if ins and outs:
+                outs = tuple(
+                    w for w in outs
+                    if not any(bidirectional_reachable(live, w, u) for u in ins)
+                )
+            live.add_vertex(name)
+            for u in ins:
+                live.add_edge(u, name)
+            for w in outs:
+                live.add_edge(name, w)
+            ops.append(TraceOp("addv", vertex=name, ins=ins, outs=outs))
+        elif roll < 0.5 and len(vertices) > 1:
+            victim = rng.choice(vertices)
+            live.remove_vertex(victim)
+            ops.append(TraceOp("delv", vertex=victim))
+        elif roll < 0.75:
+            candidates = [
+                (a, b) for a in vertices for b in vertices
+                if a != b and not live.has_edge(a, b)
+                and not bidirectional_reachable(live, b, a)
+            ]
+            if not candidates:
+                continue
+            tail, head = rng.choice(candidates)
+            live.add_edge(tail, head)
+            ops.append(TraceOp("adde", tail=tail, head=head))
+        else:
+            edges = list(live.edges())
+            if not edges:
+                continue
+            tail, head = rng.choice(edges)
+            live.remove_edge(tail, head)
+            ops.append(TraceOp("dele", tail=tail, head=head))
+    return ops
 
 
 class TestReplay:

@@ -336,13 +336,15 @@ class TestEpochCache:
     def test_one_probe_per_distinct_pair_per_epoch(self, dag):
         service = ReachabilityService(dag.copy(), cache_size=4096)
         counts = {}
-        real_query = service._index.query
+        real_query_many = service._index.query_many
 
-        def counting_query(s, t):
-            counts[(s, t)] = counts.get((s, t), 0) + 1
-            return real_query(s, t)
+        def counting_query_many(pairs):
+            pairs = list(pairs)
+            for pair in pairs:
+                counts[pair] = counts.get(pair, 0) + 1
+            return real_query_many(pairs)
 
-        service._index.query = counting_query
+        service._index.query_many = counting_query_many
         batches = [
             [(0, 10), (10, 20), (20, 30), (0, 10)],
             [(10, 20), (30, 40), (0, 10)],

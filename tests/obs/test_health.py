@@ -57,6 +57,14 @@ class TestLabelingHealth:
         # butterfly order must beat the uniform-reference score of 0.5.
         assert quality > 0.5
 
+    def test_bytes_cover_the_label_payload(self):
+        service = ReachabilityService(random_dag(60, 180, seed=3))
+        health = labeling_health(service._index.tol.labeling)
+        # Each label is one 4-byte id in an array('i'), plus the
+        # array's own header.
+        assert health["label_bytes"] >= 4 * health["total_labels"]
+        assert health["holder_bytes"] > 0
+
     def test_empty_labeling(self):
         service = ReachabilityService(DiGraph())
         health = labeling_health(service._index.tol.labeling)
@@ -122,6 +130,8 @@ class TestBindHealthGauges:
         gauges = registry.snapshot()["gauges"]
         assert gauges["health.order.quality"] > 0.0
         assert gauges["health.labels.in_max"] >= 1
+        assert gauges["health.index.label_bytes"] >= 4 * service.size()
+        assert gauges["health.index.holder_bytes"] > 0
         assert gauges["health.wal.lag_ops"] is None  # no durability
 
     def test_ttl_caches_the_walk(self, monkeypatch):
@@ -153,6 +163,9 @@ class TestRenderHealth:
         assert "|V|=6" in text
         assert "Lin " in text and "Lout" in text
         assert "order quality" in text
+        index = collect_health(service)["index"]
+        assert f"labels {index['label_bytes']:,}" in text
+        assert f"holders {index['holder_bytes']:,}" in text
         assert "wal: lag" in text
         assert "cache:" in text
 

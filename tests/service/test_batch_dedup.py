@@ -21,17 +21,22 @@ def make_service(dag, **kwargs):
 
 
 def install_probe_counter(service):
-    """Count index probes by wrapping the instance's query method."""
+    """Count index probes by wrapping the instance's batch query method.
+
+    Every pair handed to ``query_many`` is one probe.
+    """
     counts = {}
     lock = threading.Lock()
-    real_query = service._index.query
+    real_query_many = service._index.query_many
 
-    def counting_query(s, t):
+    def counting_query_many(pairs):
+        pairs = list(pairs)
         with lock:
-            counts[(s, t)] = counts.get((s, t), 0) + 1
-        return real_query(s, t)
+            for pair in pairs:
+                counts[pair] = counts.get(pair, 0) + 1
+        return real_query_many(pairs)
 
-    service._index.query = counting_query
+    service._index.query_many = counting_query_many
     return counts
 
 
