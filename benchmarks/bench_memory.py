@@ -7,7 +7,10 @@ records the bytes reachable from each structure it keeps:
 
 * ``label_arrays`` — the ``in_ids`` / ``out_ids`` lists and their
   sorted ``array('i')`` label buffers;
-* ``holder_sets`` — the inverted lists ``in_holders`` / ``out_holders``;
+* ``holder_sets`` — the inverted lists ``in_holders`` / ``out_holders``,
+  sorted ``array('i')`` buffers like the labels (the key keeps its old
+  name, from when they were ``set[int]``, so the history stays
+  comparable);
 * ``interner`` — the vertex <-> id maps;
 * ``original_graph`` — the condensation's copy of the input graph;
 * ``condensation`` — the condensed DAG, ``component_of`` and ``members``;
@@ -22,6 +25,9 @@ structures are counted in both).  It then runs one full read cycle,
 The CI gate (``bench-memory`` step): a read cycle retains at most
 ``MAX_RETAINED_BYTES``.  Queries read the label arrays and keep
 nothing; a per-vertex query-side copy of the labels would show here.
+The holder lists take at most ``MAX_HOLDER_RATIO`` times the bytes of
+the label arrays they invert: both hold one 4-byte id per label, so a
+hashed or boxed holder representation would show here.
 
 Writes ``BENCH_memory.json`` (repo root at full scale, ``results-smoke/``
 under ``--quick``; see :mod:`_provenance`).
@@ -51,6 +57,9 @@ BATCH = 64
 
 #: CI gate on the bytes one read cycle leaves allocated.
 MAX_RETAINED_BYTES = 1 << 20
+
+#: CI gate on holder-list bytes over label-array bytes.
+MAX_HOLDER_RATIO = 2
 
 
 def deep_sizeof(root) -> int:
@@ -163,3 +172,7 @@ def test_memory_headline():
     for key, row in graphs.items():
         assert row["read_cycle_retained_bytes"] <= MAX_RETAINED_BYTES, (
             key, row["read_cycle_retained_bytes"])
+        sizes = row["bytes"]
+        assert (
+            sizes["holder_sets"] <= MAX_HOLDER_RATIO * sizes["label_arrays"]
+        ), (key, sizes["holder_sets"], sizes["label_arrays"])

@@ -89,16 +89,14 @@ def _uninstrumented_build(graph, order):
     in_rows = [it[io_[i]:io_[i + 1]] for i in range(n)]
     in_bufs = [[] for _ in range(n)]
     out_bufs = [[] for _ in range(n)]
-    in_holders = labeling.in_holders
-    out_holders = labeling.out_holders
     peeled = 2 * n + 1
     state = [0] * n
     queue = [0] * n
     stamp = 0
     for vlab, vc in enumerate(vcs):
-        for rows, my_labels, their_bufs, side_holders in (
-            (out_rows, out_bufs[vlab], in_bufs, in_holders),
-            (in_rows, in_bufs[vlab], out_bufs, out_holders),
+        for rows, my_labels, their_bufs in (
+            (out_rows, out_bufs[vlab], in_bufs),
+            (in_rows, in_bufs[vlab], out_bufs),
         ):
             if not rows[vc]:
                 continue
@@ -132,13 +130,16 @@ def _uninstrumented_build(graph, order):
                     queue[tail] = u
                     tail += 1
                 head += 1
-            side_holders[vlab] = {lab_of[q] for q in queue[1:tail]}
         state[vc] = peeled
-    in_ids = labeling.in_ids
-    out_ids = labeling.out_ids
-    for j in range(n):
-        in_ids[j] = array("i", in_bufs[j])
-        out_ids[j] = array("i", out_bufs[j])
+    for bufs, ids, holders in (
+        (in_bufs, labeling.in_ids, labeling.in_holders),
+        (out_bufs, labeling.out_ids, labeling.out_holders),
+    ):
+        for j in range(n):
+            labels = bufs[j]
+            ids[j] = array("i", labels)
+            for x in labels:
+                holders[x].append(j)
     return labeling
 
 

@@ -127,11 +127,12 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
     and appends are cheaper than ``array`` ones, and never re-box ints)
     and are packed into the labeling's ``array('i')`` buffers once at the
     end; the CSR arrays are likewise list-ified once up front.
-    Inverted lists: with ``prune`` the label receivers of
-    a sweep are exactly its enqueued vertices, so ``Iin(v)``/``Iout(v)``
-    is filled with one bulk ``update`` off the queue; the verbatim
-    variant also enqueues covered vertices and maintains the sets per
-    insertion instead.
+    Inverted lists are left out of the sweeps: the packing pass walks
+    the label lists in id order and appends each owner to the (fresh,
+    empty) ``array('i')`` holder list of every label it holds, so
+    ``Iin(v)``/``Iout(v)`` come out sorted with no sort, for both
+    variants alike (sorting each sweep's receivers instead cost more
+    build time, and list temporaries cost resident memory).
 
     The cover check is a frozenset ``isdisjoint`` over the candidate's
     label row (C-speed; ``Lout(v)``/``Lin(v)`` is frozen into a set once
@@ -164,8 +165,6 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
     # Fresh labeling => ids are exactly 0..n-1 (the order's level ranks).
     in_bufs: list[list] = [[] for _ in range(n)]
     out_bufs: list[list] = [[] for _ in range(n)]
-    in_holders = labeling.in_holders
-    out_holders = labeling.out_holders
     peeled = 2 * n + 1  # larger than any stamp (2 sweeps per vertex)
     state = [0] * n
     queue = [0] * n  # flat frontier; each id is enqueued at most once
@@ -184,11 +183,11 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
             trace.event(
                 "tol.build.level", k=level, v_k=n - level + 1, e_k=residual
             )
-        for rows, my_labels, their_bufs, side_holders in (
+        for rows, my_labels, their_bufs in (
             # Forward: walk out-edges, v joins Lin(u); cover via Lout(v).
-            (out_rows, out_bufs[vlab], in_bufs, in_holders),
+            (out_rows, out_bufs[vlab], in_bufs),
             # Backward mirror image.
-            (in_rows, in_bufs[vlab], out_bufs, out_holders),
+            (in_rows, in_bufs[vlab], out_bufs),
         ):
             if not rows[vc]:  # nothing to sweep in this direction
                 continue
@@ -204,8 +203,6 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
             else:
                 ml_lo = peeled  # sentinels: range test always fails,
                 ml_hi = -1  # ml_disjoint is never evaluated
-            if not prune:
-                holders_add = side_holders[vlab].add
             while head < tail:
                 for u in rows[queue[head]]:
                     if state[u] >= stamp:  # peeled or seen this sweep
@@ -223,13 +220,9 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
                             continue
                     else:
                         theirs.append(vlab)
-                        if not prune:
-                            holders_add(ulab)
                     queue[tail] = u
                     tail += 1
                 head += 1
-            if prune:  # receivers == everything enqueued past the start
-                side_holders[vlab] = {lab_of[q] for q in queue[1:tail]}
         state[vc] = peeled
         if tracing:
             for u in out_rows[vc]:
@@ -239,9 +232,13 @@ def _build_csr(snap, labeling, order, prune, sp) -> None:
                 if state[u] != peeled:
                     residual -= 1
 
-    in_ids = labeling.in_ids
-    out_ids = labeling.out_ids
-    for j in range(n):
-        in_ids[j] = array("i", in_bufs[j])
-        out_ids[j] = array("i", out_bufs[j])
+    for bufs, ids, holders in (
+        (in_bufs, labeling.in_ids, labeling.in_holders),
+        (out_bufs, labeling.out_ids, labeling.out_holders),
+    ):
+        for j in range(n):
+            labels = bufs[j]
+            ids[j] = array("i", labels)
+            for x in labels:  # ascending j: each holder array comes sorted
+                holders[x].append(j)
 

@@ -27,8 +27,8 @@ affected sets (a Kahn pass over each induced subgraph), so small deletions
 stay cheap.
 
 The rebuilds run on interned ids: candidate sets, cover checks and pruning
-all operate on the sorted ``array('i')`` label buffers and ``set[int]``
-inverted lists, and the released id of ``v`` goes back to the interner's
+all operate on the sorted ``array('i')`` label buffers and inverted
+lists, and the released id of ``v`` goes back to the interner's
 free list for reuse by the next insertion.  The frontier sets, the Kahn
 toposort, the cut-off's marks and the per-vertex rebuilds run on the
 labeling's :class:`~repro.core.scratch.UpdateScratch` (generation-stamped
@@ -128,7 +128,7 @@ from ..errors import IndexStateError
 from ..graph.digraph import DiGraph
 from ..obs import trace
 from ..graph.traversal import bidirectional_reachable
-from .labeling import TOLLabeling
+from .labeling import TOLLabeling, common_ids
 
 if TYPE_CHECKING:
     from ..graph.csr import CSRGraph
@@ -595,21 +595,10 @@ def _rebuild_labels(
         a += 1
         # Prune: any s holding w on the opposite side connects to u
         # through w, so u may no longer label s.  The affected s are
-        # exactly inv_other[w] ∩ inv_other[u]; iterate the smaller side.
-        holders_w = inv_other[w]
-        if holders_u and holders_w:
-            d = 0
-            if len(holders_u) <= len(holders_w):
-                for s in holders_u:
-                    if s in holders_w:
-                        doomed[d] = s
-                        d += 1
-            else:
-                for s in holders_w:
-                    if s in holders_u:
-                        doomed[d] = s
-                        d += 1
-            for j in range(d):
+        # exactly inv_other[w] ∩ inv_other[u], collected before the
+        # removals shrink holders_u.
+        if holders_u:
+            for j in range(common_ids(holders_u, inv_other[w], doomed)):
                 remove_mirror(doomed[j], uid)
 
     old = their_labels[uid]

@@ -208,20 +208,21 @@ class TOLIndex:
         outs = list(dict.fromkeys(out_neighbors))
         # Cycle pre-check via the index itself: the only new paths go
         # through v, so the insertion creates a cycle iff some
-        # out-neighbor already reaches some in-neighbor.  O(|ins|·|outs|)
-        # label intersections instead of a full-graph toposort — the same
-        # trick insert_edge uses.  (Skipped when a neighbor is unindexed;
-        # insert_vertex below raises IndexStateError for that before
-        # touching the labeling.)
+        # out-neighbor already reaches some in-neighbor.  One batch of
+        # |ins|·|outs| label intersections instead of a full-graph
+        # toposort — the same trick insert_edge uses; the error names
+        # the first offending pair in (out, in) order.  (Skipped when a
+        # neighbor is unindexed; insert_vertex below raises
+        # IndexStateError for that before touching the labeling.)
         labeling = self._labeling
         if all(u in labeling for u in ins) and all(w in labeling for w in outs):
-            for w in outs:
-                for u in ins:
-                    if labeling.query(w, u):
-                        raise NotADagError(
-                            f"inserting {v!r} would create a cycle "
-                            f"({u!r} -> {v!r} -> {w!r} -> ... -> {u!r})"
-                        )
+            pairs = [(w, u) for w in outs for u in ins]
+            for (w, u), cyclic in zip(pairs, labeling.query_many(pairs)):
+                if cyclic:
+                    raise NotADagError(
+                        f"inserting {v!r} would create a cycle "
+                        f"({u!r} -> {v!r} -> {w!r} -> ... -> {u!r})"
+                    )
         self._graph.add_vertex(v)
         try:
             for u in ins:

@@ -47,7 +47,7 @@ is validated the same way (``tests/core/test_insertion.py``):
 
 All label reads and writes go through the interned-id representation: the
 sweep's Δk accounting, the cover checks, and the crossings operate on
-sorted ``array('i')`` buffers and ``set[int]`` inverted lists, mapping back
+sorted ``array('i')`` label buffers and inverted lists, mapping back
 to user vertex objects only at the :class:`Placement` boundary.
 
 Scratch
@@ -703,9 +703,12 @@ def _repair_direction(
     intersect = ids_intersect
     for u_key, u in sources:  # ascending level value == highest first
         u_cover = cover_labels[u]
-        # Iterating inv[w] live is safe: the only mutation inside this
-        # loop is add(x, u), which touches inv[u] — and a source u is
-        # never among the sinks (disjoint label sets of a DAG vertex).
+        # Iterating the holder array inv[w] live is safe: the only
+        # mutation inside this loop is add(x, u), which inserts into
+        # inv[u] alone — and a source u is never among the sinks (nor
+        # v itself), since a DAG vertex's two label sets are disjoint.
+        # An insort into the walked array would shift it under the
+        # iterator.
         for w_key, w in sinks:
             if w_key < u_key:
                 continue  # Level Constraint: only lower-level sinks
@@ -735,7 +738,7 @@ def _prune_through(labeling: TOLLabeling, uid: int, scratch) -> None:
     the other (Path Constraint): drop ``b`` from ``Lout(a)`` and ``a`` from
     ``Lin(b)`` (Algorithm 2, lines 8–13).
 
-    Each holder set is stamped into a generation-marked array once, so
+    Each holder array is stamped into a generation-marked array once, so
     every label array is scanned exactly once with O(1) membership
     probes; the listcomp copies stay (C-speed bulk ops — Python-level
     cursor loops measured *slower*, the scratch contract's documented

@@ -16,14 +16,16 @@ Vertices are interned to dense integer ids by a
 :class:`~repro.core.intern.VertexInterner` (ids are stable for a vertex's
 lifetime and recycled on deletion).  Each label set is a sorted
 ``array('i')`` of ids, indexed by the owner's id in the parallel lists
-:attr:`in_ids` / :attr:`out_ids`; inverted lists are ``set[int]`` in
-:attr:`in_holders` / :attr:`out_holders`.  The algorithms of Section 5
-intersect and mutate the flat int buffers directly — the same shape the
-paper's C++ implementation and :class:`~repro.core.frozen.FrozenTOLIndex`
-use, but kept **live under updates**: insertion into a small sorted array
-is a C ``memmove``, and the update algorithms mutate the buffers in place
-through the id-level API (:meth:`add_in_id` et al.), so aliases held
-across mutations stay valid.
+:attr:`in_ids` / :attr:`out_ids`; the inverted lists are the same
+container — sorted, duplicate-free ``array('i')``s in :attr:`in_holders`
+/ :attr:`out_holders` (the paper's ``backlabels``).  The algorithms of
+Section 5 intersect and mutate the flat int buffers directly — the same
+shape the paper's C++ implementation and
+:class:`~repro.core.frozen.FrozenTOLIndex` use, but kept **live under
+updates**: insertion into a small sorted array is a C ``memmove``, and
+the update algorithms mutate the buffers in place through the id-level
+API (:meth:`add_in_id` et al.), so aliases held across mutations stay
+valid.
 
 Queries read the same arrays through one Equation-1 kernel,
 :meth:`query_many` (:meth:`query` is a one-pair batch).  No query-side
@@ -51,7 +53,7 @@ deletion (:mod:`repro.core.deletion`) and reduction
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional
 
@@ -59,7 +61,7 @@ from ..errors import IndexStateError, UnknownVertexError
 from .intern import VertexInterner
 from .order import LevelOrder
 
-__all__ = ["TOLLabeling", "ids_intersect", "first_common_id"]
+__all__ = ["TOLLabeling", "ids_intersect", "first_common_id", "common_ids"]
 
 Vertex = Hashable
 
@@ -143,6 +145,31 @@ def first_common_id(a, b) -> int:
             return x
 
 
+def common_ids(a, b, out) -> int:
+    """Write the ids two sorted int arrays share into *out*; return how
+    many.
+
+    The ids land in ``out[0:n]`` ascending.  Walks the shorter array and
+    probes each id into the longer one with ``bisect_left``, each probe
+    starting where the last one stopped; ``in`` is never used, as it
+    scans an array linearly.
+    """
+    lb = len(b)
+    if len(a) > lb:
+        a, b = b, a
+        lb = len(b)
+    n = j = 0
+    for x in a:
+        j = bisect_left(b, x, j)
+        if j == lb:
+            return n
+        if b[j] == x:
+            out[n] = x
+            n += 1
+            j += 1
+    return n
+
+
 class _SideView:
     """Read-only dict-like view of one label/inverted side.
 
@@ -223,9 +250,10 @@ class TOLLabeling:
         #: ``in_ids[i]`` is ``Lin(vertex i)`` as a sorted ``array('i')``.
         self.in_ids: list[Optional[array]] = []
         self.out_ids: list[Optional[array]] = []
-        #: ``in_holders[i]`` is ``Iin(i) = {w : i in Lin(w)}`` as id sets.
-        self.in_holders: list[Optional[set[int]]] = []
-        self.out_holders: list[Optional[set[int]]] = []
+        #: ``in_holders[i]`` is ``Iin(i) = {w : i in Lin(w)}`` as a sorted
+        #: ``array('i')`` of ids, like the label buffers.
+        self.in_holders: list[Optional[array]] = []
+        self.out_holders: list[Optional[array]] = []
         self.label_in = _SideView(self, self.in_ids)
         self.label_out = _SideView(self, self.out_ids)
         self.inv_in = _SideView(self, self.in_holders)
@@ -241,8 +269,8 @@ class TOLLabeling:
             count = self.interner.intern_dense(order)
             self.in_ids.extend([array("i") for _ in range(count)])
             self.out_ids.extend([array("i") for _ in range(count)])
-            self.in_holders.extend([set() for _ in range(count)])
-            self.out_holders.extend([set() for _ in range(count)])
+            self.in_holders.extend([array("i") for _ in range(count)])
+            self.out_holders.extend([array("i") for _ in range(count)])
         else:
             # Adoption path (persistence): the caller hands a pre-built
             # interner covering exactly the order's vertices, so a reload
@@ -256,8 +284,8 @@ class TOLLabeling:
                 alive = i in live
                 self.in_ids.append(array("i") if alive else None)
                 self.out_ids.append(array("i") if alive else None)
-                self.in_holders.append(set() if alive else None)
-                self.out_holders.append(set() if alive else None)
+                self.in_holders.append(array("i") if alive else None)
+                self.out_holders.append(array("i") if alive else None)
 
     # ------------------------------------------------------------------
     # Vertex registry
@@ -268,13 +296,13 @@ class TOLLabeling:
         if i == len(self.in_ids):
             self.in_ids.append(array("i"))
             self.out_ids.append(array("i"))
-            self.in_holders.append(set())
-            self.out_holders.append(set())
+            self.in_holders.append(array("i"))
+            self.out_holders.append(array("i"))
         else:  # recycled id: the parallel slots already exist
             self.in_ids[i] = array("i")
             self.out_ids[i] = array("i")
-            self.in_holders[i] = set()
-            self.out_holders[i] = set()
+            self.in_holders[i] = array("i")
+            self.out_holders[i] = array("i")
         return i
 
     def add_vertex(self, v: Vertex) -> None:
@@ -292,14 +320,18 @@ class TOLLabeling:
         released to the interner's free list for reuse.
         """
         i = self.interner.id_of(v)
-        for w in tuple(self.in_holders[i]):
-            self.remove_in_id(w, i)
-        for w in tuple(self.out_holders[i]):
-            self.remove_out_id(w, i)
-        for u in tuple(self.in_ids[i]):
-            self.remove_in_id(i, u)
-        for u in tuple(self.out_ids[i]):
-            self.remove_out_id(i, u)
+        # Strip i from the label arrays holding it and from the holder
+        # arrays of its own labels; its own slots are then dropped whole.
+        for buffers, holders in (
+            (self.in_ids, self.in_holders),
+            (self.out_ids, self.out_holders),
+        ):
+            for w in holders[i]:
+                a = buffers[w]
+                del a[bisect_left(a, i)]
+            for u in buffers[i]:
+                h = holders[u]
+                del h[bisect_left(h, i)]
         self.in_ids[i] = None
         self.out_ids[i] = None
         self.in_holders[i] = None
@@ -356,6 +388,11 @@ class TOLLabeling:
 
     # ------------------------------------------------------------------
     # Label mutation — id level (inverted lists stay in sync)
+    #
+    # A holder array gains and loses one id per label mutation, by
+    # ``insort`` and by ``bisect_left`` + ``del``; the label and holder
+    # arrays stay exact inverses, so the holder side needs no
+    # membership check of its own.
     # ------------------------------------------------------------------
 
     def add_in_id(self, vid: int, uid: int) -> None:
@@ -364,7 +401,7 @@ class TOLLabeling:
         pos = bisect_left(a, uid)
         if pos == len(a) or a[pos] != uid:
             a.insert(pos, uid)
-            self.in_holders[uid].add(vid)
+            insort(self.in_holders[uid], vid)
 
     def add_out_id(self, vid: int, uid: int) -> None:
         """Insert id *uid* into ``Lout(vid)``."""
@@ -372,7 +409,7 @@ class TOLLabeling:
         pos = bisect_left(a, uid)
         if pos == len(a) or a[pos] != uid:
             a.insert(pos, uid)
-            self.out_holders[uid].add(vid)
+            insort(self.out_holders[uid], vid)
 
     def remove_in_id(self, vid: int, uid: int) -> None:
         """Remove id *uid* from ``Lin(vid)`` (KeyError if absent)."""
@@ -381,7 +418,8 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             raise KeyError(uid)
         del a[pos]
-        self.in_holders[uid].remove(vid)
+        h = self.in_holders[uid]
+        del h[bisect_left(h, vid)]
 
     def remove_out_id(self, vid: int, uid: int) -> None:
         """Remove id *uid* from ``Lout(vid)``."""
@@ -390,7 +428,8 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             raise KeyError(uid)
         del a[pos]
-        self.out_holders[uid].remove(vid)
+        h = self.out_holders[uid]
+        del h[bisect_left(h, vid)]
 
     def discard_in_id(self, vid: int, uid: int) -> bool:
         """Remove *uid* from ``Lin(vid)`` if present; report whether it was."""
@@ -399,7 +438,8 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             return False
         del a[pos]
-        self.in_holders[uid].remove(vid)
+        h = self.in_holders[uid]
+        del h[bisect_left(h, vid)]
         return True
 
     def discard_out_id(self, vid: int, uid: int) -> bool:
@@ -409,21 +449,26 @@ class TOLLabeling:
         if pos == len(a) or a[pos] != uid:
             return False
         del a[pos]
-        self.out_holders[uid].remove(vid)
+        h = self.out_holders[uid]
+        del h[bisect_left(h, vid)]
         return True
 
     def clear_in_ids(self, vid: int) -> None:
         """Empty ``Lin(vid)`` in place (aliases stay valid)."""
         a = self.in_ids[vid]
+        holders = self.in_holders
         for uid in a:
-            self.in_holders[uid].remove(vid)
+            h = holders[uid]
+            del h[bisect_left(h, vid)]
         del a[:]
 
     def clear_out_ids(self, vid: int) -> None:
         """Empty ``Lout(vid)`` in place."""
         a = self.out_ids[vid]
+        holders = self.out_holders
         for uid in a:
-            self.out_holders[uid].remove(vid)
+            h = holders[uid]
+            del h[bisect_left(h, vid)]
         del a[:]
 
     def fill_in_ids(self, vid: int, uids) -> None:
@@ -440,7 +485,7 @@ class TOLLabeling:
         a.extend(uids)
         holders = self.in_holders
         for uid in a:
-            holders[uid].add(vid)
+            insort(holders[uid], vid)
 
     def fill_out_ids(self, vid: int, uids) -> None:
         """Bulk-set ``Lout(vid)`` (mirror of :meth:`fill_in_ids`)."""
@@ -450,7 +495,7 @@ class TOLLabeling:
         a.extend(uids)
         holders = self.out_holders
         for uid in a:
-            holders[uid].add(vid)
+            insort(holders[uid], vid)
 
     # ------------------------------------------------------------------
     # Label mutation — user-vertex boundary
@@ -614,34 +659,44 @@ class TOLLabeling:
 
     def check_invariants(self) -> None:
         """Validate interning, sortedness, inverted-list and level
-        consistency (tests)."""
+        consistency (tests).
+
+        Every label and holder list must be a sorted, duplicate-free
+        ``array('i')``, and the holder lists exactly the inverse of the
+        label arrays.  Membership is probed with ``bisect_left``: a
+        linear ``in`` over a long holder array would make the check
+        quadratic.
+        """
         self.interner.check_invariants()
         ids = self.interner.ids
         table = self.interner.table
+
+        def sorted_ids(a) -> bool:
+            return (
+                type(a) is array and a.typecode == "i"
+                and list(a) == sorted(set(a))
+            )
+
+        def has(a, x) -> bool:
+            pos = bisect_left(a, x)
+            return pos < len(a) and a[pos] == x
+
         for v in ids:
             assert v in self.order, f"vertex {v!r} missing from the order"
         for v, i in ids.items():
-            lin = self.in_ids[i]
-            lout = self.out_ids[i]
-            assert lin is not None and lout is not None, v
-            assert list(lin) == sorted(set(lin)), f"Lin({v!r}) not sorted-unique"
-            assert list(lout) == sorted(set(lout)), f"Lout({v!r}) not sorted-unique"
-            for u in lin:
-                assert i in self.in_holders[u], (v, table[u])
-                assert self.order.higher(table[u], v), (
-                    f"level constraint: {table[u]!r} in Lin({v!r})"
-                )
-            for u in lout:
-                assert i in self.out_holders[u], (v, table[u])
-                assert self.order.higher(table[u], v), (
-                    f"level constraint: {table[u]!r} in Lout({v!r})"
-                )
-        for v, u in ids.items():
-            for w in self.in_holders[u]:
-                a = self.in_ids[w]
-                pos = bisect_left(a, u)
-                assert pos < len(a) and a[pos] == u, (v, table[w])
-            for w in self.out_holders[u]:
-                a = self.out_ids[w]
-                pos = bisect_left(a, u)
-                assert pos < len(a) and a[pos] == u, (v, table[w])
+            for side, buffers, holders in (
+                ("in", self.in_ids, self.in_holders),
+                ("out", self.out_ids, self.out_holders),
+            ):
+                labels = buffers[i]
+                held = holders[i]
+                assert labels is not None and held is not None, v
+                assert sorted_ids(labels), f"L{side}({v!r}) not sorted-unique"
+                assert sorted_ids(held), f"I{side}({v!r}) not sorted-unique"
+                for u in labels:
+                    assert has(holders[u], i), (side, v, table[u])
+                    assert self.order.higher(table[u], v), (
+                        f"level constraint: {table[u]!r} in L{side}({v!r})"
+                    )
+                for w in held:
+                    assert has(buffers[w], i), (side, v, table[w])

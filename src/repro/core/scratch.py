@@ -107,7 +107,7 @@ class UpdateScratch:
         self.queue: list = []
         #: Candidate accumulator for label (re)builds and sweeps.
         self.cand: list = []
-        #: Short-lived copies of inverted-list sets (iterate-while-mutating
+        #: Short-lived copies of inverted lists (iterate-while-mutating
         #: safety) and doomed-label accumulators.
         self.buf_a: list = []
         self.buf_b: list = []

@@ -82,7 +82,7 @@ def labeling_health(labeling) -> dict:
     O(|V| + |L|): one pass over the order to rank it, one pass over
     the label buffers to bucket their references by rank decile.
     ``label_bytes`` / ``holder_bytes`` are the ``sys.getsizeof`` totals
-    of the live label arrays and of the inverted-list (holder) sets.
+    of the live label arrays and of the inverted-list (holder) arrays.
     """
     live_ids = list(labeling.interner.ids.values())
     label_bytes = holder_bytes = 0

@@ -84,6 +84,19 @@ class TestUpdates:
         idx.insert_vertex(3, in_neighbors=[2])
         assert idx.query(1, 3)
 
+    def test_insert_cycle_names_first_offending_pair(self):
+        # a -> b and c -> d both close a cycle through v; the pairs are
+        # checked out-neighbour by out-neighbour, so (a, b) is named.
+        idx = TOLIndex.build(DiGraph(edges=[("a", "b"), ("c", "d")]))
+        with pytest.raises(NotADagError) as excinfo:
+            idx.insert_vertex("v", in_neighbors=["d", "b"],
+                              out_neighbors=["a", "c"])
+        assert str(excinfo.value) == (
+            "inserting 'v' would create a cycle "
+            "('b' -> 'v' -> 'a' -> ... -> 'b')"
+        )
+        assert "v" not in idx
+
     def test_query_never_inserted_vertex(self):
         # Regression: unknown query endpoints must raise the dedicated
         # KeyError-derived exception, not whatever the label lookup does.

@@ -1,8 +1,11 @@
 """Unit tests for the TOLLabeling data structure."""
 
-import pytest
+from array import array
 
-from repro.core.labeling import TOLLabeling
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.labeling import TOLLabeling, common_ids
 from repro.core.order import LevelOrder
 from repro.errors import IndexStateError
 
@@ -76,6 +79,77 @@ class TestLabelMutation:
         assert lab.size() == 2
         assert lab.size_bytes() == 8
         assert lab.label_count(3) == 1
+
+
+class TestHolderArrays:
+    def test_holders_are_sorted_id_arrays(self, lab):
+        for v in (4, 2, 3):
+            lab.add_in_label(v, 1)
+        held = lab.in_holders[lab.id_of(1)]
+        assert type(held) is array and held.typecode == "i"
+        assert list(held) == sorted(lab.id_of(v) for v in (2, 3, 4))
+        lab.remove_in_id(lab.id_of(3), lab.id_of(1))
+        assert list(held) == [lab.id_of(2), lab.id_of(4)]
+        lab.check_invariants()
+
+    def test_invariants_reject_a_set_holder(self, lab):
+        lab.add_in_label(3, 1)
+        i = lab.id_of(1)
+        lab.in_holders[i] = set(lab.in_holders[i])
+        with pytest.raises(AssertionError, match="sorted-unique"):
+            lab.check_invariants()
+
+    def test_invariants_reject_an_unsorted_holder(self, lab):
+        lab.add_in_label(3, 1)
+        lab.add_in_label(4, 1)
+        lab.in_holders[lab.id_of(1)].reverse()
+        with pytest.raises(AssertionError, match="sorted-unique"):
+            lab.check_invariants()
+
+    def test_invariants_reject_a_stray_holder(self, lab):
+        lab.add_in_label(3, 1)
+        lab.in_holders[lab.id_of(1)].append(lab.id_of(4))
+        with pytest.raises(AssertionError):
+            lab.check_invariants()
+
+
+def _sorted_ids(max_size):
+    return st.lists(
+        st.integers(0, 400), max_size=max_size, unique=True
+    ).map(lambda xs: array("i", sorted(xs)))
+
+
+def _common(a, b):
+    out = [0] * min(len(a), len(b))
+    return out[:common_ids(a, b, out)]
+
+
+class TestCommonIds:
+    """``common_ids`` is the deletion prune's holder intersection."""
+
+    @given(_sorted_ids(60), _sorted_ids(60))
+    def test_matches_set_intersection(self, a, b):
+        assert _common(a, b) == sorted(set(a) & set(b))
+
+    @given(_sorted_ids(30))
+    def test_equal_and_empty_sides(self, a):
+        assert _common(a, array("i", a)) == list(a)
+        assert _common(a, array("i")) == []
+        assert _common(array("i"), a) == []
+
+    @given(_sorted_ids(30), st.integers(1, 50))
+    def test_range_disjoint(self, a, gap):
+        b = array("i", [x + 401 + gap for x in a])
+        assert _common(a, b) == []
+        assert _common(b, a) == []
+
+    @given(st.integers(-5, 20_005))
+    def test_one_against_ten_thousand(self, x):
+        big = array("i", range(0, 20_000, 2))
+        one = array("i", [x])
+        want = [x] if x in range(0, 20_000, 2) else []
+        assert _common(one, big) == want
+        assert _common(big, one) == want
 
 
 class TestQuery:
