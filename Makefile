@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Fault-injection suite: the crash matrix (every named crash point vs
-# the BFS oracle), WAL/checkpoint units, quarantine and degraded mode.
+# the BFS oracle), WAL/checkpoint units, kernel failures and degraded mode.
 # See docs/robustness.md.
 faults:
 	$(PYTHON) -m pytest tests/service/test_durability.py \

@@ -579,7 +579,7 @@ _SERVICE_OPTIONS = (
     ("--flight-dir", "flight_dir", dict(
         default=None, metavar="DIR",
         help="enable the flight recorder and write its dumps here "
-             "(auto-dumps on degraded entry, quarantine, recovery; "
+             "(auto-dumps on degraded entry, recovery; "
              "SIGQUIT dumps on demand)")),
     ("--flight-interval", "flight_interval", dict(
         type=float, default=1.0,

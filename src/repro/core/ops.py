@@ -63,6 +63,10 @@ class UpdateOp:
     kind (``addv``/``delv``/``adde``/``dele``) normalizes it.  Use the
     classmethod constructors; they normalize arguments and keep the
     unused fields ``None``.
+
+    An ``insert_vertex``'s neighbour lists are deduplicated in
+    first-seen order (as the index does), so :meth:`apply_to_graph`
+    never meets the same edge twice halfway through an op.
     """
 
     kind: str
@@ -78,6 +82,9 @@ class UpdateOp:
             raise WorkloadError(f"unknown update kind {self.kind!r}")
         if kind != self.kind:
             object.__setattr__(self, "kind", kind)
+        if kind == "insert_vertex":
+            object.__setattr__(self, "ins", tuple(dict.fromkeys(self.ins)))
+            object.__setattr__(self, "outs", tuple(dict.fromkeys(self.outs)))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -94,8 +101,8 @@ class UpdateOp:
         return cls(
             "insert_vertex",
             vertex=v,
-            ins=tuple(in_neighbors),
-            outs=tuple(out_neighbors),
+            ins=in_neighbors,
+            outs=out_neighbors,
         )
 
     @classmethod
@@ -206,6 +213,11 @@ class UpdateOp:
         Used by the service's shadow graph (degraded-mode BFS serving),
         WAL replay during recovery, and the oracle tests — all of which
         need the *graph* effect of an op without touching any index.
+        For an op whose neighbours exist, a
+        :class:`~repro.errors.ReproError` (the vertex or edge already
+        exists, or does not) is raised before *graph* changes: the
+        service rejects an op, and recovery skips its record, by this
+        one test.
         """
         if self.kind == "insert_vertex":
             graph.add_vertex(self.vertex)

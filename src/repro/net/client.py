@@ -108,7 +108,7 @@ class ReachabilityClient:
     and update request carries a compact trace id (minted here unless
     the caller supplies one), which the server echoes on the reply and
     stamps on its own records — slow-query-log lines, WAL records,
-    retry/quarantine events — so one id follows the request across
+    kernel-failure events — so one id follows the request across
     process boundaries.
 
     Resilience knobs (see the module docstring for semantics):

@@ -17,8 +17,8 @@ This subpackage makes those costs observable end to end:
 * :mod:`repro.obs.slowlog` — the threshold/sample-gated slow-query log
   the network front end writes per-request timing breakdowns into;
 * :mod:`repro.obs.flight` — the flight recorder, a bounded ring of
-  periodic registry snapshots dumped on degraded-mode entry,
-  quarantine, recovery, and SIGQUIT;
+  periodic registry snapshots dumped on degraded-mode entry (a failed
+  update kernel among its reasons), recovery, and SIGQUIT;
 * :mod:`repro.obs.health` — live index-health introspection
   (label-size distribution, order quality, scratch high-water marks,
   WAL lag, checkpoint age) behind the ``health`` wire op and CLI.

@@ -11,11 +11,11 @@ block writers), and :meth:`FlightRecorder.dump` serializes the whole
 ring as a JSONL timeline.
 
 The serving layer wires dumps to the moments that need a post-mortem:
-degraded-mode entry, update quarantine, recovery, and SIGQUIT (the
-operator's "tell me what you were doing" signal — see ``repro serve
---flight-dir``).  Markers (:meth:`note`) interleave those trigger events
+degraded-mode entry (an audit failure, a failed update kernel, an
+operator call), recovery, and SIGQUIT (the operator's "tell me what you
+were doing" signal — see ``repro serve --flight-dir``).  Markers (:meth:`note`) interleave those trigger events
 with the periodic snapshots so the timeline reads causally: *snapshots …
-marker: quarantine … snapshots*.
+marker: degraded … snapshots*.
 
 Dump format: the first line is a header
 ``{"kind": "dump", "reason": ..., "ts": ...}``; each following line is
@@ -172,8 +172,8 @@ class FlightRecorder:
         attribute to the marker (e.g. why degraded mode tripped) without
         colliding with the dump's own reason.
 
-        This is the hook the service calls on degraded-mode entry,
-        quarantine and recovery, and the SIGQUIT handler calls from the
+        This is the hook the service calls on degraded-mode entry and
+        recovery, and the SIGQUIT handler calls from the
         CLI.  Never raises: a failing post-mortem dump must not take
         down the serving path it is documenting.
         """

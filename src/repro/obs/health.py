@@ -17,7 +17,7 @@ dict, served three ways:
 
 Payload shape (``None``-valued sections mean "not configured")::
 
-    {"epoch": ..., "degraded": ..., "quarantine_depth": ...,
+    {"epoch": ..., "degraded": ...,
      "index": {"num_vertices": ..., "num_edges": ..., "total_labels": ...,
                "label_bytes": ..., "holder_bytes": ...,
                "labels": {"in":  {"mean":, "p50":, "p95":, "max":},
@@ -147,7 +147,6 @@ def collect_health(service) -> dict:
         "ts": time.time(),
         "epoch": service.epoch,
         "degraded": service.degraded,
-        "quarantine_depth": len(service.quarantined),
         "cache": service.cache.stats(),
     }
 
@@ -258,8 +257,7 @@ def render_health(payload: dict) -> str:
     """Human-readable rendering for the ``repro health`` CLI."""
     lines = [
         f"epoch {payload['epoch']}  "
-        f"degraded {payload['degraded']}  "
-        f"quarantine {payload['quarantine_depth']}"
+        f"degraded {payload['degraded']}"
     ]
     index = payload.get("index") or {}
     if index.get("stale"):

@@ -76,7 +76,7 @@ def new_trace_id() -> str:
     :class:`~repro.net.client.ReachabilityClient` normally, or at
     admission by the server for untraced peers — and carried through the
     wire envelope, the batching consumer, the slow-query log, the WAL
-    and the quarantine records, so one grep correlates a client-visible
+    and the kernel-failure events, so one grep correlates a client-visible
     reply with every server-side artifact it produced.  64 random bits:
     collision-free in practice, cheap to log, JSON-safe.
     """

@@ -18,14 +18,15 @@ Dynamic Graphs"):
   :mod:`repro.core.serialize`, and the checkpoint-plus-WAL-suffix
   recovery path;
 * :mod:`repro.service.faults` — deterministic fault injection (named
-  crash points) and the retry/quarantine
-  :class:`~repro.service.faults.FaultPolicy` for poison updates;
+  crash points);
 * :mod:`repro.service.server` — :class:`ReachabilityService`, the facade
   tying them together around a
   :class:`~repro.core.index.ReachabilityIndex`: one write path that
   validates, WAL-logs and applies each update request as one batch of
-  :class:`~repro.core.ops.UpdateOp` values, degraded-mode BFS serving
-  and the sampled Definition-1 self-audit.  Its counters and histograms
+  :class:`~repro.core.ops.UpdateOp` values, one failure rule (the
+  mirror graph rejects an op; a failed index kernel triggers a rebuild
+  from the mirror), degraded-mode BFS serving and the sampled
+  Definition-1 self-audit.  Its counters and histograms
   live in one :class:`~repro.obs.registry.MetricRegistry`
   (:attr:`ReachabilityService.registry`).
 
@@ -45,13 +46,7 @@ from .durability import (
     WriteAheadLog,
     recover_state,
 )
-from .faults import (
-    CRASH_POINTS,
-    FaultInjector,
-    FaultPolicy,
-    InjectedCrash,
-    QuarantinedUpdate,
-)
+from .faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from .server import ReachabilityService
 
 __all__ = [
@@ -66,8 +61,6 @@ __all__ = [
     "RecoveryReport",
     "recover_state",
     "FaultInjector",
-    "FaultPolicy",
     "InjectedCrash",
-    "QuarantinedUpdate",
     "CRASH_POINTS",
 ]

@@ -78,9 +78,8 @@ class RWLock:
         is active or waiting, or until a writer's release admits it, and
         always returns ``True``.  With a timeout in seconds it gives up
         after the deadline and returns ``False`` *without* holding the
-        lock — the serving layer's per-query deadline, which falls back
-        to degraded-mode BFS instead of stalling behind a long writer
-        (e.g. a rebuild).
+        lock — the metric gauges and the health probe use this so they
+        never stall behind a long writer (e.g. a rebuild).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:

@@ -263,6 +263,32 @@ class WriteAheadLog:
                 self._sync_locked()
             return seq
 
+    def tell(self) -> tuple[int, int]:
+        """The log's end as ``(byte offset, last seq)``, for :meth:`rollback`."""
+        with self._lock:
+            if self._file is None:
+                raise SerializationError("write-ahead log is closed")
+            return self._file.tell(), self._last_seq
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Drop every record appended since :meth:`tell` returned *mark*.
+
+        The append handle is closed first, discarding any bytes a failed
+        write left buffered, then the file is cut back to the mark and
+        reopened; the next append reuses the mark's next sequence number.
+        """
+        offset, seq = mark
+        with self._lock:
+            try:
+                self._file.close()
+            except OSError:
+                pass  # the unflushed tail is exactly what is dropped
+            os.truncate(self._path, offset)
+            self._file = open(self._path, "ab")
+            if self._fsync != "never":
+                os.fsync(self._file.fileno())
+            self._last_seq = seq
+
     def sync(self) -> None:
         """Force appended records to stable storage (fsync policy permitting)."""
         with self._lock:

@@ -1,36 +1,28 @@
-"""Deterministic fault injection and graceful-degradation policy.
+"""Deterministic fault injection for the crash-safety story.
 
-Two concerns live here, both in service of the crash-safety story
-(docs/robustness.md):
-
-* :class:`FaultInjector` — a registry of **named crash points** threaded
-  through the durability layer and the update-apply loop.  Tests arm a
-  point (``injector.arm("wal.append.torn")``) and the next time execution
-  reaches it, the process "crashes" (an :class:`InjectedCrash` is raised)
-  or an I/O error is injected — deterministically, at exactly that point.
-  The crash-matrix test (tests/service/test_recovery.py) iterates
-  :data:`CRASH_POINTS`, kills the service at each one, recovers, and
-  checks the result against a BFS oracle.
-
-* :class:`FaultPolicy` — what the update-apply loop does when an op fails
-  with something *other* than a deterministic :class:`~repro.errors.ReproError`
-  rejection: bounded retries with exponential backoff, then **quarantine**
-  (the op is set aside in a bounded log, a counter is bumped, and the rest
-  of the batch proceeds).  A poison update therefore never wedges the
-  writer, and readers — who only ever take the read lock — are never
-  blocked by one.
+:class:`FaultInjector` is a registry of **named crash points** threaded
+through the durability layer and the update-apply loop
+(docs/robustness.md).  Tests arm a point
+(``injector.arm("wal.append.torn")``) and the next time execution
+reaches it, the process "crashes" (an :class:`InjectedCrash` is raised)
+or an I/O error is injected — deterministically, at exactly that point.
+The crash-matrix test (tests/service/test_recovery.py) iterates
+:data:`CRASH_POINTS`, kills the service at each one, recovers, and
+checks the result against a BFS oracle.  An injected ``OSError`` at
+``service.apply`` is a failed update kernel (the service rebuilds the
+index from its mirror); at a ``wal.append.*`` point it is a failed
+append (the batch's records are rolled back and the request fails).
 
 :class:`InjectedCrash` deliberately derives from :class:`BaseException`:
 a real ``kill -9`` is not catchable, so the simulated one must sail past
-every ``except Exception`` (including the retry/quarantine handler) and
-unwind the whole call stack, exactly like the real thing.
+every ``except Exception`` (including the service's kernel-failure
+handler) and unwind the whole call stack, exactly like the real thing.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = [
     "CRASH_POINTS",
@@ -38,8 +30,6 @@ __all__ = [
     "InjectedCrash",
     "FaultInjector",
     "NULL_INJECTOR",
-    "FaultPolicy",
-    "QuarantinedUpdate",
 ]
 
 #: Every named crash point the durability layer fires, in execution
@@ -50,7 +40,7 @@ CRASH_POINTS = (
     "wal.append.torn",      # half the record written, then crash (torn tail)
     "wal.append.after",     # record fully written, before the batch syncs
     "wal.sync",             # after writes, during the fsync itself
-    "service.apply",        # WAL durable, before an op mutates the index
+    "service.apply",        # op on the mirror, before it mutates the index
     "checkpoint.serialize", # before the checkpoint temp file is written
     "checkpoint.rename",    # temp file complete, before the atomic rename
     "checkpoint.after",     # checkpoint live, before the WAL is trimmed
@@ -71,10 +61,10 @@ _ACTIONS = ("crash", "ioerror", "torn", "kill")
 class InjectedCrash(BaseException):
     """A simulated process death at a named crash point.
 
-    A ``BaseException`` so no ``except Exception`` handler (retry loops,
-    quarantine) can accidentally "survive" it — recovery from an injected
-    crash must go through :meth:`ReachabilityService.recover`, like the
-    real thing.
+    A ``BaseException`` so no ``except Exception`` handler (the
+    kernel-failure rebuild) can accidentally "survive" it — recovery
+    from an injected crash must go through
+    :meth:`ReachabilityService.recover`, like the real thing.
     """
 
     def __init__(self, point: str) -> None:
@@ -219,62 +209,3 @@ class _NullInjector(FaultInjector):
 
 #: Shared do-nothing injector used when no faults are being injected.
 NULL_INJECTOR = _NullInjector()
-
-
-@dataclass(frozen=True)
-class FaultPolicy:
-    """How the update-apply loop handles non-deterministic op failures.
-
-    Deterministic rejections (:class:`~repro.errors.ReproError` — e.g.
-    deleting a vertex that does not exist) are not retried: replaying
-    them can only fail identically.  Anything else (an injected
-    ``OSError``, a bug surfacing as ``RuntimeError``) is retried up to
-    :attr:`max_retries` times with exponential backoff starting at
-    :attr:`backoff_base` seconds, then the op is **quarantined**: logged,
-    counted (``updates_quarantined``), and skipped so the rest of the
-    batch — and every later batch — proceeds.
-
-    The backoff happens while the write lock is held (releasing it
-    mid-batch would expose a half-applied batch to readers), so the base
-    is deliberately tiny; with the defaults a poison op costs at most
-    ~3 ms of writer time before quarantine.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.001
-    max_quarantined: int = 256
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.max_quarantined < 1:
-            raise ValueError(
-                f"max_quarantined must be >= 1, got {self.max_quarantined}"
-            )
-
-
-@dataclass(frozen=True)
-class QuarantinedUpdate:
-    """One update the service gave up on, with its final error.
-
-    ``trace_id`` is the trace id of the batch the op arrived in (when
-    the client or admission path stamped one), so a quarantine entry
-    can be correlated with the client-visible reply and the WAL record
-    it produced.
-    """
-
-    op: object
-    error: str
-    attempts: int
-    trace_id: Optional[str] = None
-
-    def __str__(self) -> str:
-        tagged = f" [trace {self.trace_id}]" if self.trace_id else ""
-        return (
-            f"{self.op} quarantined after {self.attempts} attempts"
-            f"{tagged}: {self.error}"
-        )

@@ -32,16 +32,20 @@ The service additionally keeps a **mirror**: a plain
 :class:`~repro.graph.digraph.DiGraph` copy of the served graph, updated
 under its own small ``_mirror_lock`` (nested inside the write lock, with
 the epoch bump inside the mirror lock so mirror state and epoch move
-together).  The mirror powers three things:
+together).  The mirror is the truth the index is checked against:
 
-* **degraded mode** — when :attr:`degraded` is set (a failed self-audit,
-  an operator call, or mid-recovery), queries are answered by
+* **one failure rule** — each op's fate is decided once, on the mirror:
+  it either raises a :class:`~repro.errors.ReproError` before changing
+  anything (the op is rejected, exactly as WAL replay skips its record)
+  or it applies and bumps the epoch.  Only then does the index kernel
+  run, and *any* exception from the kernel marks the index untrusted:
+  the service enters degraded mode, sends the rest of the batch to the
+  mirror only, and rebuilds the index from the mirror before the batch
+  returns;
+* **degraded mode** — when :attr:`degraded` is set (a kernel failure, a
+  failed self-audit, or an operator call), queries are answered by
   bidirectional BFS over the mirror instead of the index: slower but
   correct by Definition 1, and never blocked behind the write lock;
-* **per-query deadlines** — with ``query_deadline`` set, a query that
-  cannot take the read lock in time falls back to the same BFS path
-  rather than stalling behind a long writer (counted in
-  ``degraded_queries``);
 * **checkpoints and self-audit** — the mirror is the state that
   checkpoints snapshot, and the reference the sampled Definition-1
   audit compares index answers against.
@@ -49,20 +53,17 @@ together).  The mirror powers three things:
 Durability is optional: pass a
 :class:`~repro.service.durability.DurabilityManager` and every
 batch is appended to its write-ahead log (and synced, per its fsync
-policy) *before* any op touches the index, with periodic checkpoints
-covering the WAL prefix.  :meth:`ReachabilityService.recover` rebuilds a
-service from that directory after a crash.  Failing ops are governed by
-a :class:`~repro.service.faults.FaultPolicy`: deterministic rejections
-(:class:`~repro.errors.ReproError`) are counted and skipped as before;
-anything else is retried with backoff and then quarantined, so a poison
-update never wedges the writer or blocks readers.
+policy) *before* any op touches the mirror or the index, with periodic
+checkpoints covering the WAL prefix.  A failed append rolls the log back
+to where the batch began and fails the whole request with nothing
+applied.  :meth:`ReachabilityService.recover` rebuilds a service from
+that directory after a crash.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from collections.abc import Hashable, Iterable
 from pathlib import Path
 from random import Random
@@ -81,12 +82,7 @@ from ..obs.registry import MetricRegistry
 from .cache import MISS, EpochLRUCache
 from .concurrency import EpochCounter, RWLock
 from .durability import DurabilityManager, RecoveryReport, recover_state
-from .faults import (
-    NULL_INJECTOR,
-    FaultInjector,
-    FaultPolicy,
-    QuarantinedUpdate,
-)
+from .faults import NULL_INJECTOR, FaultInjector
 
 __all__ = ["ReachabilityService"]
 
@@ -132,20 +128,12 @@ class ReachabilityService:
         A :class:`~repro.service.durability.DurabilityManager`; when set,
         every batch is WAL-logged before it is applied and
         checkpoints are taken per the manager's cadence.
-    fault_policy:
-        Retry/quarantine policy for non-deterministic op failures
-        (default :class:`~repro.service.faults.FaultPolicy`).
     injector:
         Fault injector whose named crash points the apply loop fires
         (default: the shared no-op injector).
-    query_deadline:
-        Seconds a query may wait for the read lock before answering from
-        the mirror in degraded mode (``None`` = wait forever).
-    audit_interval:
-        Run a sampled Definition-1 self-audit every this many applied
-        batches (0 = only when :meth:`self_audit` is called explicitly).
-    audit_samples:
-        Vertex pairs checked per audit.
+    flight:
+        A :class:`~repro.obs.flight.FlightRecorder` to dump on
+        degraded-mode entry and recovery.
 
     Examples
     --------
@@ -170,23 +158,11 @@ class ReachabilityService:
         record_applied: bool = False,
         registry: Optional[MetricRegistry] = None,
         durability: Optional[DurabilityManager] = None,
-        fault_policy: Optional[FaultPolicy] = None,
         injector: FaultInjector = NULL_INJECTOR,
-        query_deadline: Optional[float] = None,
-        audit_interval: int = 0,
-        audit_samples: int = 16,
         flight: Optional["FlightRecorder"] = None,
     ) -> None:
         if index is not None and graph is not None:
             raise ValueError("pass either graph or index, not both")
-        if query_deadline is not None and query_deadline <= 0:
-            raise ValueError(
-                f"query_deadline must be positive, got {query_deadline}"
-            )
-        if audit_interval < 0:
-            raise ValueError(
-                f"audit_interval must be >= 0, got {audit_interval}"
-            )
         # Resolved once: rebuild_index reuses the strategy, so a bad
         # value cannot surface later inside a degraded-mode rebuild.
         self._order = resolve_order_strategy(order)
@@ -199,7 +175,6 @@ class ReachabilityService:
         self._epoch = EpochCounter()
         self._cache = EpochLRUCache(cache_size)
         self._write_mutex = threading.Lock()
-        self._batches = 0
         reg = self._registry = (
             registry if registry is not None else MetricRegistry()
         )
@@ -217,7 +192,6 @@ class ReachabilityService:
         self._audit_failures = reg.counter("service.audit_failures")
         self._rebuilds = reg.counter("service.rebuilds")
         self._degraded_queries = reg.counter("degraded.queries")
-        self._quarantine_count = reg.counter("updates.quarantined")
         self._replayed_records = reg.counter("recovery.replayed_records")
         self._wal_sync_errors = reg.counter("wal.sync_errors")
         self._checkpoint_errors = reg.counter("checkpoint.errors")
@@ -230,23 +204,16 @@ class ReachabilityService:
         #: Ops per applied batch.
         self._batch_size = reg.stats("service.batch_size")
 
-        # Robustness state: mirror graph, degraded flag, fault handling.
+        # Robustness state: mirror graph, degraded flag, fault injection.
         self._mirror = self._index.condensation.graph.copy()
         self._mirror_lock = threading.Lock()
         self._degraded = threading.Event()
-        self._policy = fault_policy if fault_policy is not None else FaultPolicy()
         self._injector = injector
-        self._query_deadline = query_deadline
-        self._audit_interval = audit_interval
-        self._audit_samples = audit_samples
-        self._quarantined: deque[QuarantinedUpdate] = deque(
-            maxlen=self._policy.max_quarantined
-        )
         self._durability = durability
         self._last_recovery: Optional[RecoveryReport] = None
         # Post-mortem flight recorder (see repro.obs.flight): when wired,
-        # the service auto-dumps its timeline on degraded-mode entry,
-        # quarantine and recovery.
+        # the service auto-dumps its timeline on degraded-mode entry and
+        # recovery.
         self._flight = flight
 
         if durability is not None:
@@ -269,9 +236,6 @@ class ReachabilityService:
         reg.counter("wal.fsyncs")
         reg.register_callback(
             "service.degraded", lambda: int(self._degraded.is_set())
-        )
-        reg.register_callback(
-            "service.quarantine_depth", lambda: len(self._quarantined)
         )
         reg.register_callback("service.epoch", lambda: self._epoch.value)
         # Gauge callbacks run inside registry.snapshot(), i.e. on the
@@ -351,9 +315,8 @@ class ReachabilityService:
         A one-pair :meth:`query_batch_with_epoch`: the epoch is read
         under the same read-lock hold that computes (or fetches) the
         answer, so the pair is consistent even while a writer is
-        waiting; in degraded mode — or when ``query_deadline`` expires
-        before the read lock is free — the answer comes from BFS over
-        the mirror instead, with the same consistency.
+        waiting; in degraded mode the answer comes from BFS over the
+        mirror instead, with the same consistency.
         """
         answers, epoch, _ = self.query_batch_with_epoch(((s, t),))
         return answers[0], epoch
@@ -388,8 +351,8 @@ class ReachabilityService:
         Duplicate pairs are answered once; results come back in input
         order.  This is the high-throughput entry point: one lock
         round-trip and one epoch read for the whole batch.  Degraded
-        mode and deadline expiry fall back to the mirror, one mirror-lock
-        hold for the whole batch.
+        mode falls back to the mirror, one mirror-lock hold for the
+        whole batch.
         """
         return self.query_batch_with_epoch(pairs)[0]
 
@@ -418,9 +381,9 @@ class ReachabilityService:
         pairs = list(pairs)
         unique: dict[Pair, bool] = dict.fromkeys(pairs)  # insertion-ordered
         start = time.perf_counter()
-        degraded = self._degraded.is_set() or not self._rwlock.acquire_read(
-            timeout=self._query_deadline
-        )
+        degraded = self._degraded.is_set()
+        if not degraded:
+            self._rwlock.acquire_read()
         if timings is not None:
             lock_done = time.perf_counter()
         hits = 0
@@ -489,21 +452,27 @@ class ReachabilityService:
            earlier ops of the same batch — on a dangling reference raise
            :class:`~repro.errors.UnknownVertexError` before anything is
            logged or applied, so a rejected batch has no effect;
-        2. WAL-log every op (when durability is configured) and sync once;
-        3. apply under the write lock with per-op retry/quarantine,
-           mirroring each success and bumping the epoch once per
-           successful op under the mirror lock;
-        4. maybe checkpoint, and run the self-audit on its batch cadence.
+        2. WAL-log every op (when durability is configured) and sync
+           once; an append that raises :class:`OSError` rolls the log
+           back to where the batch began and re-raises, so the request
+           fails with nothing applied;
+        3. under the write lock, decide each op's fate on the mirror: an
+           op whose :meth:`~repro.core.ops.UpdateOp.apply_to_graph`
+           raises :class:`ReproError` (e.g. inserting a vertex that
+           already exists) changed nothing and is rejected, counted in
+           ``updates_rejected``, exactly as recovery skips its WAL
+           record; otherwise the epoch is bumped and the op is applied
+           to the index;
+        4. maybe checkpoint.
 
-        An op that passes validation but still fails deterministically
-        at apply time (:class:`ReproError` — e.g. inserting a vertex that
-        already exists) is rejected individually and counted in
-        ``updates_rejected``; non-deterministic failures are retried per
-        the :class:`~repro.service.faults.FaultPolicy` and quarantined on
-        exhaustion (``updates_quarantined``) — either way the rest of the
-        batch proceeds and readers never wait on a poison op.  *trace_id*
-        tags the batch: it is stamped on every WAL record and carried by
-        retry/quarantine events and quarantine entries.
+        *Any* exception from an index kernel means it may have stopped
+        halfway, so the index is no longer trusted: the service enters
+        degraded mode (reason ``kernel_failure``, readers answer from
+        the mirror), applies the rest of the batch to the mirror only,
+        and rebuilds the index from the mirror before it releases the
+        write lock and returns.  The failed op counts as applied.
+        *trace_id* tags the batch: it is stamped on every WAL record and
+        carried by the ``kernel_failure`` event and flight dump.
 
         The return value counts only the ops that took effect, so it
         always equals the epoch delta of the batch.
@@ -514,29 +483,44 @@ class ReachabilityService:
         with self._write_mutex:
             self._validate_refs(batch)
             if self._durability is not None:
-                batch = self._log_batch(batch, trace_id)
-                if not batch:
-                    return 0
+                self._log_batch(batch, trace_id)
             applied = 0
+            index_ok = True
             start = time.perf_counter()
             with self._rwlock.write_locked():
                 for op in batch:
-                    epoch = self._apply_one(op, trace_id)
-                    if epoch is None:
-                        continue
+                    with self._mirror_lock:
+                        try:
+                            op.apply_to_graph(self._mirror)
+                        except ReproError:
+                            self._updates_rejected.incr()
+                            continue
+                        epoch = self._epoch.bump()
                     if self._applied is not None:
                         self._applied.append((epoch, op))
                     applied += 1
+                    if not index_ok:
+                        continue
+                    try:
+                        self._injector.fire("service.apply")
+                        op.apply(self._index)
+                    except Exception as exc:  # noqa: BLE001 - any kernel failure
+                        index_ok = False
+                        self._trip_degraded(
+                            "kernel_failure",
+                            trace=trace_id,
+                            kind=op.kind,
+                            error=repr(exc),
+                        )
+                if not index_ok:
+                    self._index = self._rebuild_from_mirror()
+                    self.exit_degraded()
             elapsed = time.perf_counter() - start
             if self._durability is not None and applied:
                 self._maybe_checkpoint()
-            self._batches += 1
-            batches = self._batches
         self._batch_apply_latency.record(elapsed)
         self._batch_size.record(len(batch))
         self._updates_applied.incr(applied)
-        if self._audit_interval and batches % self._audit_interval == 0:
-            self.self_audit(self._audit_samples)
         return applied
 
     def _validate_refs(self, batch: list[UpdateOp]) -> None:
@@ -584,108 +568,29 @@ class ReachabilityService:
         """Delete an edge."""
         self.apply(UpdateOp.delete_edge(tail, head))
 
-    def _apply_one(
-        self, op: UpdateOp, trace_id: Optional[str]
-    ) -> Optional[int]:
-        """Apply one op under the write lock; return its epoch or ``None``.
+    def _log_batch(self, batch: list[UpdateOp], trace_id: Optional[str]) -> None:
+        """WAL-append every op of the batch, then sync once.
 
-        ``None`` means the op took no effect: a deterministic rejection
-        (counted) or quarantine after the policy's retries ran out.
-        """
-        attempts = 0
-        while True:
-            try:
-                self._injector.fire("service.apply")
-                op.apply(self._index)
-            except ReproError:
-                self._updates_rejected.incr()
-                return None
-            except Exception as exc:  # noqa: BLE001 - the quarantine boundary
-                attempts += 1
-                if attempts > self._policy.max_retries:
-                    self._quarantine(op, exc, attempts, trace_id)
-                    return None
-                obs_trace.event(
-                    "service.retry",
-                    attempt=attempts,
-                    trace=trace_id,
-                    kind=op.kind,
-                )
-                # Backoff while holding the write lock: releasing it
-                # mid-batch would expose a half-applied batch, so the
-                # policy keeps these waits in the low milliseconds.
-                time.sleep(self._policy.backoff_base * (2 ** (attempts - 1)))
-                continue
-            with self._mirror_lock:
-                op.apply_to_graph(self._mirror)
-                return self._epoch.bump()
-
-    def _log_batch(
-        self, batch: list[UpdateOp], trace_id: Optional[str]
-    ) -> list[UpdateOp]:
-        """WAL-append the batch (with retry/quarantine) and sync once.
-
-        Returns the ops that were durably logged; an op whose append
-        keeps failing is quarantined *before* apply, so the in-memory
-        state never runs ahead of the log.  Each record is stamped with
-        the batch's trace id (when it has one), so WAL replay events
-        after a crash name the batch that wrote them.
+        An append that raises :class:`OSError` rolls the log back to
+        where the batch began and re-raises: the log never holds part of
+        a request the service reported as failed.  Each record is
+        stamped with the batch's trace id (when it has one), so WAL
+        replay events after a crash name the batch that wrote them.
         """
         wal = self._durability.wal
-        survivors: list[UpdateOp] = []
-        for op in batch:
-            attempts = 0
-            while True:
-                try:
-                    wal.append(op, trace=trace_id)
-                except OSError as exc:
-                    attempts += 1
-                    if attempts > self._policy.max_retries:
-                        self._quarantine(op, exc, attempts, trace_id)
-                        break
-                    obs_trace.event(
-                        "service.wal_retry",
-                        attempt=attempts,
-                        trace=trace_id,
-                        kind=op.kind,
-                    )
-                    time.sleep(
-                        self._policy.backoff_base * (2 ** (attempts - 1))
-                    )
-                    continue
-                survivors.append(op)
-                break
+        mark = wal.tell()
+        try:
+            for op in batch:
+                wal.append(op, trace=trace_id)
+        except OSError:
+            wal.rollback(mark)
+            raise
         try:
             wal.sync()
         except OSError:
             # Records are flushed (process-crash durable) but not synced;
             # keep serving rather than losing the batch.
             self._wal_sync_errors.incr()
-        return survivors
-
-    def _quarantine(
-        self,
-        op: UpdateOp,
-        exc: Exception,
-        attempts: int,
-        trace_id: Optional[str],
-    ) -> None:
-        self._quarantined.append(
-            QuarantinedUpdate(
-                op=op, error=repr(exc), attempts=attempts, trace_id=trace_id
-            )
-        )
-        self._quarantine_count.incr()
-        obs_trace.event(
-            "service.quarantined",
-            attempts=attempts,
-            trace=trace_id,
-            kind=op.kind,
-        )
-        if self._flight is not None:
-            self._flight.auto_dump(
-                "quarantine", kind=op.kind, trace=trace_id, error=repr(exc)
-            )
 
     def _maybe_checkpoint(self) -> None:
         """Checkpoint a mirror copy if one is due; called under the write mutex.
@@ -744,9 +649,9 @@ class ReachabilityService:
     def enter_degraded(self) -> None:
         """Route queries through the mirror until :meth:`exit_degraded`.
 
-        Operators (and :meth:`self_audit`) flip this when the index is
-        suspect or a long write-side operation is in flight; readers
-        keep getting correct answers, just without the index speedup.
+        Operators (and :meth:`self_audit`, and a failed update kernel)
+        flip this when the index is suspect; readers keep getting
+        correct answers, just without the index speedup.
         """
         self._trip_degraded("operator")
 
@@ -756,22 +661,24 @@ class ReachabilityService:
             self._degraded.clear()
             self._epoch.signal()
 
-    def _trip_degraded(self, reason: str) -> None:
+    def _trip_degraded(self, reason: str, **attrs) -> None:
         """Enter degraded mode; on the edge, dump the flight recorder.
 
         The dump captures the metric timeline *leading up to* the
         transition — the whole point of the ring buffer — so it fires
-        only on the clear→set edge, not on repeated entries.
+        only on the clear→set edge, not on repeated entries.  *attrs*
+        (a kernel failure's trace id, op kind and error) ride on the
+        event and the dump's marker.
         """
         already = self._degraded.is_set()
         self._degraded.set()
         if not already:
             self._epoch.signal()
-            obs_trace.event("service.degraded_enter", reason=reason)
+            obs_trace.event("service.degraded_enter", reason=reason, **attrs)
             if self._flight is not None:
-                self._flight.auto_dump("degraded", reason=reason)
+                self._flight.auto_dump("degraded", reason=reason, **attrs)
 
-    def self_audit(self, samples: Optional[int] = None, *, seed: int = 0) -> bool:
+    def self_audit(self, samples: int = 16, *, seed: int = 0) -> bool:
         """Sampled Definition-1 audit: does the index agree with BFS?
 
         Draws vertex pairs from the mirror and compares the index's
@@ -782,7 +689,6 @@ class ReachabilityService:
         to repair and resume.  Runs under the write mutex so no writer
         moves the state between the two reads.
         """
-        samples = self._audit_samples if samples is None else samples
         rng = Random(seed)
         with self._write_mutex:
             with self._mirror_lock:
@@ -815,19 +721,25 @@ class ReachabilityService:
 
         The rebuild happens off the write lock (readers keep going —
         degraded readers on the mirror, healthy ones on the old index);
-        only the final swap takes it.  Returns the post-swap epoch.
+        only the final swap takes it, and bumps the epoch so no answer
+        cached from the old index survives.  Returns the post-swap epoch.
         """
         with self._write_mutex:
-            with self._mirror_lock:
-                snapshot = self._mirror.copy()
-            new_index = ReachabilityIndex(snapshot, order=self._order)
+            new_index = self._rebuild_from_mirror()
             with self._rwlock.write_locked():
                 self._index = new_index
                 with self._mirror_lock:
                     epoch = self._epoch.bump()
             self.exit_degraded()
-            self._rebuilds.incr()
         return epoch
+
+    def _rebuild_from_mirror(self) -> ReachabilityIndex:
+        """A fresh index over a copy of the mirror (counted as a rebuild)."""
+        with self._mirror_lock:
+            snapshot = self._mirror.copy()
+        index = ReachabilityIndex(snapshot, order=self._order)
+        self._rebuilds.incr()
+        return index
 
     # ------------------------------------------------------------------
     # Introspection
@@ -866,11 +778,6 @@ class ReachabilityService:
     def cache(self) -> EpochLRUCache:
         """The query-result cache (shared; treat as read-only)."""
         return self._cache
-
-    @property
-    def quarantined(self) -> tuple[QuarantinedUpdate, ...]:
-        """Updates given up on after retries (newest last, bounded)."""
-        return tuple(self._quarantined)
 
     @property
     def durability(self) -> Optional[DurabilityManager]:

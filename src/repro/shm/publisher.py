@@ -36,7 +36,8 @@ under a steady write stream publishing takes at most half the writer's
 time and the updates that land meanwhile coalesce into the next
 publish; an update after a quiet spell is published at once.  The
 thread also mirrors the degraded flag into the control block so readers
-route queries to the writer while the index is rebuilding.  Between
+route queries to the writer while the index is rebuilding; it clears
+the flag only after the rebuilt index's generation is live.  Between
 changes it wakes when the oldest retired segment's grace period ends, to
 unlink it, and at least every quarter grace period to keep the
 ``shm.snapshot_age_ms`` gauge current.
@@ -235,18 +236,31 @@ class SnapshotPublisher:
     def poll_once(self) -> bool:
         """Publish iff the service moved on; mirror the degraded flag.
 
+        The flag is set before a publish and cleared only after one:
+        readers keep forwarding to the writer until the generation
+        holding the rebuilt index is live, so they never answer from the
+        index the flag was guarding, nor at an epoch older than a
+        forwarded reply already showed.
+
         Returns ``True`` when a new snapshot was published.
         """
+        # Read once, before the epoch: a rebuild bumps the epoch before
+        # it leaves degraded mode, so a clear flag read here means the
+        # publish below freezes the rebuilt index or a later one.
         degraded = bool(self.service.degraded)
-        if degraded != self._published_degraded:
-            self.control.set_degraded(degraded)
-            self._published_degraded = degraded
-        if self.service.epoch == self._published_epoch:
+        if degraded and not self._published_degraded:
+            self.control.set_degraded(True)
+            self._published_degraded = True
+        published = self.service.epoch != self._published_epoch
+        if published:
+            self.publish()
+        else:
             self._reap_retired()
             self._update_age_gauge()
-            return False
-        self.publish()
-        return True
+        if self._published_degraded and not degraded:
+            self.control.set_degraded(False)
+            self._published_degraded = False
+        return published
 
     def _update_age_gauge(self) -> None:
         if self.registry is None:

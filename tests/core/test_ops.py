@@ -99,6 +99,40 @@ def test_tuple_vertices_survive_json():
     assert decoded.outs == (("c", (3, 4)),)
 
 
+def test_repeated_neighbours_are_deduplicated_in_first_seen_order():
+    op = UpdateOp.insert_vertex("e", ["c", "a", "c"], ["d", "d", "b"])
+    assert op.ins == ("c", "a")
+    assert op.outs == ("d", "b")
+    assert op == UpdateOp.insert_vertex("e", ["c", "a"], ["d", "b"])
+    direct = UpdateOp("insert_vertex", vertex="e", ins=("c", "c"))
+    assert direct.ins == ("c",)
+
+
+def test_repeated_neighbour_applies_to_a_graph_once():
+    from repro.graph.digraph import DiGraph
+
+    graph = DiGraph(edges=[("a", "b"), ("b", "c")])
+    UpdateOp.insert_vertex("e", in_neighbors=["c", "c"]).apply_to_graph(graph)
+    assert graph.has_edge("c", "e")
+    assert graph.num_edges == 3
+
+
+def test_deduplicated_op_round_trips_byte_identically(tmp_path):
+    op = UpdateOp.insert_vertex("e", ["c", ("t", 1), "c", ("t", 1)], [2, 2])
+    blob = _canonical_json(op)
+    assert json.loads(blob)["ins"] == ["c", ["t", 1]]
+    assert _canonical_json(UpdateOp.from_dict(json.loads(blob))) == blob
+    with WriteAheadLog(tmp_path / "wal.log", fsync="never") as wal:
+        wal.append(op)
+        [(_, decoded)] = wal.records()
+    assert decoded == op
+    with WriteAheadLog(tmp_path / "wal2.log", fsync="never") as wal2:
+        wal2.append(decoded)
+    assert (tmp_path / "wal2.log").read_bytes() == (
+        tmp_path / "wal.log"
+    ).read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Versioned decode: legacy short kinds
 # ----------------------------------------------------------------------

@@ -41,12 +41,12 @@ class TestRing:
     def test_markers_interleave_with_snapshots(self):
         fr = make_recorder()
         fr.tick()
-        fr.note("quarantine", kind="insert_edge", trace="aa")
+        fr.note("degraded", kind="insert_edge", trace="aa")
         fr.tick()
         kinds = [e["kind"] for e in fr.snapshots()]
         assert kinds == ["snapshot", "marker", "snapshot"]
         marker = fr.snapshots()[1]
-        assert marker["event"] == "quarantine"
+        assert marker["event"] == "degraded"
         assert marker["attrs"] == {"kind": "insert_edge", "trace": "aa"}
 
     def test_invalid_parameters_rejected(self):

@@ -80,7 +80,6 @@ class TestCollectHealth:
         payload = collect_health(service)
         assert payload["epoch"] == 0
         assert payload["degraded"] is False
-        assert payload["quarantine_depth"] == 0
         assert payload["wal"] is None
         index = payload["index"]
         assert index["num_vertices"] == 6

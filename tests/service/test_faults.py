@@ -1,9 +1,11 @@
-"""Fault injection, quarantine, and degraded-mode serving.
+"""Fault injection, the write path's failure rule, and degraded serving.
 
 Crash/recovery correctness lives in ``test_recovery.py``; this module
 covers the live-process half of the robustness story: the
-:class:`FaultInjector` contract itself, the retry/quarantine policy
-(a poison update must never wedge the service), deadline-triggered and
+:class:`FaultInjector` contract itself, the one failure rule of
+:meth:`ReachabilityService.apply_batch` (the mirror rejects an op; a
+failed kernel, even one that stopped halfway, lands its ops through a
+rebuild from the mirror; a failed WAL append fails the whole request),
 audit-triggered degraded serving, and index repair via
 :meth:`ReachabilityService.rebuild_index`.
 """
@@ -17,11 +19,13 @@ from repro.core.index import ReachabilityIndex
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
+from repro.graph.traversal import forward_reachable
+from repro.core import deletion, insertion
+from repro.service.durability import DurabilityManager
 from repro.service.faults import (
     CRASH_POINTS,
     NULL_INJECTOR,
     FaultInjector,
-    FaultPolicy,
     InjectedCrash,
 )
 from repro.service.server import ReachabilityService
@@ -48,7 +52,7 @@ class TestFaultInjector:
         assert info.value.point == "service.apply"
 
     def test_injected_crash_is_not_an_exception(self):
-        # `except Exception` (the quarantine boundary) must not swallow
+        # `except Exception` (the kernel-failure handler) must not swallow
         # a simulated crash, or the crash matrix tests nothing.
         assert not issubclass(InjectedCrash, Exception)
         assert issubclass(InjectedCrash, BaseException)
@@ -100,99 +104,228 @@ class TestFaultInjector:
         injector.fire("wal.sync")  # disarmed
 
 
-class TestFaultPolicy:
-    def test_defaults_valid(self):
-        policy = FaultPolicy()
-        assert policy.max_retries >= 1
-        assert policy.max_quarantined > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            FaultPolicy(max_quarantined=0)
-        with pytest.raises(ValueError):
-            FaultPolicy(backoff_base=-0.5)
+def all_pairs(graph: DiGraph) -> list:
+    vertices = sorted(graph.vertices(), key=repr)
+    return [(s, t) for s in vertices for t in vertices]
 
 
-class TestQuarantine:
-    def poisoned_service(self, *, times):
+def bfs_answers(graph: DiGraph, pairs) -> list:
+    """Definition 1 by BFS: one forward search per source vertex."""
+    reach = {
+        s: forward_reachable(graph, s, include_source=True)
+        for s in {s for s, _ in pairs}
+    }
+    return [t in reach[s] for s, t in pairs]
+
+
+def hub(graph: DiGraph):
+    """The highest-degree vertex (ties broken by vertex order)."""
+    return max(sorted(graph.vertices()), key=graph.degree)
+
+
+def fail_once(monkeypatch, module, name: str, *, on_call: int = 1) -> dict:
+    """Make ``module.name`` raise ``OSError`` on its *on_call*-th call.
+
+    Patched on the module, so the kernel fails from inside (after it has
+    started rewriting labels), not before it runs.
+    """
+    original = getattr(module, name)
+    state = {"calls": 0}
+
+    def flaky(*args, **kwargs):
+        state["calls"] += 1
+        if state["calls"] == on_call:
+            raise OSError(f"injected failure in {name}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, flaky)
+    return state
+
+
+class TestKernelFailure:
+    """An op the mirror accepted always lands; a failed kernel rebuilds."""
+
+    def poisoned_service(self, *, times, after=1):
         injector = FaultInjector()
-        policy = FaultPolicy(max_retries=2, backoff_base=0.0001)
-        service = ReachabilityService(
-            diamond(), injector=injector, fault_policy=policy
-        )
-        # Poison exactly the next apply attempt(s): the next op applied
-        # eats every armed firing, exhausting its retry budget.
-        injector.arm("service.apply", "ioerror", times=times)
-        return service, injector, policy
+        service = ReachabilityService(diamond(), injector=injector)
+        # `service.apply` fires after the mirror took the op and before
+        # the kernel runs: an injected OSError there is a failed kernel.
+        injector.arm("service.apply", "ioerror", after=after, times=times)
+        return service, injector
 
-    def test_poison_update_is_quarantined_not_applied(self):
-        service, _, policy = self.poisoned_service(
-            times=FaultPolicy().max_retries + 1
-        )
-        service.insert_vertex("e", in_neighbors=["d"])
-        assert service.epoch == 0  # never took effect
-        assert len(service.quarantined) == 1
-        bad = service.quarantined[0]
-        assert bad.op == UpdateOp.insert_vertex("e", in_neighbors=["d"])
-        assert bad.attempts == policy.max_retries + 1
-        assert "OSError" in bad.error  # stored as repr, not live object
+    def test_poisoned_update_lands_through_a_rebuild(self):
+        service, _ = self.poisoned_service(times=1)
+        assert service.apply_batch(
+            [UpdateOp.insert_vertex("e", in_neighbors=["d"])]
+        ) == 1
+        assert service.epoch == 1
+        assert service.query("a", "e") is True  # rebuilt index has it
+        assert not service.degraded
         counters = service.registry.snapshot()["counters"]
-        assert counters["updates.quarantined"] == 1
+        assert counters["service.rebuilds"] == 1
+        assert counters["service.updates_applied"] == 1
+        assert counters["service.updates_rejected"] == 0
 
-    def test_always_failing_update_never_blocks_the_service(self):
-        # Acceptance criterion: a poison op must not wedge subsequent
-        # updates or readers.
-        service, injector, _ = self.poisoned_service(times=3)
+    def test_always_failing_kernel_never_blocks_the_service(self):
+        # A kernel that fails on every op must not wedge later updates
+        # or readers: each batch lands through one rebuild.
+        service, _ = self.poisoned_service(times=0)
         service.insert_vertex("poison")
-        assert len(service.quarantined) == 1
-        # Readers unaffected, immediately.
         assert service.query("a", "d") is True
         assert not service.degraded
-        # Writers unaffected: the very next update applies normally.
         service.insert_vertex("e", in_neighbors=["d"])
-        assert service.epoch == 1
+        assert service.epoch == 2
         assert service.query("a", "e") is True
+        assert "poison" in service
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.rebuilds"] == 2
 
-    def test_transient_failure_is_retried_to_success(self):
-        service, injector, _ = self.poisoned_service(times=1)
-        service.insert_vertex("e", in_neighbors=["d"])  # fails once, retried
-        assert service.epoch == 1
-        assert service.query("a", "e") is True
-        assert len(service.quarantined) == 0
+    def test_transient_failure_lands_through_one_rebuild(self):
+        service, _ = self.poisoned_service(times=1)
+        service.insert_vertex("e", in_neighbors=["d"])  # kernel fails once
+        service.insert_vertex("f", in_neighbors=["e"])  # kernel runs
+        assert service.epoch == 2
+        assert service.query("a", "f") is True
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.rebuilds"] == 1
 
-    def test_quarantine_mid_batch_spares_the_rest(self):
-        injector = FaultInjector()
-        policy = FaultPolicy(max_retries=1, backoff_base=0.0001)
-        service = ReachabilityService(
-            diamond(), injector=injector, fault_policy=policy
-        )
-        # Poison whichever op is applied second, for all its attempts.
-        injector.arm("service.apply", "ioerror", after=2, times=policy.max_retries + 1)
-        service.apply_batch([
+    def test_mid_batch_failure_lands_every_op(self):
+        # The second op's kernel fails: it and the third op go to the
+        # mirror only, and one rebuild brings the index up to date.
+        service, injector = self.poisoned_service(times=1, after=2)
+        applied = service.apply_batch([
             UpdateOp.insert_vertex("e"),
             UpdateOp.insert_vertex("f"),
             UpdateOp.insert_vertex("g"),
         ])
-        assert len(service.quarantined) == 1
-        assert service.epoch == 2  # the other two ops landed
-        applied = {v for v in ("e", "f", "g") if v in service}
-        assert len(applied) == 2
+        assert applied == 3
+        assert service.epoch == 3
+        assert all(v in service for v in ("e", "f", "g"))
+        assert injector.hits("service.apply") == 2  # op 3 skipped the kernel
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.rebuilds"] == 1
 
-    def test_quarantine_is_bounded(self):
+    def test_mirror_rejection_is_not_a_kernel_failure(self):
+        service, injector = self.poisoned_service(times=0)
+        assert service.apply_batch([UpdateOp.insert_vertex("a")]) == 0
+        assert service.epoch == 0
+        assert injector.hits("service.apply") == 0  # kernel never ran
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_rejected"] == 1
+        assert counters["service.rebuilds"] == 0
+
+
+class TestHalfAppliedKernel:
+    """A kernel that stops after it started rewriting labels.
+
+    Each case fails a kernel helper from inside, on a WAL-backed
+    service, and checks the one rule end to end: every op counts, the
+    index answers like BFS afterwards, one rebuild ran, and recovery
+    from the same directory serves the same graph.
+    """
+
+    def run(self, tmp_path, ops):
+        graph = random_dag(300, 1200, seed=3)
+        service = ReachabilityService(
+            graph.copy(),
+            durability=DurabilityManager(tmp_path, fsync="never"),
+        )
+        expected = graph.copy()
+        for op in ops:
+            op.apply_to_graph(expected)
+        rebuilds = service.registry.counter("service.rebuilds").value
+        assert service.apply_batch(ops) == len(ops)
+        assert service.epoch == len(ops)
+        assert service.registry.counter("service.rebuilds").value == rebuilds + 1
+        assert not service.degraded
+
+        pairs = all_pairs(expected)
+        answers = service.query_batch(pairs)
+        assert answers == bfs_answers(expected, pairs)
+
+        service.durability.close()
+        recovered = ReachabilityService.recover(tmp_path, fsync="never")
+        got = recovered.last_recovery.graph
+        assert set(got.vertices()) == set(expected.vertices())
+        assert set(got.edges()) == set(expected.edges())
+        assert recovered.query_batch(pairs) == answers
+        recovered.durability.close()
+
+    def test_delete_of_the_hub_fails_inside_the_label_rebuild(
+        self, tmp_path, monkeypatch
+    ):
+        graph = random_dag(300, 1200, seed=3)
+        state = fail_once(monkeypatch, deletion, "_rebuild_labels", on_call=3)
+        self.run(tmp_path, [UpdateOp.delete_vertex(hub(graph))])
+        assert state["calls"] >= 3
+
+    def test_insert_fails_while_spreading_new_labels(
+        self, tmp_path, monkeypatch
+    ):
+        graph = random_dag(300, 1200, seed=3)
+        v = hub(graph)
+        state = fail_once(monkeypatch, insertion, "_spread_new_labels")
+        self.run(tmp_path, [UpdateOp.insert_vertex(
+            "new",
+            in_neighbors=sorted(graph.in_neighbors(v))[:3] + [v],
+            out_neighbors=sorted(graph.out_neighbors(v))[:3],
+        )])
+        assert state["calls"] >= 1
+
+    def test_failure_on_the_second_op_of_three(self, tmp_path, monkeypatch):
+        graph = random_dag(300, 1200, seed=3)
+        v = hub(graph)
+        tail, head = next(
+            (s, t) for s, t in all_pairs(graph)
+            if v not in (s, t) and s != t and not graph.has_edge(s, t)
+        )
+        fail_once(monkeypatch, deletion, "_rebuild_labels", on_call=3)
+        self.run(tmp_path, [
+            UpdateOp.insert_edge(tail, head),
+            UpdateOp.delete_vertex(v),
+            UpdateOp.insert_vertex("new", in_neighbors=[tail]),
+        ])
+
+
+class TestWalAppendFailure:
+    def test_failed_append_rolls_the_batch_back(self, tmp_path):
         injector = FaultInjector()
-        policy = FaultPolicy(
-            max_retries=0, backoff_base=0.0, max_quarantined=2
+        durability = DurabilityManager(
+            tmp_path, fsync="never", injector=injector
         )
         service = ReachabilityService(
-            diamond(), injector=injector, fault_policy=policy
+            diamond(), durability=durability, injector=injector
         )
-        injector.arm("service.apply", "ioerror", times=0)
-        for i in range(5):
-            service.insert_vertex(f"v{i}")
-        assert len(service.quarantined) == 2  # deque bounded, newest kept
-        assert service.quarantined[-1].op == UpdateOp.insert_vertex("v4")
+        service.insert_vertex("e", in_neighbors=["d"])
+        pairs = all_pairs(service._mirror)
+        answers = service.query_batch(pairs)
+        records = durability.wal.records()
+        mirror = service._mirror.copy()
+
+        # The batch's second record fails after its bytes were written.
+        injector.arm("wal.append.after", "ioerror", after=3)
+        with pytest.raises(OSError):
+            service.apply_batch([
+                UpdateOp.insert_vertex("f"),
+                UpdateOp.insert_vertex("g"),
+                UpdateOp.insert_vertex("h"),
+            ])
+        assert service.epoch == 1
+        assert service._mirror == mirror
+        assert service.query_batch(pairs) == answers
+        assert durability.wal.records() == records
+
+        service.insert_vertex("i", in_neighbors=["a"])
+        assert [seq for seq, _ in durability.wal.records()] == [
+            seq for seq, _ in records
+        ] + [records[-1][0] + 1]
+
+        durability.close()
+        recovered = ReachabilityService.recover(tmp_path, fsync="never")
+        assert recovered.last_recovery.graph == service._mirror
+        assert "f" not in recovered and "i" in recovered
+        assert recovered.query_batch(pairs) == service.query_batch(pairs)
+        recovered.durability.close()
 
 
 class TestDegradedMode:
@@ -233,22 +366,6 @@ class TestDegradedMode:
         assert service.query("a", "e") is True
         service.delete_vertex("e")
         assert "e" not in service
-
-    def test_deadline_expiry_falls_back_to_mirror(self):
-        service = ReachabilityService(diamond(), query_deadline=0.05)
-        service._rwlock.acquire_write()  # a stuck writer
-        try:
-            # Not flagged degraded, but the read lock is unobtainable:
-            # the deadline routes the query to the mirror.
-            assert service.query("a", "d") is True
-            counters = service.registry.snapshot()["counters"]
-            assert counters["degraded.queries"] == 1
-        finally:
-            service._rwlock.release_write()
-        # Lock free again: back on the indexed path.
-        assert service.query("d", "a") is False
-        counters = service.registry.snapshot()["counters"]
-        assert counters["degraded.queries"] == 1
 
     def test_metrics_scrape_survives_stuck_writer(self):
         # Scraping is how you *notice* a stuck writer, so the gauge
@@ -312,15 +429,6 @@ class TestSelfAuditAndRebuild:
             ReachabilityService(index=index, order="no-such-order")
         with pytest.raises(GraphError, match="no-such-order"):
             ReachabilityService(DiGraph(), order="no-such-order")
-
-    def test_audit_interval_runs_automatically(self):
-        service = ReachabilityService(
-            diamond(), audit_interval=2, audit_samples=8
-        )
-        service.insert_vertex("e")
-        service.insert_vertex("f")  # second flush triggers the audit
-        counters = service.registry.snapshot()["counters"]
-        assert counters["service.audits"] >= 1
 
     def test_audit_concurrent_with_readers(self):
         # The audit takes the flush mutex, not the read lock exclusively:

@@ -124,6 +124,20 @@ class TestUpdatesAndEpochs:
         assert counters["service.updates_applied"] == 3
         assert counters["service.updates_rejected"] == 1
 
+    def test_repeated_neighbour_is_harmless(self):
+        # The op dedupes its neighbour list, so the mirror cannot raise
+        # halfway through it and leave the epoch behind the graph.
+        service = ReachabilityService(DiGraph(edges=[("a", "b"), ("b", "c")]))
+        applied = service.apply_batch(
+            [UpdateOp.insert_vertex("e", in_neighbors=["c", "c"])]
+        )
+        assert applied == 1
+        assert service.epoch == 1
+        assert service.query("a", "e") is True
+        assert service.num_edges == 3
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_rejected"] == 0
+
     def test_unknown_reference_rejected_at_submit(self):
         service = ReachabilityService(diamond())
         with pytest.raises(UnknownVertexError):

@@ -1,17 +1,22 @@
 """Trace ids and the flight recorder through the service write path.
 
-``test_faults.py`` pins the retry/quarantine mechanics; here we pin the
+``test_faults.py`` pins the kernel-failure mechanics; here we pin the
 observability riding on them: a batch's trace id follows its ops into
-the WAL and onto :class:`QuarantinedUpdate`, and the flight recorder is
-dumped exactly on the events that need a post-mortem (degraded-mode
-entry, quarantine, recovery).
+the WAL and onto a kernel failure's ``service.degraded_enter`` event,
+and the flight recorder is dumped exactly on the events that need a
+post-mortem (degraded-mode entry, recovery).
 """
 
+import io
+import json
+
 from repro.graph.digraph import DiGraph
+from repro.obs import trace as obs_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricRegistry
+from repro.obs.trace import JsonlSink
 from repro.service.durability import DurabilityManager
-from repro.service.faults import FaultInjector, FaultPolicy
+from repro.service.faults import FaultInjector
 from repro.service.server import ReachabilityService
 from repro.core.ops import UpdateOp
 
@@ -49,44 +54,52 @@ class TestTraceToWal:
         assert by_vertex["f"] is None
 
 
-class TestQuarantineTraces:
+class TestKernelFailureTraces:
     def _poisoned(self, **kwargs):
         injector = FaultInjector()
-        policy = FaultPolicy(max_retries=1, backoff_base=0.0001)
-        service = ReachabilityService(
-            diamond(), injector=injector, fault_policy=policy, **kwargs
-        )
-        injector.arm("service.apply", "ioerror", times=0)  # fail forever
+        service = ReachabilityService(diamond(), injector=injector, **kwargs)
+        injector.arm("service.apply", "ioerror")  # the next kernel fails
         return service
 
-    def test_quarantined_op_keeps_its_trace(self):
-        service = self._poisoned()
-        service.apply(
-            UpdateOp.insert_vertex("e"), trace_id="beefbeefbeef0001"
-        )
-        [bad] = service.quarantined
-        assert bad.trace_id == "beefbeefbeef0001"
-        assert "beefbeefbeef0001" in repr(bad)
+    def _events(self, service, **apply_kwargs):
+        buf = io.StringIO()
+        obs_trace.enable(sink=JsonlSink(buf))
+        try:
+            service.apply(UpdateOp.insert_vertex("e"), **apply_kwargs)
+        finally:
+            obs_trace.disable()
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        return [r for r in records if r["name"] == "service.degraded_enter"]
 
-    def test_untraced_quarantine_has_no_tag(self):
+    def test_kernel_failure_event_keeps_its_trace(self):
         service = self._poisoned()
-        service.apply(UpdateOp.insert_vertex("e"))
-        [bad] = service.quarantined
-        assert bad.trace_id is None
+        [event] = self._events(service, trace_id="beefbeefbeef0001")
+        assert event["attrs"]["reason"] == "kernel_failure"
+        assert event["attrs"]["trace"] == "beefbeefbeef0001"
+        assert event["attrs"]["kind"] == "insert_vertex"
+        assert "OSError" in event["attrs"]["error"]
+        assert "e" in service and not service.degraded
 
-    def test_quarantine_dumps_the_flight_recorder(self, tmp_path):
+    def test_untraced_kernel_failure_has_no_tag(self):
+        service = self._poisoned()
+        [event] = self._events(service)
+        assert event["attrs"]["reason"] == "kernel_failure"
+        assert event["attrs"]["trace"] is None
+
+    def test_kernel_failure_dumps_the_flight_recorder(self, tmp_path):
         registry = MetricRegistry()
         flight = FlightRecorder(registry, dump_dir=tmp_path / "flights")
         service = self._poisoned(registry=registry, flight=flight)
         service.apply(
             UpdateOp.insert_vertex("e"), trace_id="beefbeefbeef0002"
         )
-        dumps = sorted((tmp_path / "flights").glob("flight-quarantine-*"))
+        dumps = sorted((tmp_path / "flights").glob("flight-degraded-*"))
         assert len(dumps) == 1
         markers = [
             e for e in flight.snapshots() if e["kind"] == "marker"
         ]
-        assert markers[0]["event"] == "quarantine"
+        assert markers[0]["event"] == "degraded"
+        assert markers[0]["attrs"]["reason"] == "kernel_failure"
         assert markers[0]["attrs"]["trace"] == "beefbeefbeef0002"
 
 

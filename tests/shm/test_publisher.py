@@ -136,6 +136,32 @@ class TestRepublish:
         publisher.poll_once()
         assert reader.degraded is False
 
+    def test_degraded_flag_stays_set_until_the_rebuilt_generation_is_live(
+        self, plane, monkeypatch
+    ):
+        service, publisher, reader = plane
+        service.enter_degraded()
+        publisher.poll_once()
+        assert publisher.control.degraded is True
+        service.rebuild_index()  # bumps the epoch, then leaves degraded
+        flips = []
+        write_snapshot = publisher.control.write_snapshot
+
+        def spy(generation, *args, **kwargs):
+            before = publisher.control.degraded
+            write_snapshot(generation, *args, **kwargs)
+            flips.append((generation, before, publisher.control.degraded))
+
+        monkeypatch.setattr(publisher.control, "write_snapshot", spy)
+        assert publisher.poll_once() is True
+        # Readers kept forwarding while generation 2 was being written
+        # and flipped; only then did the flag clear.
+        assert flips == [(2, True, True)]
+        assert publisher.control.degraded is False
+        assert reader.degraded is False
+        snap = reader.current()
+        assert (snap.generation, snap.epoch) == (2, service.epoch)
+
 
 class TestGracePeriod:
     def test_retired_segment_unlinks_after_grace(self, service, graph):
