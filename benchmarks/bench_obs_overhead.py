@@ -153,24 +153,37 @@ def _min_time(fn, reps):
     return best
 
 
+def _elapsed(fn, *args):
+    """Wall time of one ``fn(*args)`` call in seconds."""
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
 def _measure_ratio(reps):
     """(ratio, instrumented_s, baseline_s) with interleaved min-of-N.
 
     The variants alternate within one loop rather than running as two
     back-to-back phases: on a loaded (or single-core) box, load that
     drifts between phases would bias the ratio even though min-of-N
-    absorbs spikes *within* each variant's reps.
+    absorbs spikes *within* each variant's reps.  Which variant runs
+    first also alternates from rep to rep: the first-timed build of a
+    pair pays for the cache and allocator state the other one left, and
+    a fixed order put that cost on one side of the ratio every time.
     """
     graph, order = _graph_and_order()
     assert not trace.active()
     baseline = instrumented = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        _uninstrumented_build(graph, order)
-        baseline = min(baseline, time.perf_counter() - start)
-        start = time.perf_counter()
-        butterfly_build(graph, order)
-        instrumented = min(instrumented, time.perf_counter() - start)
+    for rep in range(reps):
+        if rep % 2:
+            instrumented = min(
+                instrumented, _elapsed(butterfly_build, graph, order)
+            )
+        baseline = min(baseline, _elapsed(_uninstrumented_build, graph, order))
+        if not rep % 2:
+            instrumented = min(
+                instrumented, _elapsed(butterfly_build, graph, order)
+            )
     return instrumented / baseline, instrumented, baseline
 
 

@@ -122,7 +122,6 @@ and (c′); each fails when its rule is removed.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from typing import TYPE_CHECKING, Optional
 
 from ..errors import IndexStateError
 from ..graph.digraph import DiGraph
@@ -130,21 +129,12 @@ from ..obs import trace
 from ..graph.traversal import bidirectional_reachable
 from .labeling import TOLLabeling, common_ids
 
-if TYPE_CHECKING:
-    from ..graph.csr import CSRGraph
-
 __all__ = ["delete_vertex"]
 
 Vertex = Hashable
 
 
-def delete_vertex(
-    graph: DiGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    *,
-    snapshot: Optional[CSRGraph] = None,
-) -> None:
+def delete_vertex(graph: DiGraph, labeling: TOLLabeling, v: Vertex) -> None:
     """Delete *v* from the index (Algorithm 4).
 
     Only the label sets flagged by the change-propagation cut-off are
@@ -159,13 +149,6 @@ def delete_vertex(
         it as its final step, keeping graph and labeling in lockstep.
     labeling:
         The live TOL index; updated in place (order included).
-    snapshot:
-        Optional :class:`~repro.graph.csr.CSRGraph` describing *graph*'s
-        exact current state (``v`` included); the two frontier BFS passes
-        then walk the snapshot's flat int arrays instead of the dict
-        adjacency.  Edge ops pack one snapshot before the delete half of
-        their round trip and reuse it for the re-insert half (see
-        :mod:`repro.core.insertion`).
 
     Raises
     ------
@@ -182,10 +165,7 @@ def delete_vertex(
         interner = labeling.interner
         ids = interner.ids
         scratch = labeling.update_scratch()
-        cap = interner.capacity
-        if snapshot is not None and snapshot.num_vertices > cap:
-            cap = snapshot.num_vertices
-        scratch.begin(cap)
+        scratch.begin(interner.capacity)
         mem_fwd = scratch.mem_a
         mem_bwd = scratch.mem_b
         mark_fwd = scratch.mark_a
@@ -195,26 +175,14 @@ def delete_vertex(
         # member marks (by labeling id) survive drop_vertex: survivors
         # keep their ids, and v's own id — though recycled onto the free
         # list — never appears in a surviving label set.
-        if snapshot is None:
-            g_fwd = scratch.next_gen()
-            n_fwd = _frontier(
-                graph.iter_out, ids, v, mark_fwd, g_fwd, mem_fwd,
-                scratch.queue,
-            )
-            g_bwd = scratch.next_gen()
-            n_bwd = _frontier(
-                graph.iter_in, ids, v, mark_bwd, g_bwd, mem_bwd,
-                scratch.queue,
-            )
-        else:
-            n_fwd = _frontier_csr(snapshot, v, True, scratch, mem_fwd)
-            n_bwd = _frontier_csr(snapshot, v, False, scratch, mem_bwd)
-            g_fwd = scratch.next_gen()
-            for i in range(n_fwd):
-                mark_fwd[ids[mem_fwd[i]]] = g_fwd
-            g_bwd = scratch.next_gen()
-            for i in range(n_bwd):
-                mark_bwd[ids[mem_bwd[i]]] = g_bwd
+        g_fwd = scratch.next_gen()
+        n_fwd = _frontier(
+            graph.iter_out, ids, v, mark_fwd, g_fwd, mem_fwd, scratch.queue
+        )
+        g_bwd = scratch.next_gen()
+        n_bwd = _frontier(
+            graph.iter_in, ids, v, mark_bwd, g_bwd, mem_bwd, scratch.queue
+        )
 
         # Cut-off state (module docstring), stamped before the purge.
         # mark_c: g_in / g_out = Lin / Lout differs from before this
@@ -369,40 +337,6 @@ def _frontier(
             members[n] = u
             n += 1
             queue[tail] = u
-            tail += 1
-    return n
-
-
-def _frontier_csr(
-    snap: CSRGraph, v: Vertex, forward: bool, scratch, members: list
-) -> int:
-    """:func:`_frontier` over a CSR snapshot's int rows.
-
-    The snapshot must describe the graph exactly (it is taken immediately
-    before the delete); visited stamps are keyed by *snapshot* id, and
-    members are collected as vertex objects for the later id translation.
-    """
-    offsets = snap.out_offsets if forward else snap.in_offsets
-    targets = snap.out_targets if forward else snap.in_targets
-    table = snap.interner.table
-    gen = scratch.next_gen()
-    seen = scratch.seen
-    queue = scratch.queue
-    start = snap.id_of(v)
-    seen[start] = gen
-    queue[0] = start
-    head, tail = 0, 1
-    n = 0
-    while head < tail:
-        x = queue[head]
-        head += 1
-        for s in targets[offsets[x]:offsets[x + 1]]:
-            if seen[s] == gen:
-                continue
-            seen[s] = gen
-            members[n] = table[s]
-            n += 1
-            queue[tail] = s
             tail += 1
     return n
 

@@ -290,18 +290,10 @@ class TOLIndex:
         so every vertex whose labels depended on paths through ``v`` (via
         old edges) is inside ``B+(v)``/``B-(v)`` and gets rebuilt; the
         re-insertion then introduces the *new* adjacency exactly.
-
-        **One** CSR snapshot — packed here, while graph and snapshot
-        still agree exactly — serves both halves of the round trip: the
-        delete's frontier BFS walks it as-is, and the re-insert's spread
-        tolerates its staleness around ``v`` (the spread seeds from the
-        live neighbor lists and never reads rows of ``v``; see
-        :mod:`repro.core.insertion`).
         """
         order = self._labeling.order
         successor = order.successor(v)
-        snap = self._graph.csr()
-        delete_vertex(self._graph, self._labeling, v, snapshot=snap)
+        delete_vertex(self._graph, self._labeling, v)
         self._graph.add_vertex(v)
         for u in new_ins:
             self._graph.add_edge(u, v)
@@ -310,9 +302,7 @@ class TOLIndex:
         placement: Placement = (
             "bottom" if successor is None else ("above", successor)
         )
-        insert_vertex(
-            self._graph, self._labeling, v, placement=placement, snapshot=snap
-        )
+        insert_vertex(self._graph, self._labeling, v, placement=placement)
 
     def descendants(self, v: Vertex) -> set[Vertex]:
         """All vertices reachable from *v* (excluding *v*), via the graph."""

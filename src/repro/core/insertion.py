@@ -61,32 +61,18 @@ candidate lists, each feeding a level-ordered admission scan that needs
 an actually-sorted sequence).  The kernels are pinned to the
 Definition-1 reference and to BFS after every op of random update traces
 by ``tests/core/test_update_differential.py``.
-
-Snapshot reuse
---------------
-The spread may run over a CSR snapshot whose rows *touching v* are
-stale: it seeds its BFS from the caller's live neighbor lists and marks
-``v``'s snapshot id visited up front, so ``v``'s own (possibly stale)
-rows are never read, and stale entries of ``v`` in other rows are
-skipped as already-visited.  Rows not involving ``v`` must match the
-live graph.  This is what lets one snapshot, packed before an edge-op's
-delete half, serve the re-insert half too
-(:meth:`TOLIndex.insert_edge` / :meth:`~TOLIndex.delete_edge`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from ..errors import IndexStateError
 from ..graph.digraph import DiGraph
 from ..obs import trace
 from .labeling import TOLLabeling, ids_intersect
-
-if TYPE_CHECKING:
-    from ..graph.csr import CSRGraph
 
 __all__ = ["Placement", "LevelChoice", "choose_level", "insert_vertex"]
 
@@ -125,7 +111,6 @@ def insert_vertex(
     v: Vertex,
     *,
     placement: Optional[Placement] = None,
-    snapshot: Optional[CSRGraph] = None,
 ) -> None:
     """Insert vertex *v* into the index (Section 5.1).
 
@@ -142,14 +127,6 @@ def insert_vertex(
         Algorithm-3 sweep to find the size-minimizing position;
         ``"bottom"`` gives ``v`` the lowest level (the cheap choice
         discussed in Section 5.1.2); ``("above", u)`` places it explicitly.
-    snapshot:
-        Optional :class:`~repro.graph.csr.CSRGraph` over which the label
-        spread traverses flat arrays instead of the dict adjacency.  The
-        Section-6 reduction passes one snapshot for a whole sweep of
-        delete/re-insert round trips; the edge ops of
-        :class:`~repro.core.index.TOLIndex` reuse the snapshot packed for
-        the delete half.  Rows touching ``v`` may be stale (the spread
-        seeds from the live neighbor lists; see module docstring).
 
     Raises
     ------
@@ -161,8 +138,6 @@ def insert_vertex(
         raise IndexStateError(f"vertex {v!r} is already indexed")
     if v not in graph:
         raise IndexStateError(f"vertex {v!r} is not in the graph")
-    # Neighbor lists come from the live graph — the one source of truth
-    # even when a (possibly v-stale) snapshot drives the traversal.
     ins = list(graph.in_neighbors(v))
     outs = list(graph.out_neighbors(v))
     for u in ins:
@@ -180,14 +155,14 @@ def insert_vertex(
             size_before = labeling.size()
 
         if placement is not None:
-            _materialize(graph, labeling, v, placement, ins, outs, snapshot)
+            _materialize(graph, labeling, v, placement, ins, outs)
             if sp:
                 sp.set("labels_added", labeling.size() - size_before)
                 sp.set("placement", "explicit")
             return
 
         # Step 1 (Algorithm 3): bottom-place, sweep, relocate if profitable.
-        _materialize(graph, labeling, v, "bottom", ins, outs, snapshot)
+        _materialize(graph, labeling, v, "bottom", ins, outs)
         with trace.span("tol.insert.choose_level") as level_sp:
             choice = choose_level(labeling, v)
             if level_sp:
@@ -437,7 +412,6 @@ def _materialize(
     placement: Placement,
     ins: list,
     outs: list,
-    snapshot: Optional[CSRGraph],
 ) -> None:
     """Insert *v* at *placement* and repair all label sets."""
     order = labeling.order
@@ -451,18 +425,11 @@ def _materialize(
     labeling.add_vertex(v)
 
     scratch = labeling.update_scratch()
-    cap = labeling.interner.capacity
-    if snapshot is not None and snapshot.num_vertices > cap:
-        cap = snapshot.num_vertices
-    scratch.begin(cap)
+    scratch.begin(labeling.interner.capacity)
 
     _build_own_labels(labeling, v, ins, outs, scratch)
-    if snapshot is not None:
-        _spread_new_labels_csr(snapshot, labeling, v, outs, True, scratch)
-        _spread_new_labels_csr(snapshot, labeling, v, ins, False, scratch)
-    else:
-        _spread_new_labels(graph, labeling, v, True, scratch)
-        _spread_new_labels(graph, labeling, v, False, scratch)
+    _spread_new_labels(graph, labeling, v, True, scratch)
+    _spread_new_labels(graph, labeling, v, False, scratch)
     _prune_through(labeling, labeling.interner.ids[v], scratch)
     _repair_other_labels(labeling, v, scratch)
 
@@ -571,79 +538,6 @@ def _spread_new_labels(
                 continue  # covered: prune this branch
             add_label(uid, vid)
             queue[tail] = u
-            tail += 1
-
-
-def _spread_new_labels_csr(
-    snap: CSRGraph,
-    labeling: TOLLabeling,
-    v: Vertex,
-    seeds: list,
-    forward: bool,
-    scratch,
-) -> None:
-    """:func:`_spread_new_labels` over a CSR snapshot's flat arrays.
-
-    The same pruned search, but the BFS walks snapshot ids and crosses
-    into labeling ids only for the vertices that survive the level
-    check.  It is seeded from the caller's *live* neighbor list rather
-    than ``v``'s snapshot rows, and ``v``'s snapshot id is pre-marked
-    visited — together these make the traversal exact even when the
-    snapshot's rows touching ``v`` are stale (the snapshot reuse contract
-    for edge ops; see module docstring).
-    """
-    ids = labeling.interner.ids
-    table = snap.interner.table
-    okey = labeling.order.key
-    vid = ids[v]
-    vkey = okey(v)
-    if forward:
-        offsets = snap.out_offsets
-        targets = snap.out_targets
-        my_labels = labeling.out_ids[vid]
-        their_labels = labeling.in_ids
-        add_label = labeling.add_in_id
-    else:
-        offsets = snap.in_offsets
-        targets = snap.in_targets
-        my_labels = labeling.in_ids[vid]
-        their_labels = labeling.out_ids
-        add_label = labeling.add_out_id
-
-    gen = scratch.next_gen()
-    seen = scratch.seen
-    queue = scratch.queue
-    seen[snap.id_of(v)] = gen  # never read v's (possibly stale) rows
-    head = tail = 0
-    intersect = ids_intersect
-    for u in seeds:
-        s = snap.id_of(u)
-        if seen[s] == gen:
-            continue
-        seen[s] = gen
-        if okey(u) < vkey:
-            continue
-        uid = ids[u]
-        if intersect(my_labels, their_labels[uid]):
-            continue
-        add_label(uid, vid)
-        queue[tail] = s
-        tail += 1
-    while head < tail:
-        x = queue[head]
-        head += 1
-        for s in targets[offsets[x]:offsets[x + 1]]:
-            if seen[s] == gen:
-                continue
-            seen[s] = gen
-            u = table[s]
-            if okey(u) < vkey:
-                continue
-            uid = ids[u]
-            if intersect(my_labels, their_labels[uid]):
-                continue
-            add_label(uid, vid)
-            queue[tail] = s
             tail += 1
 
 

@@ -101,10 +101,6 @@ def reduce_labels(
     ReductionReport
     """
     report = ReductionReport(initial_size=labeling.size())
-    # One CSR packing pass serves every round trip of every round: each
-    # delete/re-insert restores the graph to the snapshotted state before
-    # insert_vertex runs (the snapshot reuse contract, docs/api.md).
-    snap = graph.csr()
     with trace.span("tol.reduction") as sp:
         if sp:
             sp.set("initial_size", report.initial_size)
@@ -115,17 +111,17 @@ def reduce_labels(
                 list(sweep) if sweep is not None else list(labeling.order)[::-1]
             )
             for v in order:
-                ins = snap.in_neighbors(v)
-                outs = snap.out_neighbors(v)
+                ins = graph.in_neighbors(v)
+                outs = graph.out_neighbors(v)
                 anchor_above = labeling.order.predecessor(v)
                 anchor_below = labeling.order.successor(v)
-                delete_vertex(graph, labeling, v, snapshot=snap)
+                delete_vertex(graph, labeling, v)
                 graph.add_vertex_if_absent(v)
                 for u in ins:
                     graph.add_edge(u, v)
                 for w in outs:
                     graph.add_edge(v, w)
-                insert_vertex(graph, labeling, v, snapshot=snap)
+                insert_vertex(graph, labeling, v)
                 new_above = labeling.order.predecessor(v)
                 new_below = labeling.order.successor(v)
                 if (new_above, new_below) != (anchor_above, anchor_below):

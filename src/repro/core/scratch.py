@@ -29,10 +29,10 @@ across updates, so a steady-state update allocates (almost) nothing:
   rebuild loop sorts thousands of candidates by level.
 
 :meth:`begin` sizes every buffer to the labeling's current id capacity
-(plus any snapshot's id space) and hands out a fresh generation; kernels
-take further generations per sub-phase with :meth:`next_gen`.  Growth only
-happens when the id space itself grows — after a warm-up update at a given
-size, the buffers are stable objects of stable length (asserted by
+and hands out a fresh generation; kernels take further generations per
+sub-phase with :meth:`next_gen`.  Growth only happens when the id space
+itself grows — after a warm-up update at a given size, the buffers are
+stable objects of stable length (asserted by
 ``tests/core/test_update_differential.py``).
 
 The scratch deliberately holds no vertex objects beyond the lifetime of
@@ -87,8 +87,7 @@ class UpdateScratch:
 
     def __init__(self) -> None:
         self.generation = 0
-        #: Visited/dedup stamps, keyed by labeling id *or* snapshot id
-        #: (one id space per generation — never mixed within one).
+        #: Visited/dedup stamps, keyed by labeling id.
         self.seen: list[int] = []
         #: General-purpose stamp arrays keyed by labeling id; insertion
         #: uses them for the Δk sweep's simulated sets, deletion for the
@@ -125,9 +124,8 @@ class UpdateScratch:
         """Size every buffer for *capacity* ids; return a fresh generation.
 
         Called once at the top of an update with the labeling's interner
-        capacity (maxed with any CSR snapshot's id-space size).  Buffers
-        only ever grow; after a warm-up op at a given size this is a few
-        ``len`` checks and one integer increment.
+        capacity.  Buffers only ever grow; after a warm-up op at a given
+        size this is a few ``len`` checks and one integer increment.
         """
         if len(self.seen) < capacity:
             grow = capacity + _HEADROOM - len(self.seen)

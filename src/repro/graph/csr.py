@@ -1,8 +1,8 @@
 """CSRGraph: an immutable int-indexed snapshot of a :class:`DiGraph`.
 
-The construction algorithms — Butterfly's peeling sweeps (Algorithm 5),
-the BU/BL score sweeps of Section 7.1, and the Section-6 reduction loop —
-are traversal-heavy: they visit every edge many times.  Walking
+The construction algorithms — Butterfly's peeling sweeps (Algorithm 5)
+and the BU/BL score sweeps of Section 7.1 — are traversal-heavy: they
+visit every edge many times.  Walking
 :class:`~repro.graph.digraph.DiGraph`'s dict-of-``set`` adjacency pays a
 hash lookup and a generator frame per edge visit.  :class:`CSRGraph`
 packs the same graph once into flat ``array('i')`` buffers so those
@@ -27,10 +27,7 @@ snapshot on the graph and invalidates it with the graph's mutation
 counter (:attr:`DiGraph.version`), so repeated builds over an unchanged
 graph — an order computation followed by a Butterfly build, or every
 ``bench_fig*`` ablation rebuilding indices — share one packing pass.
-Callers that mutate the graph and restore it to an identical state (the
-Section-6 reduction's delete/re-insert round trips) may keep using a
-snapshot taken before the excursion; see ``docs/api.md`` ("snapshot
-reuse contract").
+The update kernels never pack a snapshot: they walk the live adjacency.
 """
 
 from __future__ import annotations
@@ -59,10 +56,9 @@ class CSRGraph:
     >>> snap = g.csr()
     >>> snap.num_vertices, snap.num_edges
     (3, 3)
-    >>> list(snap.out_ids_of(snap.id_of("a")))
+    >>> a = snap.interner.id_of("a")
+    >>> list(snap.out_targets[snap.out_offsets[a]:snap.out_offsets[a + 1]])
     [1, 2]
-    >>> snap.out_neighbors("a")
-    ['b', 'c']
     """
 
     __slots__ = (
@@ -98,20 +94,8 @@ class CSRGraph:
         self._topo_ids: Optional[array] = None
 
     # ------------------------------------------------------------------
-    # Id boundary
+    # Vertex boundary
     # ------------------------------------------------------------------
-
-    def id_of(self, v: Vertex) -> int:
-        """Snapshot id of *v* (raises :class:`UnknownVertexError`)."""
-        return self.interner.id_of(v)
-
-    def get(self, v: Vertex) -> Optional[int]:
-        """Snapshot id of *v*, or ``None`` if it was not in the graph."""
-        return self.interner.get(v)
-
-    def vertex_of(self, i: int) -> Vertex:
-        """Vertex object owning snapshot id *i*."""
-        return self.interner.vertex_of(i)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.interner
@@ -122,40 +106,6 @@ class CSRGraph:
     def vertices(self) -> Iterator[Vertex]:
         """Iterate vertex objects in id order (graph insertion order)."""
         return iter(self.interner)
-
-    # ------------------------------------------------------------------
-    # Id-level adjacency (the hot-path surface)
-    # ------------------------------------------------------------------
-
-    def out_ids_of(self, i: int) -> array:
-        """Out-neighbor ids of id *i* as a sorted ``array('i')`` slice."""
-        return self.out_targets[self.out_offsets[i]:self.out_offsets[i + 1]]
-
-    def in_ids_of(self, i: int) -> array:
-        """In-neighbor ids of id *i* as a sorted ``array('i')`` slice."""
-        return self.in_targets[self.in_offsets[i]:self.in_offsets[i + 1]]
-
-    def out_degree_of(self, i: int) -> int:
-        """Out-degree of id *i*."""
-        return self.out_offsets[i + 1] - self.out_offsets[i]
-
-    def in_degree_of(self, i: int) -> int:
-        """In-degree of id *i*."""
-        return self.in_offsets[i + 1] - self.in_offsets[i]
-
-    # ------------------------------------------------------------------
-    # Vertex-level adjacency (cheap convenience for cooler paths)
-    # ------------------------------------------------------------------
-
-    def out_neighbors(self, v: Vertex) -> list:
-        """Out-neighbors of *v* as vertex objects, in id order."""
-        table = self.interner.table
-        return [table[u] for u in self.out_ids_of(self.interner.id_of(v))]
-
-    def in_neighbors(self, v: Vertex) -> list:
-        """In-neighbors of *v* as vertex objects, in id order."""
-        table = self.interner.table
-        return [table[u] for u in self.in_ids_of(self.interner.id_of(v))]
 
     # ------------------------------------------------------------------
     # Topological sweep (shared by the DAG check and the score sweeps)

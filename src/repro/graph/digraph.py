@@ -116,7 +116,8 @@ class DiGraph:
         :class:`~repro.graph.csr.CSRGraph` (one O(|V|+|E|) pass); later
         calls return the same object until :attr:`version` changes.  The
         snapshot is immutable — it never reflects mutations made after
-        it was taken.
+        it was taken.  The build pipeline (order strategies, Butterfly)
+        shares it; the update kernels walk the live adjacency instead.
         """
         cache = self._csr_cache
         if cache is not None and cache[0] == self._version:

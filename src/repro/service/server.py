@@ -333,8 +333,15 @@ class ReachabilityService:
         """Return one vertex on some ``s ⇝ t`` path, or ``None``.
 
         Witnesses are not cached (they are not epoch-stamped booleans);
-        the lookup runs against the index under the read lock.
+        the lookup runs against the index under the read lock.  In
+        degraded mode it runs BFS over the mirror instead and answers
+        ``s``, which lies on every ``s ⇝ t`` path.
         """
+        if self._degraded.is_set():
+            with self._mirror_lock:
+                if bidirectional_reachable(self._mirror, s, t):
+                    return s
+                return None
         with self._rwlock.read_locked():
             return self._index.witness(s, t)
 

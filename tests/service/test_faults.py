@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines.search import BFSBaseline
 from repro.core.index import ReachabilityIndex
-from repro.errors import GraphError
+from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.traversal import forward_reachable
@@ -407,6 +407,24 @@ class TestSelfAuditAndRebuild:
         assert counters["service.audit_failures"] == 1
         # Degraded readers get the *correct* answer meanwhile.
         assert service.query("a", "c") is True
+
+    def test_degraded_witness_answers_from_mirror(self):
+        service = ReachabilityService(
+            DiGraph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+        )
+        labeling = service._index.tol.labeling
+        for vid in range(labeling.interner.capacity):
+            labeling.clear_in_ids(vid)
+            labeling.clear_out_ids(vid)
+        assert service.self_audit(samples=64) is False
+        assert service.degraded
+        assert service.query("a", "d") is True
+        assert service.witness("a", "d") == "a"
+        assert service.witness("d", "a") is None
+        with pytest.raises(VertexNotFoundError):
+            service.query("a", "ghost")
+        with pytest.raises(VertexNotFoundError):
+            service.witness("a", "ghost")
 
     def test_rebuild_repairs_and_exits_degraded(self):
         service = self.chain_service()
