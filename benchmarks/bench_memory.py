@@ -12,9 +12,14 @@ records the bytes reachable from each structure it keeps:
   name, from when they were ``set[int]``, so the history stays
   comparable);
 * ``interner`` — the vertex <-> id maps;
-* ``original_graph`` — the condensation's copy of the input graph;
+* ``original_graph`` — the input graph the index keeps, the only copy
+  of the served graph (the service checkpoints and audits it and
+  answers degraded queries from it);
 * ``condensation`` — the condensed DAG, ``component_of`` and ``members``;
-* ``service_mirror`` — the service's BFS fallback copy of the graph.
+* ``component_edges`` — the condensation's per-DAG-edge count of input
+  edges (``_edges.counts``);
+* ``tol_dag`` — the TOL index's private copy of the condensed DAG
+  (``tol._graph``), which its update kernels walk.
 
 Each structure is walked on its own (objects shared between two
 structures are counted in both).  It then runs one full read cycle,
@@ -108,7 +113,8 @@ def structure_bytes(service: ReachabilityService) -> dict:
         "condensation": deep_sizeof(
             [condensation.dag, condensation.component_of, condensation.members]
         ),
-        "service_mirror": deep_sizeof(service._mirror),
+        "component_edges": deep_sizeof(condensation._edges.counts),
+        "tol_dag": deep_sizeof(index.tol._graph),
     }
 
 

@@ -24,10 +24,11 @@ than a hope:
   timed and default calls must agree on every answer, and the timed
   call's cost is reported for the record.
 
-Unlike the rest of the benchmark suite this file keeps the acceptance
-scale (|V|=2000, |E|=8000) even under ``--quick``: the budget assertion
-is only meaningful when the build takes long enough to time reliably,
-and a single build is ~100ms — cheap enough for the smoke tree.
+Unlike the rest of the benchmark suite this file keeps one scale
+(|V|=5000, |E|=20000) even under ``--quick``: the budget assertion is
+only meaningful when the build takes long enough to time reliably, and
+a single build takes about 100 ms on a shared 2-vCPU Xeon — cheap
+enough for the smoke tree.
 """
 
 import time
@@ -42,8 +43,8 @@ from repro.service.server import ReachabilityService
 
 from _config import QUICK, cached
 
-NUM_VERTICES = 2000
-NUM_EDGES = 8000
+NUM_VERTICES = 5000
+NUM_EDGES = 20000
 
 #: Maximum allowed (instrumented, tracing off) / (uninstrumented) ratio.
 OVERHEAD_BUDGET = 1.03

@@ -460,7 +460,7 @@ def _rebuild_labels(
         inv_other = labeling.out_holders
         clear = labeling.clear_in_ids
         fill = labeling.fill_in_ids
-        remove_mirror = labeling.remove_out_id
+        remove_opposite = labeling.remove_out_id
     else:
         neighbors = graph.iter_out(u)
         their_labels = labeling.out_ids
@@ -468,7 +468,7 @@ def _rebuild_labels(
         inv_other = labeling.in_holders
         clear = labeling.clear_out_ids
         fill = labeling.fill_out_ids
-        remove_mirror = labeling.remove_in_id
+        remove_opposite = labeling.remove_in_id
 
     # Candidate collection with stamped dedup, fused with the Level
     # Constraint prefilter and the key fetch: survivors land in *deco*
@@ -533,7 +533,7 @@ def _rebuild_labels(
         # removals shrink holders_u.
         if holders_u:
             for j in range(common_ids(holders_u, inv_other[w], doomed)):
-                remove_mirror(doomed[j], uid)
+                remove_opposite(doomed[j], uid)
 
     old = their_labels[uid]
     if a == len(old):

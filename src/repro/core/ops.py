@@ -208,16 +208,16 @@ class UpdateOp:
             index.delete_edge(self.tail, self.head)
 
     def apply_to_graph(self, graph) -> None:
-        """Mirror this op onto a plain :class:`~repro.graph.digraph.DiGraph`.
+        """Apply this op to a plain :class:`~repro.graph.digraph.DiGraph`.
 
-        Used by the service's shadow graph (degraded-mode BFS serving),
-        WAL replay during recovery, and the oracle tests — all of which
-        need the *graph* effect of an op without touching any index.
-        For an op whose neighbours exist, a
-        :class:`~repro.errors.ReproError` (the vertex or edge already
-        exists, or does not) is raised before *graph* changes: the
-        service rejects an op, and recovery skips its record, by this
-        one test.
+        Used by WAL replay during recovery, by the service after an
+        index kernel failed (the rest of the batch goes to the served
+        graph alone), and the oracle tests — all of which need the
+        *graph* effect of an op without touching any index.  For an op
+        whose neighbours exist, a :class:`~repro.errors.ReproError` (the
+        vertex or edge already exists, or does not) is raised before
+        *graph* changes, as the index raises it before its graph moves:
+        recovery skips a record, and the service rejects an op, by it.
         """
         if self.kind == "insert_vertex":
             graph.add_vertex(self.vertex)

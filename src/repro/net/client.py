@@ -67,7 +67,7 @@ class BatchReply:
 
     ``results`` are booleans in request order; ``epoch`` is the index
     version they are valid at; ``degraded`` says the server answered
-    from its BFS mirror rather than the index.  ``trace`` is the request
+    by BFS over its graph rather than from the index.  ``trace`` is the request
     trace id the server saw (the one this client minted, or one minted
     at admission for v1-style requests); ``timings`` is the per-stage
     breakdown when the call opted in with ``timings=True``, else

@@ -217,7 +217,7 @@ def error_fields_for(exc: BaseException) -> dict:
     """
     # UnknownVertexError comes from the index/service layers,
     # VertexNotFoundError from graph-backed paths (the condensation
-    # front-end, the degraded BFS mirror); on the wire they are the
+    # front-end, degraded BFS over the graph); on the wire they are the
     # same condition.
     if isinstance(exc, (UnknownVertexError, VertexNotFoundError)):
         return {

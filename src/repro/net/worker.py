@@ -22,7 +22,7 @@ reply relayed unchanged (ids and trace ids survive the hop):
 * ``stats`` / ``health`` — the writer owns the service and the
   publisher (the per-worker breakdown lives in the control block);
 * queries while the control block's degraded flag is set — the writer
-  serves those from its BFS mirror;
+  answers those by BFS over its served graph;
 * queries naming vertices the snapshot does not know — the live index
   may have learned them after the snapshot was frozen.
 
@@ -229,8 +229,8 @@ class _ReaderWorker(FrameServer):
     def _fast_query(self, request_id, request: dict):
         """Snapshot-plane answer, or ``None`` when the writer must."""
         if self.reader.degraded:
-            # The index is rebuilding; the writer's BFS mirror is the
-            # only correct answer source.
+            # The index is rebuilding; BFS over the writer's graph is
+            # the only correct answer source.
             return None
         start = time.perf_counter() if request.get("timings") else 0.0
         pairs = wire_pairs(request.get("pairs"))

@@ -139,9 +139,9 @@ def labeling_health(labeling) -> dict:
 def collect_health(service) -> dict:
     """Assemble the full health payload from a live service.
 
-    Takes the read lock briefly (with a short timeout so a stuck writer
-    degrades the payload to mirror-derived numbers instead of hanging
-    the health probe), the WAL stats lock, and nothing else.
+    Takes the read lock briefly (a stuck writer makes the ``index``
+    section ``stale: True`` after one second instead of hanging the
+    health probe), the WAL stats lock, and nothing else.
     """
     out = {
         "ts": time.time(),

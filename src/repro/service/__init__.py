@@ -23,9 +23,10 @@ Dynamic Graphs"):
   tying them together around a
   :class:`~repro.core.index.ReachabilityIndex`: one write path that
   validates, WAL-logs and applies each update request as one batch of
-  :class:`~repro.core.ops.UpdateOp` values, one failure rule (the
-  mirror graph rejects an op; a failed index kernel triggers a rebuild
-  from the mirror), degraded-mode BFS serving and the sampled
+  :class:`~repro.core.ops.UpdateOp` values, one failure rule (an op
+  the index rejects before its graph moved changed nothing; any other
+  failed index kernel triggers a rebuild from that graph, the only
+  copy of the served graph), degraded-mode BFS serving and the sampled
   Definition-1 self-audit.  Its counters and histograms
   live in one :class:`~repro.obs.registry.MetricRegistry`
   (:attr:`ReachabilityService.registry`).

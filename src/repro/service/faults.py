@@ -9,8 +9,9 @@ or an I/O error is injected — deterministically, at exactly that point.
 The crash-matrix test (tests/service/test_recovery.py) iterates
 :data:`CRASH_POINTS`, kills the service at each one, recovers, and
 checks the result against a BFS oracle.  An injected ``OSError`` at
-``service.apply`` is a failed update kernel (the service rebuilds the
-index from its mirror); at a ``wal.append.*`` point it is a failed
+``service.apply`` is a failed update kernel (the service puts the op on
+the served graph and rebuilds the index from it); at a ``wal.append.*``
+point it is a failed
 append (the batch's records are rolled back and the request fails).
 
 :class:`InjectedCrash` deliberately derives from :class:`BaseException`:
@@ -40,7 +41,7 @@ CRASH_POINTS = (
     "wal.append.torn",      # half the record written, then crash (torn tail)
     "wal.append.after",     # record fully written, before the batch syncs
     "wal.sync",             # after writes, during the fsync itself
-    "service.apply",        # op on the mirror, before it mutates the index
+    "service.apply",        # op logged, before it reaches the graph or index
     "checkpoint.serialize", # before the checkpoint temp file is written
     "checkpoint.rename",    # temp file complete, before the atomic rename
     "checkpoint.after",     # checkpoint live, before the WAL is trimmed

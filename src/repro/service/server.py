@@ -28,32 +28,29 @@ version than the one it reports — the invariant the stress test
 Robustness (see ``docs/robustness.md``)
 ---------------------------------------
 
-The service additionally keeps a **mirror**: a plain
-:class:`~repro.graph.digraph.DiGraph` copy of the served graph, updated
-under its own small ``_mirror_lock`` (nested inside the write lock, with
-the epoch bump inside the mirror lock so mirror state and epoch move
-together).  The mirror is the truth the index is checked against:
+The served graph has one copy, the
+:class:`~repro.graph.digraph.DiGraph` the index keeps
+(``index.condensation.graph``): written before any TOL kernel runs and
+by none of them, it stays right when a kernel stops halfway.  Each op
+runs under a small ``_graph_lock`` (inside the write lock, with the
+epoch bump, so the graph and the epoch move together):
 
-* **one failure rule** — each op's fate is decided once, on the mirror:
-  it either raises a :class:`~repro.errors.ReproError` before changing
-  anything (the op is rejected, exactly as WAL replay skips its record)
-  or it applies and bumps the epoch.  Only then does the index kernel
-  run, and *any* exception from the kernel marks the index untrusted:
-  the service enters degraded mode, sends the rest of the batch to the
-  mirror only, and rebuilds the index from the mirror before the batch
-  returns;
+* **one failure rule** — a :class:`~repro.errors.ReproError` that left
+  the graph's version unchanged rejects the op, as WAL replay skips its
+  record; any other exception from the kernel enters degraded mode,
+  lands the rest of the batch on the graph only, and rebuilds the index
+  from it before the batch returns;
 * **degraded mode** — when :attr:`degraded` is set (a kernel failure, a
   failed self-audit, or an operator call), queries are answered by
-  bidirectional BFS over the mirror instead of the index: slower but
-  correct by Definition 1, and never blocked behind the write lock;
-* **checkpoints and self-audit** — the mirror is the state that
-  checkpoints snapshot, and the reference the sampled Definition-1
-  audit compares index answers against.
+  bidirectional BFS over the graph: slower but correct by Definition 1,
+  and blocked by at most the op in flight;
+* **checkpoints and self-audit** — checkpoints write the graph, and the
+  sampled Definition-1 audit compares index answers against it.
 
 Durability is optional: pass a
 :class:`~repro.service.durability.DurabilityManager` and every
 batch is appended to its write-ahead log (and synced, per its fsync
-policy) *before* any op touches the mirror or the index, with periodic
+policy) *before* any op touches the graph or the index, with periodic
 checkpoints covering the WAL prefix.  A failed append rolls the log back
 to where the batch began and fails the whole request with nothing
 applied.  :meth:`ReachabilityService.recover` rebuilds a service from
@@ -101,8 +98,8 @@ class ReachabilityService:
         Pass ``index=`` instead to adopt a prebuilt one.
     index:
         A ready :class:`ReachabilityIndex` to serve.  The service becomes
-        its owner: mutating it from outside afterwards breaks the epoch
-        bookkeeping.
+        its owner: mutating it (or its graph) from outside afterwards
+        breaks the epoch bookkeeping.
     order:
         Level-order strategy (a name or callable, as for
         :class:`~repro.core.index.ReachabilityIndex`) used to build the
@@ -111,11 +108,6 @@ class ReachabilityService:
         passed.
     cache_size:
         Capacity of the query-result LRU (0 disables caching).
-    record_applied:
-        Keep an in-order log of ``(epoch, op)`` for every successfully
-        applied mutation, readable via :attr:`applied_ops`.  Used by the
-        oracle tests to reconstruct the graph at any epoch; off by
-        default (it grows without bound).
     registry:
         A :class:`~repro.obs.registry.MetricRegistry` to record into
         (default: a fresh private one).  The service registers its
@@ -155,7 +147,6 @@ class ReachabilityService:
         index: Optional[ReachabilityIndex] = None,
         cache_size: int = 4096,
         order: Union[str, object] = "butterfly-u",
-        record_applied: bool = False,
         registry: Optional[MetricRegistry] = None,
         durability: Optional[DurabilityManager] = None,
         injector: FaultInjector = NULL_INJECTOR,
@@ -204,9 +195,8 @@ class ReachabilityService:
         #: Ops per applied batch.
         self._batch_size = reg.stats("service.batch_size")
 
-        # Robustness state: mirror graph, degraded flag, fault injection.
-        self._mirror = self._index.condensation.graph.copy()
-        self._mirror_lock = threading.Lock()
+        # Robustness state: graph lock, degraded flag, fault injection.
+        self._graph_lock = threading.Lock()
         self._degraded = threading.Event()
         self._injector = injector
         self._durability = durability
@@ -226,11 +216,9 @@ class ReachabilityService:
                 durability.wal.last_seq == 0
                 and durability.checkpointed_seq == 0
                 and not durability.checkpoints.paths()
-                and self._mirror.num_vertices
+                and self._graph.num_vertices
             ):
-                durability.checkpoint(
-                    self._mirror.copy(), {"wal_seq": 0, "epoch": 0}
-                )
+                durability.checkpoint(self._graph, {"wal_seq": 0, "epoch": 0})
         # The WAL owns its counters; show them (at 0) without one too.
         reg.counter("wal.records_appended")
         reg.counter("wal.fsyncs")
@@ -241,15 +229,12 @@ class ReachabilityService:
         # Gauge callbacks run inside registry.snapshot(), i.e. on the
         # metrics-scrape path — they must never park behind a stuck or
         # long-running writer (scraping is how you *notice* a stuck
-        # writer).  Vertex count comes from the mirror; the label count
-        # try-locks and falls back to the last value it managed to read.
+        # writer).  The vertex count reads the graph unlocked; the label
+        # count try-locks and falls back to the last value it read.
         self._size_gauge = self._index.size()
         reg.register_callback("index.size", self._gauge_size)
         reg.register_callback(
-            "index.num_vertices", self._gauge_num_vertices
-        )
-        self._applied: Optional[list[tuple[int, UpdateOp]]] = (
-            [] if record_applied else None
+            "index.num_vertices", lambda: self._index.num_vertices
         )
 
     # ------------------------------------------------------------------
@@ -316,7 +301,7 @@ class ReachabilityService:
         under the same read-lock hold that computes (or fetches) the
         answer, so the pair is consistent even while a writer is
         waiting; in degraded mode the answer comes from BFS over the
-        mirror instead, with the same consistency.
+        graph instead, with the same consistency.
         """
         answers, epoch, _ = self.query_batch_with_epoch(((s, t),))
         return answers[0], epoch
@@ -334,12 +319,12 @@ class ReachabilityService:
 
         Witnesses are not cached (they are not epoch-stamped booleans);
         the lookup runs against the index under the read lock.  In
-        degraded mode it runs BFS over the mirror instead and answers
+        degraded mode it runs BFS over the graph instead and answers
         ``s``, which lies on every ``s ⇝ t`` path.
         """
         if self._degraded.is_set():
-            with self._mirror_lock:
-                if bidirectional_reachable(self._mirror, s, t):
+            with self._graph_lock:
+                if bidirectional_reachable(self._graph, s, t):
                     return s
                 return None
         with self._rwlock.read_locked():
@@ -347,8 +332,8 @@ class ReachabilityService:
 
     def __contains__(self, v: Vertex) -> bool:
         if self._degraded.is_set():
-            with self._mirror_lock:
-                return self._mirror.has_vertex(v)
+            with self._graph_lock:
+                return self._graph.has_vertex(v)
         with self._rwlock.read_locked():
             return v in self._index
 
@@ -358,8 +343,8 @@ class ReachabilityService:
         Duplicate pairs are answered once; results come back in input
         order.  This is the high-throughput entry point: one lock
         round-trip and one epoch read for the whole batch.  Degraded
-        mode falls back to the mirror, one mirror-lock hold for the
-        whole batch.
+        mode falls back to BFS over the graph, one graph-lock hold for
+        the whole batch.
         """
         return self.query_batch_with_epoch(pairs)[0]
 
@@ -370,7 +355,7 @@ class ReachabilityService:
 
         Returns ``(answers, epoch, degraded)``: the answers in input
         order, the epoch they are valid at, and whether they came from
-        the degraded mirror-BFS path instead of the index.  The network
+        the degraded graph-BFS path instead of the index.  The network
         front end uses this to stamp every reply envelope.
 
         The pairs the cache misses go to the index in one
@@ -395,11 +380,12 @@ class ReachabilityService:
             lock_done = time.perf_counter()
         hits = 0
         if degraded:
-            with self._mirror_lock:
+            with self._graph_lock:
                 epoch = self._epoch.value
+                graph = self._graph
                 for pair in unique:
                     unique[pair] = bidirectional_reachable(
-                        self._mirror, pair[0], pair[1]
+                        graph, pair[0], pair[1]
                     )
             self._degraded_queries.incr(len(pairs))
         else:
@@ -455,7 +441,7 @@ class ReachabilityService:
 
         The service's one write path, under the writer mutex:
 
-        1. validate every op's references against the mirror plus the
+        1. validate every op's references against the graph plus the
            earlier ops of the same batch — on a dangling reference raise
            :class:`~repro.errors.UnknownVertexError` before anything is
            logged or applied, so a rejected batch has no effect;
@@ -463,21 +449,19 @@ class ReachabilityService:
            once; an append that raises :class:`OSError` rolls the log
            back to where the batch began and re-raises, so the request
            fails with nothing applied;
-        3. under the write lock, decide each op's fate on the mirror: an
-           op whose :meth:`~repro.core.ops.UpdateOp.apply_to_graph`
-           raises :class:`ReproError` (e.g. inserting a vertex that
-           already exists) changed nothing and is rejected, counted in
-           ``updates_rejected``, exactly as recovery skips its WAL
-           record; otherwise the epoch is bumped and the op is applied
-           to the index;
+        3. under the write lock, apply each op to the index: one whose
+           kernel raises :class:`ReproError` with the graph's version
+           unchanged (e.g. inserting a vertex that already exists) is
+           rejected, counted in ``updates_rejected``, exactly as
+           recovery skips its WAL record; otherwise the epoch is bumped;
         4. maybe checkpoint.
 
-        *Any* exception from an index kernel means it may have stopped
-        halfway, so the index is no longer trusted: the service enters
-        degraded mode (reason ``kernel_failure``, readers answer from
-        the mirror), applies the rest of the batch to the mirror only,
-        and rebuilds the index from the mirror before it releases the
-        write lock and returns.  The failed op counts as applied.
+        Any other exception from an index kernel means it may have
+        stopped halfway: the service enters degraded mode (reason
+        ``kernel_failure``, readers answer from the graph), puts the
+        failed op (unless the graph already holds it) and the rest of
+        the batch on the graph only, and rebuilds the index from the
+        graph before it releases the write lock and returns.
         *trace_id* tags the batch: it is stamped on every WAL record and
         carried by the ``kernel_failure`` event and flight dump.
 
@@ -495,32 +479,21 @@ class ReachabilityService:
             index_ok = True
             start = time.perf_counter()
             with self._rwlock.write_locked():
+                graph = self._graph
                 for op in batch:
-                    with self._mirror_lock:
-                        try:
-                            op.apply_to_graph(self._mirror)
-                        except ReproError:
-                            self._updates_rejected.incr()
+                    with self._graph_lock:
+                        if index_ok:
+                            landed, index_ok = self._apply_to_index(
+                                op, graph, trace_id
+                            )
+                        else:
+                            landed = self._apply_to_graph(op, graph)
+                        if not landed:
                             continue
-                        epoch = self._epoch.bump()
-                    if self._applied is not None:
-                        self._applied.append((epoch, op))
+                        self._epoch.bump()
                     applied += 1
-                    if not index_ok:
-                        continue
-                    try:
-                        self._injector.fire("service.apply")
-                        op.apply(self._index)
-                    except Exception as exc:  # noqa: BLE001 - any kernel failure
-                        index_ok = False
-                        self._trip_degraded(
-                            "kernel_failure",
-                            trace=trace_id,
-                            kind=op.kind,
-                            error=repr(exc),
-                        )
                 if not index_ok:
-                    self._index = self._rebuild_from_mirror()
+                    self._index = self._rebuild_from_graph()
                     self.exit_degraded()
             elapsed = time.perf_counter() - start
             if self._durability is not None and applied:
@@ -530,29 +503,56 @@ class ReachabilityService:
         self._updates_applied.incr(applied)
         return applied
 
+    def _apply_to_index(
+        self, op: UpdateOp, graph: DiGraph, trace_id: Optional[str]
+    ) -> tuple[bool, bool]:
+        """Run *op*'s kernel; return ``(on the graph, index still trusted)``."""
+        version = graph.version
+        try:
+            self._injector.fire("service.apply")
+            op.apply(self._index)
+        except Exception as exc:  # noqa: BLE001 - any kernel failure
+            unmoved = graph.version == version
+            if isinstance(exc, ReproError) and unmoved:
+                self._updates_rejected.incr()
+                return False, True
+            self._trip_degraded(
+                "kernel_failure", trace=trace_id, kind=op.kind, error=repr(exc)
+            )
+            return (not unmoved or self._apply_to_graph(op, graph)), False
+        return True, True
+
+    def _apply_to_graph(self, op: UpdateOp, graph: DiGraph) -> bool:
+        """Put *op* on the graph alone; ``False`` (counted) if it is rejected."""
+        try:
+            op.apply_to_graph(graph)
+        except ReproError:
+            self._updates_rejected.incr()
+            return False
+        return True
+
     def _validate_refs(self, batch: list[UpdateOp]) -> None:
         """Raise :class:`UnknownVertexError` for a dangling reference.
 
-        The membership view is the mirror (all applied ops) adjusted by
+        The membership view is the graph (all applied ops) adjusted by
         the earlier ops of *batch* in order, so an ``insert_vertex``
         earlier in the batch satisfies later references and a
-        ``delete_vertex`` invalidates them.
+        ``delete_vertex`` invalidates them.  Called under the writer
+        mutex, so no op moves the graph meanwhile.
         """
         added: set[Vertex] = set()
         removed: set[Vertex] = set()
-        with self._mirror_lock:
-            for op in batch:
-                for v in op.referenced_vertices():
-                    if v in removed or (
-                        v not in added and not self._mirror.has_vertex(v)
-                    ):
-                        raise UnknownVertexError(v)
-                if op.kind == "insert_vertex":
-                    added.add(op.vertex)
-                    removed.discard(op.vertex)
-                elif op.kind == "delete_vertex":
-                    removed.add(op.vertex)
-                    added.discard(op.vertex)
+        graph = self._graph
+        for op in batch:
+            for v in op.referenced_vertices():
+                if v in removed or (v not in added and not graph.has_vertex(v)):
+                    raise UnknownVertexError(v)
+            if op.kind == "insert_vertex":
+                added.add(op.vertex)
+                removed.discard(op.vertex)
+            elif op.kind == "delete_vertex":
+                removed.add(op.vertex)
+                added.discard(op.vertex)
 
     def insert_vertex(
         self,
@@ -600,21 +600,11 @@ class ReachabilityService:
             self._wal_sync_errors.incr()
 
     def _maybe_checkpoint(self) -> None:
-        """Checkpoint a mirror copy if one is due; called under the write mutex.
-
-        The mirror is copied only when the manager's threshold says a
-        checkpoint will be written, not on every batch.
-        """
+        """Checkpoint the graph if one is due; called under the writer mutex."""
         if not self._durability.checkpoint_due:
             return
-        with self._mirror_lock:
-            snapshot = self._mirror.copy()
-            meta = {
-                "wal_seq": self._durability.wal.last_seq,
-                "epoch": self._epoch.value,
-            }
         try:
-            self._durability.checkpoint(snapshot, meta)
+            self._write_checkpoint()
         except OSError:
             self._checkpoint_errors.incr()
 
@@ -623,13 +613,16 @@ class ReachabilityService:
         if self._durability is None:
             raise ValueError("service has no durability manager")
         with self._write_mutex:
-            with self._mirror_lock:
-                snapshot = self._mirror.copy()
-                meta = {
-                    "wal_seq": self._durability.wal.last_seq,
-                    "epoch": self._epoch.value,
-                }
-            return self._durability.checkpoint(snapshot, meta)
+            return self._write_checkpoint()
+
+    def _write_checkpoint(self) -> Path:
+        """Write the graph itself: the caller holds the writer mutex, so
+        no op moves it before the synchronous write returns."""
+        meta = {
+            "wal_seq": self._durability.wal.last_seq,
+            "epoch": self._epoch.value,
+        }
+        return self._durability.checkpoint(self._graph, meta)
 
     def reduce_labels(self, *, max_rounds: int = 1):
         """Run Section-6 label reduction.
@@ -639,7 +632,7 @@ class ReachabilityService:
         """
         with self._write_mutex, self._rwlock.write_locked():
             report = self._index.reduce_labels(max_rounds=max_rounds)
-            with self._mirror_lock:
+            with self._graph_lock:
                 self._epoch.bump()
             self._reductions.incr()
         return report
@@ -650,11 +643,11 @@ class ReachabilityService:
 
     @property
     def degraded(self) -> bool:
-        """Whether queries are currently served from the mirror BFS path."""
+        """Whether queries are currently served by BFS over the graph."""
         return self._degraded.is_set()
 
     def enter_degraded(self) -> None:
-        """Route queries through the mirror until :meth:`exit_degraded`.
+        """Answer queries by BFS over the graph until :meth:`exit_degraded`.
 
         Operators (and :meth:`self_audit`, and a failed update kernel)
         flip this when the index is suspect; readers keep getting
@@ -688,18 +681,18 @@ class ReachabilityService:
     def self_audit(self, samples: int = 16, *, seed: int = 0) -> bool:
         """Sampled Definition-1 audit: does the index agree with BFS?
 
-        Draws vertex pairs from the mirror and compares the index's
-        answer with bidirectional BFS over the mirror — the definition
+        Draws vertex pairs from the graph and compares the index's
+        answer with bidirectional BFS over the graph — the definition
         the index is supposed to encode.  Any disagreement flips the
         service into degraded mode (readers instantly fall back to the
         correct path) and returns ``False``; call :meth:`rebuild_index`
-        to repair and resume.  Runs under the write mutex so no writer
+        to repair and resume.  Runs under the writer mutex so no writer
         moves the state between the two reads.
         """
         rng = Random(seed)
         with self._write_mutex:
-            with self._mirror_lock:
-                vertices = list(self._mirror.vertices())
+            graph = self._graph
+            vertices = list(graph.vertices())
             if len(vertices) < 2:
                 self._audits.incr()
                 return True
@@ -711,11 +704,10 @@ class ReachabilityService:
                         got = self._index.query(s, t)
                     except ReproError:
                         got = None
-                with self._mirror_lock:
-                    try:
-                        want = bidirectional_reachable(self._mirror, s, t)
-                    except ReproError:
-                        want = None
+                try:
+                    want = bidirectional_reachable(graph, s, t)
+                except ReproError:
+                    want = None
                 if got != want:
                     self._trip_degraded("audit_failure")
                     self._audit_failures.incr()
@@ -724,33 +716,37 @@ class ReachabilityService:
         return True
 
     def rebuild_index(self) -> int:
-        """Rebuild the index from the mirror and leave degraded mode.
+        """Rebuild the index from the graph and leave degraded mode.
 
         The rebuild happens off the write lock (readers keep going —
-        degraded readers on the mirror, healthy ones on the old index);
+        degraded readers on the graph, healthy ones on the old index);
         only the final swap takes it, and bumps the epoch so no answer
         cached from the old index survives.  Returns the post-swap epoch.
         """
         with self._write_mutex:
-            new_index = self._rebuild_from_mirror()
+            new_index = self._rebuild_from_graph()
             with self._rwlock.write_locked():
                 self._index = new_index
-                with self._mirror_lock:
+                with self._graph_lock:
                     epoch = self._epoch.bump()
             self.exit_degraded()
         return epoch
 
-    def _rebuild_from_mirror(self) -> ReachabilityIndex:
-        """A fresh index over a copy of the mirror (counted as a rebuild)."""
-        with self._mirror_lock:
-            snapshot = self._mirror.copy()
-        index = ReachabilityIndex(snapshot, order=self._order)
+    def _rebuild_from_graph(self) -> ReachabilityIndex:
+        """A fresh index over the graph (counted as a rebuild); the writer
+        mutex holds the graph still while the constructor copies it."""
+        index = ReachabilityIndex(self._graph, order=self._order)
         self._rebuilds.incr()
         return index
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def _graph(self) -> DiGraph:
+        """The served graph: the one the index keeps (``condensation.graph``)."""
+        return self._index.condensation.graph
 
     @property
     def epoch(self) -> int:
@@ -797,16 +793,6 @@ class ReachabilityService:
         return self._last_recovery
 
     @property
-    def applied_ops(self) -> list[tuple[int, UpdateOp]]:
-        """The ``(epoch, op)`` log (requires ``record_applied=True``)."""
-        if self._applied is None:
-            raise ValueError(
-                "construct the service with record_applied=True to keep "
-                "the applied-op log"
-            )
-        return list(self._applied)
-
-    @property
     def num_vertices(self) -> int:
         """Vertex count of the served graph (consistent read)."""
         with self._rwlock.read_locked():
@@ -844,10 +830,6 @@ class ReachabilityService:
         """Label payload bytes of the underlying index (consistent read)."""
         with self._rwlock.read_locked():
             return self._index.size_bytes()
-
-    def _gauge_num_vertices(self) -> int:
-        with self._mirror_lock:
-            return self._mirror.num_vertices
 
     def _gauge_size(self) -> int:
         if self._rwlock.acquire_read(timeout=0.05):

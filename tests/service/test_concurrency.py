@@ -5,8 +5,9 @@ every answer is produced together with an epoch stamp, under one
 read-lock hold, so the (answer, epoch) pair must match a from-scratch
 BFS oracle (:mod:`repro.baselines.search`) evaluated on the graph as it
 existed at exactly that epoch.  The graph at any epoch is reconstructed
-from the service's applied-op log (``record_applied=True``), which is
-what makes the check exact rather than probabilistic.
+from the writer's own ``(epoch, op)`` log: it is the only writer, so
+each op it lands moves the epoch by one, which is what makes the check
+exact rather than probabilistic.
 """
 
 import threading
@@ -40,7 +41,8 @@ def test_stress_readers_vs_writer_against_bfs_oracle(batch_size):
     queries = [(op.tail, op.head) for op in trace if op.kind == "query"]
     assert mutations and queries
 
-    service = ReachabilityService(graph, cache_size=512, record_applied=True)
+    service = ReachabilityService(graph, cache_size=512)
+    applied: list[tuple[int, UpdateOp]] = []  # (epoch, op), writer-side
     records: list[list[tuple]] = [[] for _ in range(READERS)]
     unknown = [0] * READERS
 
@@ -58,7 +60,10 @@ def test_stress_readers_vs_writer_against_bfs_oracle(batch_size):
 
     def writer() -> None:
         for i in range(0, len(mutations), batch_size):
-            service.apply_batch(mutations[i:i + batch_size])
+            batch = mutations[i:i + batch_size]
+            epoch = service.epoch  # the sole writer: nothing else moves it
+            if service.apply_batch(batch) == len(batch):
+                applied.extend(enumerate(batch, epoch + 1))
             time.sleep(0.001)  # spread writes across the read storm
 
     threads = [threading.Thread(target=reader, args=(i,))
@@ -70,8 +75,7 @@ def test_stress_readers_vs_writer_against_bfs_oracle(batch_size):
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
 
-    # Reconstruct the graph at every epoch from the applied-op log.
-    applied = service.applied_ops
+    # Reconstruct the graph at every epoch from the writer's log.
     assert applied, "the writer must have applied something"
     oracle_graph = graph.copy()
     oracles = {0: BFSBaseline(oracle_graph)}

@@ -250,7 +250,7 @@ class TestDurabilityManager:
 
 
 class TestServiceCheckpointCadence:
-    def test_mirror_copied_only_when_a_checkpoint_is_due(
+    def test_checkpoint_due_writes_served_graph(
         self, tmp_path, monkeypatch
     ):
         graph = random_dag(30, 60, seed=4)
@@ -268,12 +268,12 @@ class TestServiceCheckpointCadence:
                for i in range(4)]
         for op in ops[:3]:
             service.apply(op)  # one batch per op
-        assert copies == []
         assert mgr.checkpointed_seq == 0
 
         service.apply(ops[3])  # crosses the threshold
-        assert len(copies) == 1
         assert mgr.checkpointed_seq == 4
+        # The checkpoint serializes the served graph itself.
+        assert copies == []
         # The trim stops at the retained baseline checkpoint (seq 0), so
         # falling back to it would still find every update in the WAL.
         assert [s for s, _ in mgr.wal.records()] == [1, 2, 3, 4]

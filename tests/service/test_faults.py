@@ -3,9 +3,10 @@
 Crash/recovery correctness lives in ``test_recovery.py``; this module
 covers the live-process half of the robustness story: the
 :class:`FaultInjector` contract itself, the one failure rule of
-:meth:`ReachabilityService.apply_batch` (the mirror rejects an op; a
-failed kernel, even one that stopped halfway, lands its ops through a
-rebuild from the mirror; a failed WAL append fails the whole request),
+:meth:`ReachabilityService.apply_batch` (a kernel that rejects an op
+before the graph moved changed nothing; any other kernel failure, even
+one that stopped halfway, lands its ops through a rebuild from the
+graph the index keeps; a failed WAL append fails the whole request),
 audit-triggered degraded serving, and index repair via
 :meth:`ReachabilityService.rebuild_index`.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro.baselines.search import BFSBaseline
 from repro.core.index import ReachabilityIndex
-from repro.errors import GraphError, VertexNotFoundError
+from repro.errors import GraphError, IndexStateError, VertexNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.traversal import forward_reachable
@@ -28,6 +29,7 @@ from repro.service.faults import (
     FaultInjector,
     InjectedCrash,
 )
+from repro.service import server
 from repro.service.server import ReachabilityService
 from repro.core.ops import UpdateOp
 
@@ -123,8 +125,23 @@ def hub(graph: DiGraph):
     return max(sorted(graph.vertices()), key=graph.degree)
 
 
-def fail_once(monkeypatch, module, name: str, *, on_call: int = 1) -> dict:
-    """Make ``module.name`` raise ``OSError`` on its *on_call*-th call.
+def served_graph(service: ReachabilityService) -> DiGraph:
+    """The graph the service serves: the one its index keeps."""
+    return service._index.condensation.graph
+
+
+def corrupt_labels(service: ReachabilityService) -> None:
+    """Empty every label behind the service's back; the graph keeps its edges."""
+    labeling = service._index.tol.labeling
+    for vid in range(labeling.interner.capacity):
+        labeling.clear_in_ids(vid)
+        labeling.clear_out_ids(vid)
+
+
+def fail_once(
+    monkeypatch, module, name: str, *, on_call: int = 1, error=OSError
+) -> dict:
+    """Make ``module.name`` raise *error* on its *on_call*-th call.
 
     Patched on the module, so the kernel fails from inside (after it has
     started rewriting labels), not before it runs.
@@ -135,21 +152,41 @@ def fail_once(monkeypatch, module, name: str, *, on_call: int = 1) -> dict:
     def flaky(*args, **kwargs):
         state["calls"] += 1
         if state["calls"] == on_call:
-            raise OSError(f"injected failure in {name}")
+            raise error(f"injected failure in {name}")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, flaky)
     return state
 
 
+def park_inside(monkeypatch, module, name: str):
+    """Make the first call of ``module.name`` wait until released.
+
+    Returns ``(entered, release)`` events: *entered* is set once the
+    caller is parked inside, and setting *release* lets it go on.
+    """
+    original = getattr(module, name)
+    entered, release = threading.Event(), threading.Event()
+
+    def parked(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, parked)
+    return entered, release
+
+
 class TestKernelFailure:
-    """An op the mirror accepted always lands; a failed kernel rebuilds."""
+    """An op the graph accepts always lands; a failed kernel rebuilds."""
 
     def poisoned_service(self, *, times, after=1):
         injector = FaultInjector()
         service = ReachabilityService(diamond(), injector=injector)
-        # `service.apply` fires after the mirror took the op and before
-        # the kernel runs: an injected OSError there is a failed kernel.
+        # `service.apply` fires right before the kernel runs: an injected
+        # OSError there is a failed kernel that left the graph unmoved,
+        # so the op goes to the graph directly.
         injector.arm("service.apply", "ioerror", after=after, times=times)
         return service, injector
 
@@ -191,7 +228,7 @@ class TestKernelFailure:
 
     def test_mid_batch_failure_lands_every_op(self):
         # The second op's kernel fails: it and the third op go to the
-        # mirror only, and one rebuild brings the index up to date.
+        # graph only, and one rebuild brings the index up to date.
         service, injector = self.poisoned_service(times=1, after=2)
         applied = service.apply_batch([
             UpdateOp.insert_vertex("e"),
@@ -205,14 +242,76 @@ class TestKernelFailure:
         counters = service.registry.snapshot()["counters"]
         assert counters["service.rebuilds"] == 1
 
-    def test_mirror_rejection_is_not_a_kernel_failure(self):
-        service, injector = self.poisoned_service(times=0)
+    def test_kernel_rejection_is_not_a_kernel_failure(self):
+        # The kernel raises a ReproError before the graph moved: the op
+        # changed nothing, so it is rejected and nothing is rebuilt.
+        service = ReachabilityService(diamond())
+        assert service.apply_batch([
+            UpdateOp.insert_vertex("a"),
+            UpdateOp.insert_edge("a", "b"),
+            UpdateOp.delete_edge("d", "a"),
+        ]) == 0
+        assert service.epoch == 0
+        assert not service.degraded
+        assert served_graph(service) == diamond()
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_rejected"] == 3
+        assert counters["service.rebuilds"] == 0
+
+    def test_graph_rejects_an_op_whose_kernel_failed_unmoved(self):
+        # An injected failure before the kernel leaves the graph unmoved;
+        # the graph then rejects the op, which counts as rejected.
+        service, _ = self.poisoned_service(times=1)
         assert service.apply_batch([UpdateOp.insert_vertex("a")]) == 0
         assert service.epoch == 0
-        assert injector.hits("service.apply") == 0  # kernel never ran
+        assert served_graph(service) == diamond()
         counters = service.registry.snapshot()["counters"]
         assert counters["service.updates_rejected"] == 1
-        assert counters["service.rebuilds"] == 0
+        assert counters["service.rebuilds"] == 1
+
+    def test_late_repro_error_is_a_kernel_failure(self, monkeypatch):
+        # A ReproError from inside the TOL kernel comes after the graph
+        # took the op: the op lands, through a rebuild.
+        service = ReachabilityService(diamond())
+        fail_once(
+            monkeypatch, insertion, "_spread_new_labels", error=IndexStateError
+        )
+        assert service.apply_batch(
+            [UpdateOp.insert_vertex("e", in_neighbors=["d"])]
+        ) == 1
+        assert service.epoch == 1
+        assert service.query("a", "e") is True
+        assert not service.degraded
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_rejected"] == 0
+        assert counters["service.rebuilds"] == 1
+
+    def test_degraded_read_during_rebuild(self, monkeypatch):
+        service, _ = self.poisoned_service(times=1)
+        # Park the kernel-failure rebuild inside the index constructor.
+        entered, release = park_inside(
+            monkeypatch, server, "ReachabilityIndex"
+        )
+        writer = threading.Thread(
+            target=service.insert_vertex, args=("e",), kwargs={"in_neighbors": ["d"]}
+        )
+        writer.start()
+        try:
+            assert entered.wait(10)
+            assert service.degraded
+            assert not service._rwlock.acquire_read(timeout=0.05)
+            answers, epoch, degraded = service.query_batch_with_epoch(
+                [("a", "e"), ("e", "a")]
+            )
+            assert (answers, epoch, degraded) == ([True, False], 1, True)
+            assert "e" in service
+            assert service.witness("a", "e") == "a"
+        finally:
+            release.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        assert not service.degraded
+        assert service.query_batch_with_epoch([("a", "e")]) == ([True], 1, False)
 
 
 class TestHalfAppliedKernel:
@@ -297,10 +396,10 @@ class TestWalAppendFailure:
             diamond(), durability=durability, injector=injector
         )
         service.insert_vertex("e", in_neighbors=["d"])
-        pairs = all_pairs(service._mirror)
+        pairs = all_pairs(served_graph(service))
         answers = service.query_batch(pairs)
         records = durability.wal.records()
-        mirror = service._mirror.copy()
+        before = served_graph(service).copy()
 
         # The batch's second record fails after its bytes were written.
         injector.arm("wal.append.after", "ioerror", after=3)
@@ -311,7 +410,7 @@ class TestWalAppendFailure:
                 UpdateOp.insert_vertex("h"),
             ])
         assert service.epoch == 1
-        assert service._mirror == mirror
+        assert served_graph(service) == before
         assert service.query_batch(pairs) == answers
         assert durability.wal.records() == records
 
@@ -322,7 +421,7 @@ class TestWalAppendFailure:
 
         durability.close()
         recovered = ReachabilityService.recover(tmp_path, fsync="never")
-        assert recovered.last_recovery.graph == service._mirror
+        assert recovered.last_recovery.graph == served_graph(service)
         assert "f" not in recovered and "i" in recovered
         assert recovered.query_batch(pairs) == service.query_batch(pairs)
         recovered.durability.close()
@@ -359,7 +458,7 @@ class TestDegradedMode:
 
     def test_degraded_tracks_writes(self):
         # Updates keep flowing while readers are on the BFS path, and
-        # the mirror they read reflects them immediately.
+        # the graph they read reflects them immediately.
         service = ReachabilityService(diamond())
         service.enter_degraded()
         service.insert_vertex("e", in_neighbors=["d"])
@@ -367,7 +466,7 @@ class TestDegradedMode:
         service.delete_vertex("e")
         assert "e" not in service
 
-    def test_metrics_scrape_survives_stuck_writer(self):
+    def test_metrics_scrape_survives_stuck_writer(self, monkeypatch):
         # Scraping is how you *notice* a stuck writer, so the gauge
         # callbacks must not park behind the write lock themselves.
         service = ReachabilityService(diamond())
@@ -379,6 +478,26 @@ class TestDegradedMode:
             assert gauges["index.size"] >= 0
         finally:
             service._rwlock.release_write()
+
+        # Nor behind the graph lock, held by a writer parked inside a
+        # kernel (the graph already holds the op's new vertex).
+        entered, release = park_inside(
+            monkeypatch, insertion, "_spread_new_labels"
+        )
+        writer = threading.Thread(
+            target=service.insert_vertex, args=("e",), kwargs={"in_neighbors": ["d"]}
+        )
+        writer.start()
+        try:
+            assert entered.wait(10)
+            gauges = service.registry.snapshot()["gauges"]
+            assert gauges["index.num_vertices"] == 5
+            assert gauges["index.size"] >= 0
+        finally:
+            release.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        assert service.epoch == 1
 
     def test_degraded_gauge_exported(self):
         service = ReachabilityService(diamond())
@@ -398,9 +517,9 @@ class TestSelfAuditAndRebuild:
 
     def test_corrupt_index_detected_and_degraded(self):
         service = self.chain_service()
-        # Sabotage the index behind the service's back: the mirror still
+        # Sabotage the labels behind the service's back: the graph still
         # has a->b, so Definition 1 is violated for (a, b) and (a, c).
-        UpdateOp.delete_edge("a", "b").apply(service._index)
+        corrupt_labels(service)
         assert service.self_audit(100) is False
         assert service.degraded
         counters = service.registry.snapshot()["counters"]
@@ -412,10 +531,7 @@ class TestSelfAuditAndRebuild:
         service = ReachabilityService(
             DiGraph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
         )
-        labeling = service._index.tol.labeling
-        for vid in range(labeling.interner.capacity):
-            labeling.clear_in_ids(vid)
-            labeling.clear_out_ids(vid)
+        corrupt_labels(service)
         assert service.self_audit(samples=64) is False
         assert service.degraded
         assert service.query("a", "d") is True
@@ -428,7 +544,7 @@ class TestSelfAuditAndRebuild:
 
     def test_rebuild_repairs_and_exits_degraded(self):
         service = self.chain_service()
-        UpdateOp.delete_edge("a", "b").apply(service._index)
+        corrupt_labels(service)
         service.self_audit(100)
         assert service.degraded
         epoch_before = service.epoch

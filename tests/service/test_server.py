@@ -151,7 +151,7 @@ class TestUpdatesAndEpochs:
         assert service.query("a", "d")
 
     def test_rejected_batch_applies_none_of_its_ops(self):
-        service = ReachabilityService(diamond(), record_applied=True)
+        service = ReachabilityService(diamond())
         with pytest.raises(UnknownVertexError):
             service.apply_batch([
                 UpdateOp.insert_vertex("new", in_neighbors=["a"]),
@@ -159,9 +159,9 @@ class TestUpdatesAndEpochs:
             ])
         assert service.epoch == 0 and "new" not in service
         # The next, unrelated batch does not land the rejected prefix.
-        service.insert_vertex("other")
-        assert service.applied_ops == [(1, UpdateOp.insert_vertex("other"))]
-        assert "new" not in service
+        assert service.apply_batch([UpdateOp.insert_vertex("other")]) == 1
+        assert service.epoch == 1
+        assert "new" not in service and "other" in service
 
     def test_batch_prefix_satisfies_and_invalidates_references(self):
         service = ReachabilityService(diamond())
@@ -186,11 +186,6 @@ class TestUpdatesAndEpochs:
         assert service.epoch == 0
         # Service still healthy.
         assert service.query("a", "d")
-
-    def test_applied_ops_requires_flag(self):
-        service = ReachabilityService(diamond())
-        with pytest.raises(ValueError):
-            service.applied_ops
 
     def test_reduce_labels_bumps_epoch(self):
         service = ReachabilityService(random_dag(30, 80, seed=4))

@@ -4,10 +4,14 @@ Random batches of updates over small cyclic graphs drive a durable
 :class:`ReachabilityService` and, op by op, a plain shadow graph.  Some
 batches carry a dangling reference: a vertex that never existed, or one
 deleted earlier in the same batch.  Such a batch must be rejected as a
-whole, before anything is logged or applied.  Every other batch must
-leave the service answering exactly like BFS over the shadow, the WAL
-must replay into the shadow, and each WAL record must carry the trace
-id of the batch that wrote it.
+whole, before anything is logged or applied.  Other batches may carry
+ops the graph rejects one by one (an existing vertex or edge inserted, a
+missing edge deleted); those are logged, change nothing, and must be
+counted exactly as recovery counts the WAL records it skips.  Every
+accepted batch must move the epoch by the ops it applied and leave the
+service answering exactly like BFS over the shadow, the WAL must replay
+into the served graph, and each WAL record must carry the trace id of
+the batch that wrote it.
 """
 
 import itertools
@@ -71,22 +75,54 @@ def draw_dangling_op(data, work: DiGraph, deleted: list) -> UpdateOp:
     return UpdateOp.insert_edge(data.draw(st.sampled_from(vs)), missing)
 
 
+def draw_rejected_op(data, work: DiGraph) -> UpdateOp:
+    """An op naming only vertices of *work* that *work* nonetheless rejects.
+
+    It inserts an existing vertex or edge, or deletes a missing edge
+    (a self-loop among them: the drawn graphs have none).
+    """
+    vs = sorted(work.vertices())
+    present = sorted(work.edges())
+    absent = [(u, w) for u in vs for w in vs if not work.has_edge(u, w)]
+    kinds = ["insert_existing_vertex", "delete_self_loop"]
+    kinds += ["insert_existing_edge"] * bool(present)
+    kinds += ["delete_missing_edge"] * bool(absent)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "insert_existing_vertex":
+        v = data.draw(st.sampled_from(vs))
+        others = st.lists(st.sampled_from(vs), max_size=2, unique=True)
+        return UpdateOp.insert_vertex(v, data.draw(others), data.draw(others))
+    if kind == "delete_self_loop":
+        v = data.draw(st.sampled_from(vs))
+        return UpdateOp.delete_edge(v, v)
+    if kind == "insert_existing_edge":
+        return UpdateOp.insert_edge(*data.draw(st.sampled_from(present)))
+    return UpdateOp.delete_edge(*data.draw(st.sampled_from(absent)))
+
+
 def draw_batch(data, shadow: DiGraph, fresh):
-    """``(ops, dangling, shadow after the batch)`` for one batch."""
+    """``(ops, dangling, rejected, shadow after the batch)`` for one batch.
+
+    *rejected* counts the ops the graph turns down one by one.
+    """
     work = shadow.copy()
     size = data.draw(st.integers(1, 4))
     dangling_at = data.draw(st.one_of(st.none(), st.integers(0, size - 1)))
-    ops, deleted = [], []
+    ops, deleted, rejected = [], [], 0
     for i in range(size):
         if i == dangling_at:
             ops.append(draw_dangling_op(data, work, deleted))
+            continue
+        if work.num_vertices and data.draw(st.integers(0, 3)) == 0:
+            ops.append(draw_rejected_op(data, work))
+            rejected += 1
             continue
         op = draw_valid_op(data, work, fresh)
         op.apply_to_graph(work)
         if op.kind == "delete_vertex":
             deleted.append(op.vertex)
         ops.append(op)
-    return ops, dangling_at is not None, work
+    return ops, dangling_at is not None, rejected, work
 
 
 def assert_answers_match_bfs(service, shadow: DiGraph) -> None:
@@ -107,8 +143,10 @@ def test_batches_are_all_or_nothing_and_recoverable(graph, data):
             state, fsync="never", checkpoint_every=0
         )
         service = ReachabilityService(graph, durability=durability)
+        served = service._index.condensation.graph
+        rejected_total = 0
         for number in range(data.draw(st.integers(1, 5))):
-            ops, dangling, after = draw_batch(data, shadow, fresh)
+            ops, dangling, rejected, after = draw_batch(data, shadow, fresh)
             trace = data.draw(st.sampled_from([None, f"{number:016x}"]))
             epoch, seq = service.epoch, durability.wal.last_seq
             if dangling:
@@ -116,19 +154,26 @@ def test_batches_are_all_or_nothing_and_recoverable(graph, data):
                     service.apply_batch(ops, trace_id=trace)
                 assert service.epoch == epoch
                 assert durability.wal.last_seq == seq
-                assert service._mirror == shadow
+                assert served == shadow
                 continue
-            assert service.apply_batch(ops, trace_id=trace) == len(ops)
-            assert service.epoch == epoch + len(ops)
+            applied = service.apply_batch(ops, trace_id=trace)
+            assert applied == len(ops) - rejected
+            assert service.epoch == epoch + applied
+            rejected_total += rejected
             shadow = after
             logged += [(op, trace) for op in ops]
+            assert served == shadow
             assert_answers_match_bfs(service, shadow)
 
+        counters = service.registry.snapshot()["counters"]
+        assert counters["service.updates_rejected"] == rejected_total
         records = durability.wal.records_with_traces()
         assert [(op, trace) for _, op, trace in records] == logged
         durability.close()
 
         recovered = ReachabilityService.recover(state, fsync="never")
-        assert recovered.last_recovery.graph == shadow
+        report = recovered.last_recovery
+        assert report.skipped == rejected_total
+        assert report.graph == served == shadow
         assert_answers_match_bfs(recovered, shadow)
         recovered.durability.close()
