@@ -16,10 +16,8 @@ records the bytes reachable from each structure it keeps:
   of the served graph (the service checkpoints and audits it and
   answers degraded queries from it);
 * ``condensation`` — the condensed DAG, ``component_of`` and ``members``;
-* ``component_edges`` — the condensation's per-DAG-edge count of input
-  edges (``_edges.counts``);
-* ``tol_dag`` — the TOL index's private copy of the condensed DAG
-  (``tol._graph``), which its update kernels walk.
+  the DAG (with the build's cached CSR snapshot of it) is the one the
+  TOL index's update kernels walk and write, so it has no row of its own.
 
 Each structure is walked on its own (objects shared between two
 structures are counted in both).  It then runs one full read cycle,
@@ -113,8 +111,6 @@ def structure_bytes(service: ReachabilityService) -> dict:
         "condensation": deep_sizeof(
             [condensation.dag, condensation.component_of, condensation.members]
         ),
-        "component_edges": deep_sizeof(condensation._edges.counts),
-        "tol_dag": deep_sizeof(index.tol._graph),
     }
 
 

@@ -28,8 +28,10 @@ uniprot datasets (Figure 2); our tree stand-ins show the same effect.
 
 Cyclic inputs are handled through the shared
 :class:`~repro.graph.condensation.DynamicCondensation` substrate (Dagger's
-own contribution includes SCC maintenance; we reuse ours), with interval
-state replayed per condensation delta.
+own contribution includes SCC maintenance; we reuse ours): each
+condensation delta is written onto the condensed DAG with
+:meth:`~repro.graph.condensation.DynamicCondensation.apply_to_dag`, then
+the interval state is replayed over it.
 """
 
 from __future__ import annotations
@@ -212,6 +214,7 @@ class DaggerIndex:
                     queue.append(u)
 
     def _apply(self, delta: CondensationDelta, *, retighten: bool = False) -> None:
+        self._cond.apply_to_dag(delta)
         for comp in delta.removed:
             # Conservative: dropping a component leaves ancestors' loose
             # intervals in place (sound, just less selective).

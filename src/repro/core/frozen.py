@@ -143,11 +143,22 @@ class FrozenTOLIndex:
 
     def thaw(self) -> TOLIndex:
         """Rebuild a mutable :class:`TOLIndex` carrying the same state."""
-        return self._thaw_into(TOLLabeling(LevelOrder(self._vertex_of)))
+        return self._thaw_into(
+            TOLLabeling(LevelOrder(self._vertex_of)), self._dag()
+        )
 
-    def _thaw_into(self, labeling: TOLLabeling) -> TOLIndex:
+    def _dag(self) -> DiGraph:
+        """The indexed DAG, rebuilt from the snapshot's edge list."""
+        vertex_of = self._vertex_of
+        graph = DiGraph(vertices=vertex_of)
+        for tid, hid in self._edges:
+            graph.add_edge(vertex_of[tid], vertex_of[hid])
+        return graph
+
+    def _thaw_into(self, labeling: TOLLabeling, graph: DiGraph) -> TOLIndex:
         """Fill the empty *labeling* (over this index's vertices, ids from
-        its own interner) from the buffers and pair it with the DAG."""
+        its own interner) from the buffers and pair it with *graph*, the
+        DAG over the same vertices."""
         vertex_of = self._vertex_of
         ids = list(map(labeling.interner.ids.__getitem__, vertex_of))
         for fill, offsets, labels in (
@@ -157,9 +168,6 @@ class FrozenTOLIndex:
             for rank, vid in enumerate(ids):
                 lo, hi = offsets[rank], offsets[rank + 1]
                 fill(vid, sorted(map(ids.__getitem__, labels[lo:hi])))
-        graph = DiGraph(vertices=vertex_of)
-        for tid, hid in self._edges:
-            graph.add_edge(vertex_of[tid], vertex_of[hid])
         return TOLIndex(graph, labeling)
 
     # ------------------------------------------------------------------

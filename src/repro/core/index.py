@@ -5,15 +5,15 @@ Two layers:
 * :class:`TOLIndex` — the paper's object: a TOL index over a DAG, with
   Butterfly construction (Algorithm 5), dynamic vertex insertion
   (Algorithms 1–3), deletion (Algorithm 4) and iterative label reduction
-  (Section 6).  It owns a private copy of the DAG so callers cannot drift
-  it out of sync with the labels.
+  (Section 6).  Its update kernels write the DAG they walk;
+  :meth:`TOLIndex.build` takes a private copy of the caller's DAG.
 
 * :class:`ReachabilityIndex` — the end-user API for *arbitrary* directed
   graphs (cycles allowed): it maintains the SCC condensation
   (:class:`~repro.graph.condensation.DynamicCondensation`, the Section-2
-  reduction kept incremental per [32]) and mirrors every condensation
-  change onto an internal :class:`TOLIndex` by replaying the emitted
-  deltas as TOL vertex deletions and insertions.
+  reduction kept incremental per [32]) and replays every condensation
+  change as TOL vertex deletions and insertions on an internal
+  :class:`TOLIndex` that walks and writes the condensation's own DAG.
 """
 
 from __future__ import annotations
@@ -95,11 +95,17 @@ class TOLIndex:
             If the order strategy returns anything but a
             :class:`LevelOrder`.
         """
-        own = graph.copy()
+        return cls._build_on(graph.copy(), order)
+
+    @classmethod
+    def _build_on(
+        cls, graph: DiGraph, order: Union[str, OrderStrategy, LevelOrder]
+    ) -> "TOLIndex":
+        """:meth:`build` without the copy: the index walks *graph*."""
         if isinstance(order, LevelOrder):
             level_order = order
         else:
-            level_order = resolve_order_strategy(order)(own)
+            level_order = resolve_order_strategy(order)(graph)
             if not isinstance(level_order, LevelOrder):
                 # A plain sequence builds, but the update kernels need the
                 # order's level keys: fail here, not on the first delete.
@@ -107,7 +113,7 @@ class TOLIndex:
                     f"order strategy must return a LevelOrder, got "
                     f"{type(level_order).__name__}"
                 )
-        return cls(own, butterfly_build(own, level_order))
+        return cls(graph, butterfly_build(graph, level_order))
 
     # ------------------------------------------------------------------
     # Queries and introspection
@@ -359,7 +365,7 @@ class ReachabilityIndex:
     Wraps a :class:`TOLIndex` over the live SCC condensation, so cyclic
     inputs and cycle-creating updates are handled transparently (the
     Section-2 reduction plus the paper's pointer to Dagger-style SCC
-    maintenance).
+    maintenance).  ``tol`` walks ``condensation.dag`` itself.
 
     Examples
     --------
@@ -383,8 +389,8 @@ class ReachabilityIndex:
         )
         # Resolve eagerly so a bad name/type fails here with the helpful
         # error, exactly as TOLIndex.build does (uniform across facades).
-        self._tol = TOLIndex.build(
-            self._condensation.dag, order=resolve_order_strategy(order)
+        self._tol = TOLIndex._build_on(
+            self._condensation.dag, resolve_order_strategy(order)
         )
 
     @classmethod
@@ -395,13 +401,14 @@ class ReachabilityIndex:
 
         The deserialization path (``.tolf`` packs,
         :func:`repro.core.serialize.load_index`) already holds both
-        halves — *tol*'s vertex names must be *condensation*'s
-        component ids.  Updates replay through the same kernels as a
-        built index; the level order of later inserts is chosen by
-        Algorithm 3, never by an order strategy.
+        halves — *tol* must index a DAG equal to ``condensation.dag``,
+        and walks that DAG object from here on.  Updates replay through
+        the same kernels as a built index; the level order of later
+        inserts is chosen by Algorithm 3, never by an order strategy.
         """
         self = cls.__new__(cls)
         self._condensation = condensation
+        tol._graph = condensation.dag
         self._tol = tol
         return self
 
@@ -558,15 +565,13 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
 
     def _apply(self, delta: CondensationDelta) -> None:
-        """Mirror a condensation delta onto the TOL index."""
+        """Replay a condensation delta onto the TOL index, whose kernels
+        write the DAG: a delete walks the old adjacency, then drops it."""
         for comp in delta.removed:
             self._tol.delete_vertex(comp)
-        dag = self._condensation.dag
-        present = self._tol.labeling
+        placed_neighbors = self._condensation.placed_neighbors
         for comp in delta.added:
-            ins = [c for c in dag.iter_in(comp) if c in present]
-            outs = [c for c in dag.iter_out(comp) if c in present]
-            self._tol.insert_vertex(comp, ins, outs)
+            self._tol.insert_vertex(comp, *placed_neighbors(comp))
 
     def __repr__(self) -> str:
         return (

@@ -449,11 +449,9 @@ def unpack_index(buf):
         )
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"pack interner is malformed: {exc}") from None
-    tol = frozen._thaw_into(
-        TOLLabeling(LevelOrder(vertex_of), interner=interner)
-    )
+    labeling = TOLLabeling(LevelOrder(vertex_of), interner=interner)
     if "component_of" not in sections:
-        return tol
+        return frozen._thaw_into(labeling, frozen._dag())
     graph = _get_graph(sections, meta)
     try:
         (next_id,) = sections["next_component"].tolist()
@@ -464,6 +462,12 @@ def unpack_index(buf):
         raise SerializationError(
             f"pack condensation is malformed: {exc!r}"
         ) from None
+    # The TOL index adopts the condensation's DAG, which must be the one
+    # the pack's labels and DAG edges describe.
+    dag = condensation.dag
+    if set(dag) != set(vertex_of) or dag.num_edges != len(frozen._edges):
+        raise SerializationError("pack condensation does not match its DAG")
+    tol = frozen._thaw_into(labeling, dag)
     return ReachabilityIndex.restore(condensation, tol)
 
 

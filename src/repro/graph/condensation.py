@@ -5,11 +5,17 @@ indexed is a DAG and that every update keeps it one.  The paper handles the
 general case by "incrementally maintaining the strongly connected components
 in G, as discussed in [32]" (Dagger).  :class:`DynamicCondensation` is that
 substrate: it owns the user's (possibly cyclic) graph, keeps its SCC
-condensation up to date under vertex and edge updates, and reports every
-change to the condensed DAG as a :class:`CondensationDelta` — a list of
-condensation vertices to delete followed by a list to (re)insert.  The
-facade index (:mod:`repro.core.index`) replays each delta onto the TOL
-index using the paper's vertex-deletion and vertex-insertion algorithms.
+partition (``component_of``, ``members``) up to date under vertex and edge
+updates, and reports every change to the condensed DAG as a
+:class:`CondensationDelta` — a list of condensation vertices to delete
+followed by a list to (re)insert.
+
+There is one condensed DAG, :attr:`DynamicCondensation.dag`; the updates
+here only read it, and the consumer of each delta writes it.  The facade
+index (:mod:`repro.core.index`) builds its TOL index on this DAG and
+replays each delta with the paper's vertex-deletion and vertex-insertion
+algorithms, which take out and add the DAG vertex as they go; Dagger
+calls :meth:`DynamicCondensation.apply_to_dag`.
 
 Component ids are dense-ish integers drawn from a monotonically increasing
 counter and are never reused, so a delta's ``removed`` and ``added`` lists
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -76,14 +82,18 @@ def _sources_first(graph: DiGraph, pieces: list[list[Vertex]]) -> list:
 class CondensationDelta:
     """The condensed-DAG effect of one update on the original graph.
 
+    The consumer of a delta writes the DAG.  First it removes each
+    component in ``removed`` while its old adjacency is still in the DAG;
+    then it inserts each component in ``added``, in order, with the edges
+    :meth:`DynamicCondensation.placed_neighbors` reads from member edges.
+
     Attributes
     ----------
     removed:
-        Component ids that must be deleted from any index built on the
-        condensation, in order.
+        Component ids that must be deleted from the DAG and from any
+        index built on it, in order.
     added:
-        Component ids that must be inserted afterwards, in order.  Their
-        adjacency should be read from the condensation *after* the update.
+        Component ids that must be inserted afterwards, in order.
     """
 
     removed: tuple[int, ...] = ()
@@ -92,40 +102,6 @@ class CondensationDelta:
     def is_empty(self) -> bool:
         """Return ``True`` when the condensed DAG was not affected."""
         return not self.removed and not self.added
-
-
-@dataclass
-class _ComponentEdges:
-    """Multiplicity-counted adjacency between components."""
-
-    # (tail_comp, head_comp) -> number of original-graph edges between them
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def add(self, dag: DiGraph, tail: int, head: int) -> None:
-        """Count one member edge; materialize the DAG edge on 0 -> 1."""
-        key = (tail, head)
-        new = self.counts.get(key, 0) + 1
-        self.counts[key] = new
-        if new == 1:
-            dag.add_edge(tail, head)
-
-    def remove(self, dag: DiGraph, tail: int, head: int) -> None:
-        """Uncount one member edge; drop the DAG edge on 1 -> 0."""
-        key = (tail, head)
-        remaining = self.counts[key] - 1
-        if remaining:
-            self.counts[key] = remaining
-        else:
-            del self.counts[key]
-            dag.remove_edge(tail, head)
-
-    def drop_component(self, dag: DiGraph, comp: int) -> None:
-        """Forget every count touching *comp* and detach it from the DAG."""
-        for other in dag.out_neighbors(comp):
-            del self.counts[(comp, other)]
-        for other in dag.in_neighbors(comp):
-            del self.counts[(other, comp)]
-        dag.remove_vertex(comp)
 
 
 class DynamicCondensation:
@@ -143,29 +119,22 @@ class DynamicCondensation:
     >>> dc.dag.num_vertices
     3
     >>> delta = dc.insert_edge(3, 1)   # creates the cycle 1 -> 2 -> 3 -> 1
-    >>> dc.dag.num_vertices
-    1
     >>> len(delta.removed), len(delta.added)
     (3, 1)
+    >>> dc.apply_to_dag(delta)
+    >>> dc.dag.num_vertices
+    1
     """
 
     def __init__(self, graph: DiGraph | None = None) -> None:
         self.graph = graph if graph is not None else DiGraph()
         initial = condense(self.graph)
-        # Rebuild the DAG edge by edge through the multiplicity counter so
-        # counter and DAG stay in lockstep from the start.
-        self.dag = DiGraph(vertices=initial.members.keys())
         self.component_of: dict[Vertex, int] = dict(initial.component_of)
         self.members: dict[int, set[Vertex]] = {
             cid: set(vs) for cid, vs in initial.members.items()
         }
         self._next_id = initial.num_components
-        self._edges = _ComponentEdges()
-        for tail, head in self.graph.edges():
-            c_tail = self.component_of[tail]
-            c_head = self.component_of[head]
-            if c_tail != c_head:
-                self._edges.add(self.dag, c_tail, c_head)
+        self._build_dag()
 
     @classmethod
     def restore(
@@ -191,17 +160,21 @@ class DynamicCondensation:
                 raise VertexNotFoundError(v) from None
             members.setdefault(comp, set()).add(v)
         self.members = members
-        self.dag = DiGraph(vertices=members.keys())
         if next_id <= max(members, default=-1):
             raise ValueError(f"next component id {next_id} is already in use")
         self._next_id = next_id
-        self._edges = _ComponentEdges()
-        for tail, head in graph.edges():
-            c_tail = self.component_of[tail]
-            c_head = self.component_of[head]
-            if c_tail != c_head:
-                self._edges.add(self.dag, c_tail, c_head)
+        self._build_dag()
         return self
+
+    def _build_dag(self) -> None:
+        """Condense the graph's edges onto ``members``' components."""
+        component_of = self.component_of
+        self.dag = dag = DiGraph(vertices=self.members.keys())
+        for tail, head in self.graph.edges():
+            c_tail = component_of[tail]
+            c_head = component_of[head]
+            if c_tail != c_head:
+                dag.add_edge_if_absent(c_tail, c_head)
 
     # ------------------------------------------------------------------
     # Queries
@@ -253,7 +226,6 @@ class DynamicCondensation:
         cycle_comps = self._comps_between(out_comps, in_comps)
         if not cycle_comps:
             comp = self._new_component({vertex})
-            self._recount_component(comp)
             return CondensationDelta(removed=(), added=(comp,))
         return self._merge(cycle_comps, extra_members={vertex})
 
@@ -285,9 +257,7 @@ class DynamicCondensation:
         cycle_comps = self._comps_between({c_head}, {c_tail})
         if cycle_comps:
             return self._merge(cycle_comps, extra_members=set())
-        had_edge = self.dag.has_edge(c_tail, c_head)
-        self._edges.add(self.dag, c_tail, c_head)
-        if had_edge:
+        if self.dag.has_edge(c_tail, c_head):
             return CondensationDelta()
         # New condensation edge: downstream indices refresh the head
         # component (delete + reinsert picks up the new in-edge).
@@ -301,11 +271,12 @@ class DynamicCondensation:
             raise EdgeNotFoundError(tail, head)
         self.graph.remove_edge(tail, head)
         if c_tail != c_head:
-            still_there = self.dag.has_edge(c_tail, c_head)
-            self._edges.remove(self.dag, c_tail, c_head)
-            lost_edge = still_there and not self.dag.has_edge(c_tail, c_head)
-            if not lost_edge:
-                return CondensationDelta()
+            # The DAG edge goes with the last member edge it stands for.
+            component_of = self.component_of
+            for v in self.members[c_tail]:
+                for w in self.graph.iter_out(v):
+                    if component_of[w] == c_head:
+                        return CondensationDelta()
             return CondensationDelta(removed=(c_head,), added=(c_head,))
         # Intra-component edge: the component may split.
         return self._rebuild_component(c_tail, set(self.members[c_tail]))
@@ -320,7 +291,6 @@ class DynamicCondensation:
         self.members[comp] = members
         for v in members:
             self.component_of[v] = comp
-        self.dag.add_vertex(comp)
         return comp
 
     def _comps_between(self, sources: set[int], targets: set[int]) -> set[int]:
@@ -359,54 +329,60 @@ class DynamicCondensation:
         for c in comps:
             merged_members |= self.members[c]
         for c in comps:
-            self._edges.drop_component(self.dag, c)
             del self.members[c]
         new_comp = self._new_component(merged_members)
-        self._recount_component(new_comp)
         return CondensationDelta(removed=tuple(sorted(comps)), added=(new_comp,))
 
     def _rebuild_component(
         self, comp: int, remaining: set[Vertex]
     ) -> CondensationDelta:
         """Replace *comp* by the SCCs of the subgraph induced on *remaining*."""
-        self._edges.drop_component(self.dag, comp)
         del self.members[comp]
         if not remaining:
             return CondensationDelta(removed=(comp,), added=())
         if len(remaining) == 1:
-            only = next(iter(remaining))
-            new_comp = self._new_component({only})
-            self._recount_component(new_comp)
+            new_comp = self._new_component(remaining)
             return CondensationDelta(removed=(comp,), added=(new_comp,))
 
         sub = self.graph.subgraph(remaining)
         pieces = _sources_first(sub, strongly_connected_components(sub))
         new_ids = [self._new_component(set(piece)) for piece in pieces]
-        self._recount_components(new_ids)
         return CondensationDelta(removed=(comp,), added=tuple(new_ids))
 
-    def _recount_component(self, comp: int) -> None:
-        """Rebuild DAG edge counts for all edges incident to *comp*."""
-        self._recount_components([comp])
+    # ------------------------------------------------------------------
+    # Writing the DAG
+    # ------------------------------------------------------------------
 
-    def _recount_components(self, comps: list[int]) -> None:
-        """Rebuild DAG edge counts for all edges incident to *comps*.
+    def placed_neighbors(self, comp: int) -> tuple[list[int], list[int]]:
+        """``(ins, outs)``: the components already in the DAG with a
+        member edge into / out of *comp*, which is not in it yet.
 
-        Edges between two components of the batch are counted once (via
-        the tail's outgoing scan); incoming edges are only counted when
-        their tail lies outside the batch.
+        A component added later in the same delta gets the edge when it
+        is placed itself.
         """
-        batch = set(comps)
-        for comp in comps:
-            for v in self.members[comp]:
-                for w in self.graph.iter_out(v):
-                    c_w = self.component_of[w]
-                    if c_w != comp:
-                        self._edges.add(self.dag, comp, c_w)
-                for u in self.graph.iter_in(v):
-                    c_u = self.component_of[u]
-                    if c_u != comp and c_u not in batch:
-                        self._edges.add(self.dag, c_u, comp)
+        component_of = self.component_of
+        ins: dict[int, None] = {}
+        outs: dict[int, None] = {}
+        for v in self.members[comp]:
+            for w in self.graph.iter_out(v):
+                outs[component_of[w]] = None
+            for u in self.graph.iter_in(v):
+                ins[component_of[u]] = None
+        dag = self.dag
+        return [c for c in ins if c in dag], [c for c in outs if c in dag]
+
+    def apply_to_dag(self, delta: CondensationDelta) -> None:
+        """Write *delta* onto the DAG (for a caller with no index on it)."""
+        dag = self.dag
+        for comp in delta.removed:
+            dag.remove_vertex(comp)
+        for comp in delta.added:
+            ins, outs = self.placed_neighbors(comp)
+            dag.add_vertex(comp)
+            for c in ins:
+                dag.add_edge(c, comp)
+            for c in outs:
+                dag.add_edge(comp, c)
 
     # ------------------------------------------------------------------
     # Validation
@@ -431,12 +407,3 @@ class DynamicCondensation:
             (relabel[t], relabel[h]) for t, h in fresh.dag.edges()
         }
         assert fresh_edges == set(self.dag.edges())
-        # Edge counts match the graph.
-        from collections import Counter
-
-        expected = Counter()
-        for tail, head in self.graph.edges():
-            ct, ch = self.component_of[tail], self.component_of[head]
-            if ct != ch:
-                expected[(ct, ch)] += 1
-        assert dict(expected) == self._edges.counts

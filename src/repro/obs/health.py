@@ -48,7 +48,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Optional
 
 from .registry import MetricRegistry
 

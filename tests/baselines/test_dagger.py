@@ -102,6 +102,52 @@ class TestUpdates:
             assert_all_pairs(idx, live)
 
 
+    def test_condensation_stays_exact_under_updates(self):
+        """Dagger writes the condensed DAG itself; after every op it must
+        equal a from-scratch condensation, through merges and splits."""
+        r = random.Random(17)
+        g = DiGraph(vertices=range(10))
+        for i in range(10):
+            for j in range(10):
+                if i != j and r.random() < 0.15:
+                    g.add_edge(i, j)
+        idx = DaggerIndex(g, seed=17)
+        live = g.copy()
+        nxt = 10
+        for _ in range(60):
+            roll = r.random()
+            verts = sorted(live.vertices())
+            if roll < 0.2 and len(verts) > 2:
+                v = r.choice(verts)
+                live.remove_vertex(v)
+                idx.delete_vertex(v)
+            elif roll < 0.5:
+                a, b = r.choice(verts), r.choice(verts)
+                if a == b or live.has_edge(a, b):
+                    continue
+                live.add_edge(a, b)
+                idx.insert_edge(a, b)
+            elif roll < 0.8:
+                edges = sorted(live.edges())
+                if not edges:
+                    continue
+                a, b = r.choice(edges)
+                live.remove_edge(a, b)
+                idx.delete_edge(a, b)
+            else:
+                ins = [x for x in verts if r.random() < 0.2]
+                outs = [x for x in verts if r.random() < 0.2]
+                live.add_vertex(nxt)
+                for u in ins:
+                    live.add_edge(u, nxt)
+                for w in outs:
+                    live.add_edge(nxt, w)
+                idx.insert_vertex(nxt, ins, outs)
+                nxt += 1
+            idx._cond.check_invariants()
+            assert_all_pairs(idx, live)
+
+
 class TestDegradation:
     """The paper's core observation about Dagger: updates loosen intervals,
     so query pruning decays toward plain DFS."""

@@ -142,3 +142,24 @@ class TestUpdates:
                 idx.insert_vertex(nxt, ins, outs)
                 nxt += 1
             assert_all_pairs(idx, live)
+
+
+class TestRestore:
+    def test_tol_over_an_equal_copy_adopts_the_condensation_dag(self):
+        # A TOL index built on a copy of the condensed DAG (as a traced
+        # build does) walks the condensation's own DAG once restored, so
+        # the updates that write it keep the condensation exact.
+        from repro.core.index import TOLIndex
+        from repro.graph.condensation import DynamicCondensation
+
+        g = DiGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
+        cond = DynamicCondensation(g.copy())
+        idx = ReachabilityIndex.restore(cond, TOLIndex.build(cond.dag))
+        assert idx.tol._graph is cond.dag
+        idx.insert_edge(3, 1)  # merges {1, 2, 3}
+        idx.insert_edge(4, 0)  # merges everything
+        cond.check_invariants()
+        g.add_edge(3, 1)
+        g.add_edge(4, 0)
+        assert_all_pairs(idx, g)
+

@@ -1,11 +1,13 @@
 """Hypothesis stateful testing: the dynamic index as a state machine.
 
 A `RuleBasedStateMachine` drives :class:`ReachabilityIndex` through
-arbitrary interleavings of vertex/edge insertions and deletions, keeping a
-plain :class:`DiGraph` as the model.  Invariants checked after every rule:
-a sample of queries matches BFS on the model, the labels equal the
-Definition-1 labels of the condensed DAG under the index's own level
-order, and the SCC condensation's internal bookkeeping is consistent.
+arbitrary interleavings of vertex/edge insertions and deletions (SCC
+merges and splits included), label reduction and pack round trips,
+keeping a plain :class:`DiGraph` as the model.  Invariants checked after
+every rule: a sample of queries matches BFS on the model, the labels
+equal the Definition-1 labels of the condensed DAG under the index's own
+level order, the TOL index walks the condensation's own DAG object, and
+the SCC condensation agrees with a from-scratch one.
 This is the widest net in the suite — hypothesis shrinks any failure to
 a minimal op sequence automatically.
 """
@@ -24,8 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core.index import ReachabilityIndex
 from repro.core.reference import reference_tol
+from repro.core.serialize import pack_index, unpack_index
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal import bidirectional_reachable
+from repro.graph.traversal import bidirectional_reachable, forward_reachable
 
 
 class DynamicReachabilityMachine(RuleBasedStateMachine):
@@ -97,6 +100,45 @@ class DynamicReachabilityMachine(RuleBasedStateMachine):
         self.index.delete_edge(a, b)
         self.model.remove_edge(a, b)
 
+    @rule(data=st.data())
+    def insert_back_edge(self, data):
+        # An edge from a descendant back to its ancestor closes a cycle,
+        # so the components on it merge.
+        candidates = [
+            (d, v)
+            for v in sorted(self.model.vertices(), key=repr)
+            for d in sorted(forward_reachable(self.model, v), key=repr)
+            if d != v and not self.model.has_edge(d, v)
+        ]
+        if not candidates:
+            return
+        d, v = data.draw(st.sampled_from(candidates), label="back edge")
+        self.index.insert_edge(d, v)
+        self.model.add_edge(d, v)
+
+    @rule(data=st.data())
+    def delete_intra_scc_edge(self, data):
+        # Losing an edge inside a component may split it.
+        same = self.index.condensation.same_component
+        edges = [
+            (a, b)
+            for a, b in sorted(self.model.edges(), key=repr)
+            if a != b and same(a, b)
+        ]
+        if not edges:
+            return
+        a, b = data.draw(st.sampled_from(edges), label="intra edge")
+        self.index.delete_edge(a, b)
+        self.model.remove_edge(a, b)
+
+    @rule()
+    def reduce_labels(self):
+        self.index.reduce_labels(max_rounds=1)
+
+    @rule()
+    def pack_round_trip(self):
+        self.index = unpack_index(pack_index(self.index))
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
@@ -122,6 +164,11 @@ class DynamicReachabilityMachine(RuleBasedStateMachine):
         tol = self.index.tol
         ref = reference_tol(self.index.condensation.dag, tol.order)
         assert tol.labeling.snapshot() == ref.snapshot()
+
+    @invariant()
+    def tol_walks_the_condensed_dag(self):
+        if self.index is not None:
+            assert self.index.tol._graph is self.index.condensation.dag
 
     @invariant()
     def condensation_consistent(self):

@@ -41,6 +41,7 @@ class TestVertexInsertion:
     def test_isolated(self):
         dc = DynamicCondensation()
         delta = dc.insert_vertex("a")
+        dc.apply_to_dag(delta)
         assert delta.removed == ()
         assert len(delta.added) == 1
         dc.check_invariants()
@@ -48,6 +49,7 @@ class TestVertexInsertion:
     def test_with_edges(self):
         dc = DynamicCondensation(DiGraph(vertices=[1, 2]))
         delta = dc.insert_vertex(3, in_neighbors=[1], out_neighbors=[2])
+        dc.apply_to_dag(delta)
         assert len(delta.added) == 1
         comp = delta.added[0]
         assert dc.dag.has_edge(dc.component(1), comp)
@@ -57,6 +59,7 @@ class TestVertexInsertion:
     def test_cycle_creating_insert_merges(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2)]))
         delta = dc.insert_vertex(3, in_neighbors=[2], out_neighbors=[1])
+        dc.apply_to_dag(delta)
         assert dc.same_component(1, 3) and dc.same_component(2, 3)
         assert len(delta.removed) == 2
         assert len(delta.added) == 1
@@ -77,6 +80,7 @@ class TestVertexDeletion:
     def test_singleton(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2)]))
         delta = dc.delete_vertex(2)
+        dc.apply_to_dag(delta)
         assert len(delta.removed) == 1
         assert delta.added == ()
         assert 2 not in dc.component_of
@@ -84,8 +88,8 @@ class TestVertexDeletion:
 
     def test_reinsert_after_delete(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2)]))
-        dc.delete_vertex(2)
-        dc.insert_vertex(2, in_neighbors=[1])
+        dc.apply_to_dag(dc.delete_vertex(2))
+        dc.apply_to_dag(dc.insert_vertex(2, in_neighbors=[1]))
         assert dc.graph.has_edge(1, 2)
         dc.check_invariants()
 
@@ -94,6 +98,7 @@ class TestVertexDeletion:
         dc = DynamicCondensation(DiGraph(edges=[(1, 2), (2, 3), (3, 1)]))
         assert dc.dag.num_vertices == 1
         delta = dc.delete_vertex(2)
+        dc.apply_to_dag(delta)
         assert len(delta.added) == 2
         assert not dc.same_component(1, 3)
         dc.check_invariants()
@@ -103,6 +108,7 @@ class TestEdgeUpdates:
     def test_edge_between_components(self):
         dc = DynamicCondensation(DiGraph(vertices=[1, 2]))
         delta = dc.insert_edge(1, 2)
+        dc.apply_to_dag(delta)
         assert dc.dag.has_edge(dc.component(1), dc.component(2))
         assert delta.removed == (dc.component(2),)
         dc.check_invariants()
@@ -111,6 +117,7 @@ class TestEdgeUpdates:
         dc = DynamicCondensation(DiGraph(edges=[(1, 2), (2, 3), (1, 4), (4, 3)]))
         # 1 -> 3 adds a second member edge pattern between distinct comps?
         delta = dc.insert_edge(1, 3)
+        dc.apply_to_dag(delta)
         dc.check_invariants()
         # comp(1) -> comp(3) edge already existed via no direct edge: the
         # delta must at most refresh comp(3).
@@ -119,6 +126,7 @@ class TestEdgeUpdates:
     def test_cycle_creating_edge_merges(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2), (2, 3)]))
         delta = dc.insert_edge(3, 1)
+        dc.apply_to_dag(delta)
         assert dc.dag.num_vertices == 1
         assert len(delta.removed) == 3 and len(delta.added) == 1
         dc.check_invariants()
@@ -127,6 +135,7 @@ class TestEdgeUpdates:
         # A new chord inside an existing SCC changes nothing condensed.
         dc = DynamicCondensation(DiGraph(edges=[(1, 2), (2, 3), (3, 1)]))
         delta = dc.insert_edge(1, 3)
+        dc.apply_to_dag(delta)
         assert delta.is_empty()
         dc.check_invariants()
 
@@ -143,6 +152,7 @@ class TestEdgeUpdates:
     def test_edge_deletion_splits_scc(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2), (2, 3), (3, 1)]))
         delta = dc.delete_edge(3, 1)
+        dc.apply_to_dag(delta)
         assert dc.dag.num_vertices == 3
         assert len(delta.added) == 3
         dc.check_invariants()
@@ -150,8 +160,24 @@ class TestEdgeUpdates:
     def test_edge_deletion_between_components(self):
         dc = DynamicCondensation(DiGraph(edges=[(1, 2)]))
         delta = dc.delete_edge(1, 2)
+        dc.apply_to_dag(delta)
         assert dc.dag.num_edges == 0
         assert delta.removed == (dc.component(2),)
+        dc.check_invariants()
+
+    def test_dag_edge_goes_with_the_last_member_edge(self):
+        # Tail SCC {1, 2, 3} has two member edges into head {9}.
+        dc = DynamicCondensation(
+            DiGraph(edges=[(1, 2), (2, 3), (3, 1), (1, 9), (2, 9)])
+        )
+        c_tail, c_head = dc.component(1), dc.component(9)
+        assert dc.delete_edge(1, 9).is_empty()
+        assert dc.dag.has_edge(c_tail, c_head)
+        dc.check_invariants()
+        delta = dc.delete_edge(2, 9)
+        assert delta.removed == (c_head,) and delta.added == (c_head,)
+        dc.apply_to_dag(delta)
+        assert not dc.dag.has_edge(c_tail, c_head)
         dc.check_invariants()
 
 
@@ -170,7 +196,8 @@ def test_randomized_update_sequences(seed):
     for _ in range(15):
         roll = r.random()
         if roll < 0.25 and dc.graph.num_vertices > 1:
-            dc.delete_vertex(r.choice(list(dc.graph.vertices())))
+            victim = r.choice(list(dc.graph.vertices()))
+            dc.apply_to_dag(dc.delete_vertex(victim))
         elif roll < 0.5:
             pairs = [
                 (a, b)
@@ -179,16 +206,16 @@ def test_randomized_update_sequences(seed):
                 if a != b and not dc.graph.has_edge(a, b)
             ]
             if pairs:
-                dc.insert_edge(*r.choice(pairs))
+                dc.apply_to_dag(dc.insert_edge(*r.choice(pairs)))
         elif roll < 0.75:
             edges = list(dc.graph.edges())
             if edges:
-                dc.delete_edge(*r.choice(edges))
+                dc.apply_to_dag(dc.delete_edge(*r.choice(edges)))
         else:
             verts = list(dc.graph.vertices())
             ins = [x for x in verts if r.random() < 0.3]
             outs = [x for x in verts if r.random() < 0.3]
-            dc.insert_vertex(nxt, ins, outs)
+            dc.apply_to_dag(dc.insert_vertex(nxt, ins, outs))
             nxt += 1
         dc.check_invariants()
         assert is_dag(dc.dag)

@@ -337,6 +337,10 @@ class TestHalfAppliedKernel:
         assert service.epoch == len(ops)
         assert service.registry.counter("service.rebuilds").value == rebuilds + 1
         assert not service.degraded
+        # The rebuilt index walks the one condensed DAG, and it is exact.
+        index = service._index
+        assert index.tol._graph is index.condensation.dag
+        index.condensation.check_invariants()
 
         pairs = all_pairs(expected)
         answers = service.query_batch(pairs)

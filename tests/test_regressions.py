@@ -37,8 +37,8 @@ class TestCondensationBookkeeping:
         # delete_vertex once forgot component_of[v]; re-inserting the same
         # vertex then exploded with VertexExistsError.
         dc = DynamicCondensation(DiGraph(edges=[(1, 2)]))
-        dc.delete_vertex(2)
-        dc.insert_vertex(2, in_neighbors=[1])
+        dc.apply_to_dag(dc.delete_vertex(2))
+        dc.apply_to_dag(dc.insert_vertex(2, in_neighbors=[1]))
         assert dc.graph.has_edge(1, 2)
         dc.check_invariants()
 
@@ -46,7 +46,8 @@ class TestCondensationBookkeeping:
         # Splitting an SCC once recounted edges between the *new* pieces
         # from both endpoints, doubling their multiplicity.
         dc = DynamicCondensation(DiGraph(edges=[(0, 1), (1, 2), (2, 0)]))
-        dc.delete_vertex(0)  # SCC {0,1,2} splits into {1} and {2}
+        # SCC {0,1,2} splits into {1} and {2}
+        dc.apply_to_dag(dc.delete_vertex(0))
         dc.check_invariants()
         assert dc.dag.num_edges == 1  # just 1 -> 2
 
