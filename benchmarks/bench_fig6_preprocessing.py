@@ -85,7 +85,7 @@ def _time_pipeline(graph, strategy, build):
     packing pass per pipeline — the real cost model: the order strategy
     packs the snapshot and the Butterfly build reuses it.
     """
-    graph._csr_cache = None
+    graph.release_csr()
     start = time.perf_counter()
     build(graph, strategy(graph))
     return time.perf_counter() - start

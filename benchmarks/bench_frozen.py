@@ -1,11 +1,30 @@
-"""Serving ablation — frozen (CSR-packed) vs live (set-based) backends.
+"""Frozen snapshots: serving ablation and publish cost.
 
-The live index is shaped for the paper's update algorithms; the frozen
-snapshot is shaped for read-only serving.  This bench measures query
-throughput and *actual resident memory* of both over the same label sets:
-expect comparable query times (CPython's set probe is C-speed, the packed
-merge is bytecode) and a several-fold memory win for the packed layout.
+The live index keeps each label set as a sorted ``array('i')`` of
+interned ids, shaped for the paper's update algorithms; the frozen
+snapshot packs the same ids into two flat label arrays plus CSR offsets,
+shaped for read-only serving.  Two measurements:
+
+* ``test_render_frozen_ablation`` — query time and label memory of both
+  over the same labels on 900-vertex stand-ins: the live label arrays
+  (the per-vertex ``array`` objects and the two lists holding them)
+  against the frozen buffers (labels and offsets).  Writes
+  ``results/ablation_frozen.txt``.
+* ``test_publish_cost`` — the three steps one shared-memory publish
+  pays per snapshot: ``freeze(tol, edges=False)`` and
+  :func:`~repro.core.serialize.pack_snapshot` on the writer,
+  :func:`~repro.core.serialize.unpack_snapshot` on each reader's
+  attach.  Best of ``PUBLISH_REPS`` with gc paused, on the go-uniprot
+  and RG5 stand-ins at 10k vertices (2000 under ``--quick``), the
+  graphs of servebench's read-cold and churn workloads.  Writes
+  ``BENCH_publish.json`` (repo root at full scale, ``results-smoke/``
+  under ``--quick``): the latest view plus a ``{sha, host, headline}``
+  history row per run (see :mod:`_provenance`).
 """
+
+import gc
+import sys
+import time
 
 import pytest
 
@@ -13,19 +32,34 @@ from repro import datasets as ds
 from repro.bench.tables import format_bytes, format_millis, format_table
 from repro.bench.workloads import generate_queries
 from repro.core.frozen import freeze
-from repro.core.index import TOLIndex
+from repro.core.index import ReachabilityIndex, TOLIndex
+from repro.core.serialize import pack_snapshot, unpack_snapshot
 
-from _config import RESULTS_DIR, cached
+from _config import QUICK, RESULTS_DIR, cached
+from _provenance import write_headline
 
 DATASETS = ["RG10", "citeseerx", "go-uniprot"]
 NUM_VERTICES = 900
 NUM_QUERIES = 2000
+
+BENCH_PUBLISH = "BENCH_publish.json"
+PUBLISH_GRAPHS = ("go-uniprot", "RG5")
+PUBLISH_VERTICES = 2_000 if QUICK else 10_000
+PUBLISH_REPS = 5
 
 
 def _pair(dataset: str):
     graph = ds.load(dataset, num_vertices=NUM_VERTICES)
     live = TOLIndex.build(graph, order="butterfly-u")
     return live, freeze(live)
+
+
+def _live_label_bytes(labeling) -> int:
+    """Bytes of the live label store: both lists and every array in them."""
+    return sum(
+        sys.getsizeof(side) + sum(sys.getsizeof(a) for a in side if a is not None)
+        for side in (labeling.in_ids, labeling.out_ids)
+    )
 
 
 @pytest.mark.parametrize("backend", ["live", "frozen"])
@@ -46,8 +80,6 @@ def test_query_throughput(benchmark, dataset, backend):
 
 
 def test_render_frozen_ablation(benchmark):
-    import time
-
     rows = []
     for dataset in DATASETS:
         live, frozen = cached(("frozen-pair", dataset), lambda d=dataset: _pair(d))
@@ -59,35 +91,92 @@ def test_render_frozen_ablation(benchmark):
             for s, t in queries.pairs:
                 index.query(s, t)
             timings[name] = time.perf_counter() - start
-            # Both backends must agree on every answer, of course.
         answers_live = [live.query(s, t) for s, t in queries.pairs]
         answers_frozen = [frozen.query(s, t) for s, t in queries.pairs]
         assert answers_live == answers_frozen
-        import sys
-
-        lab = live.labeling
-        live_actual = sum(
-            sys.getsizeof(s_) for s_ in lab.label_in.values()
-        ) + sum(sys.getsizeof(s_) for s_ in lab.label_out.values())
+        live_bytes = _live_label_bytes(live.labeling)
         rows.append([
             dataset,
             format_millis(timings["live"]),
             format_millis(timings["frozen"]),
-            format_bytes(live_actual),
-            format_bytes(frozen.size_bytes()),
+            format_bytes(live_bytes),
+            format_bytes(frozen.buffer_bytes()),
         ])
-        assert frozen.size_bytes() < live_actual
+        assert frozen.buffer_bytes() < live_bytes
     table = format_table(
-        "Serving ablation: live (sets) vs frozen (CSR arrays)",
-        ["dataset", "live query", "frozen query", "live memory*", "frozen memory"],
+        "Serving ablation: live (label arrays) vs frozen (CSR buffers)",
+        ["dataset", "live query", "frozen query", "live labels", "frozen buffers"],
         rows,
         note=(
-            f"{NUM_QUERIES} queries, {NUM_VERTICES}-vertex stand-ins.  "
-            "*live memory = set containers only (boxed label ints excluded), "
-            "so the real gap is larger."
+            f"{NUM_QUERIES} queries, {NUM_VERTICES}-vertex stand-ins.  Live "
+            "labels: the in/out id lists and their per-vertex arrays "
+            "(inverted lists excluded); frozen buffers: labels and offsets."
         ),
     )
     benchmark(lambda: table)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "ablation_frozen.txt").write_text(table + "\n", encoding="utf-8")
     print("\n" + table)
+
+
+def _best_ms(step, reps: int = PUBLISH_REPS) -> tuple[float, object]:
+    """Best wall time of *reps* calls of *step*, and its last result."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        result = step()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 3), result
+
+
+def test_publish_cost():
+    graphs, headline = {}, {}
+    for name in PUBLISH_GRAPHS:
+        graph = ds.load(name, num_vertices=PUBLISH_VERTICES, seed=0)
+        index = ReachabilityIndex(graph)
+        component_of = dict(index.condensation.component_of)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            freeze_ms, frozen = _best_ms(
+                lambda: freeze(index.tol, edges=False)
+            )
+            pack_ms, blob = _best_ms(
+                lambda: pack_snapshot(frozen, component_of, {"epoch": 0})
+            )
+            unpack_ms, (reader, _, _) = _best_ms(lambda: unpack_snapshot(blob))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        components = list(index.tol.labeling.order)[:200]
+        pairs = [(s, t) for s in components[:20] for t in components]
+        assert [reader.query(s, t) for s, t in pairs] == [
+            index.tol.query(s, t) for s, t in pairs
+        ]
+        key = f"{name}-{PUBLISH_VERTICES}"
+        headline[key] = {
+            "freeze_ms": freeze_ms,
+            "pack_snapshot_ms": pack_ms,
+            "unpack_snapshot_ms": unpack_ms,
+        }
+        graphs[key] = {
+            **headline[key],
+            "vertices": graph.num_vertices,
+            "edges": graph.num_edges,
+            "labels": index.tol.size(),
+            "pack_bytes": len(blob),
+        }
+    write_headline(BENCH_PUBLISH, {
+        "benchmark": "publish",
+        "quick": QUICK,
+        "protocol": (
+            f'datasets.load(name, num_vertices={PUBLISH_VERTICES}, seed=0); '
+            "ReachabilityIndex(graph); best of "
+            f"{PUBLISH_REPS} calls each, gc paused, of freeze(index.tol, "
+            "edges=False), pack_snapshot(frozen, component_of, meta) and "
+            "unpack_snapshot(blob); one history row per run"
+        ),
+        "graphs": graphs,
+        "headline": headline,
+    })
+    print(headline)

@@ -16,8 +16,9 @@ records the bytes reachable from each structure it keeps:
   of the served graph (the service checkpoints and audits it and
   answers degraded queries from it);
 * ``condensation`` — the condensed DAG, ``component_of`` and ``members``;
-  the DAG (with the build's cached CSR snapshot of it) is the one the
-  TOL index's update kernels walk and write, so it has no row of its own.
+  the DAG is the one the TOL index's update kernels walk and write, so
+  it has no row of its own (the build's CSR snapshot of it is released
+  when the build ends).
 
 Each structure is walked on its own (objects shared between two
 structures are counted in both).  It then runs one full read cycle,

@@ -61,8 +61,8 @@ def butterfly_build(
     Parameters
     ----------
     graph:
-        A DAG.  Not modified (the peeling uses "removed" flags rather than
-        destroying a copy).
+        A DAG.  Not modified (the peeling uses "removed" flags); the build
+        is the last user of its cached CSR snapshot and releases it.
     order:
         The level order; must contain exactly the vertices of *graph*.
     prune:
@@ -92,6 +92,7 @@ def butterfly_build(
     if len(order) != graph.num_vertices or set(order) != set(graph.vertices()):
         raise GraphError("level order must contain exactly the graph's vertices")
     snap = graph.csr()
+    graph.release_csr()
     snap.topological_ids()  # DAG check (cached for the score sweeps)
 
     labeling = TOLLabeling(order)

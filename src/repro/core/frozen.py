@@ -1,26 +1,19 @@
 """FrozenTOLIndex: an immutable, query-optimized snapshot of a TOL index.
 
-The live :class:`~repro.core.index.TOLIndex` already stores labels as
-per-vertex sorted ``array('i')`` id buffers (plus the inverted lists the
-update algorithms need).  Freezing re-packs those buffers into two flat
-``array('i')`` label buffers plus two ``array('l')`` offset buffers in
-CSR layout:
-
-* vertices are renumbered ``0..n-1`` by level (highest level = 0), so a
-  label's rank *is* its id and level comparisons are integer compares;
-* ``in_labels``/``out_labels`` hold every label contiguously, sorted per
-  vertex; ``in_offsets``/``out_offsets`` delimit each vertex's slice;
-* a query intersects two sorted slices with a linear merge (or a galloping
-  probe when one side is much shorter).
-
-Because the live index is id-based, freezing is a near-zero-cost repack:
-one rank-translation table plus a small per-vertex sort of each translated
-buffer — no hashing of vertex objects.  This is the shape a C
-implementation of the paper would use for serving, and the buffers *are*
-mmapped directly in the zero-copy path: the four buffers may be
-``array`` objects (a local freeze) or ``memoryview.cast`` views into an
-mmapped ``.tolf`` pack or a ``multiprocessing.shared_memory`` segment
-(see :func:`repro.core.serialize.unpack_frozen` and :mod:`repro.shm`) —
+The live :class:`~repro.core.index.TOLIndex` stores labels as per-vertex
+sorted ``array('i')`` buffers of interned ids (plus the inverted lists
+the update algorithms need).  Freezing copies them, ids unchanged, into
+two flat ``array('i')`` label buffers plus two ``array('l')`` offset
+buffers in CSR layout, indexed by interned id over ``0..capacity`` (a
+free id has an empty slice).  The level-order vertex table and each
+vertex's id travel with the buffers, so :meth:`FrozenTOLIndex.thaw`
+rebuilds the order and the interner.  Freezing is one ``extend`` per id
+slot, with no translation and no sort; a query intersects two sorted
+slices with a linear merge (or a galloping probe when one side is much
+shorter).  The four buffers may be ``array`` objects (a local freeze) or
+``memoryview.cast`` views into an mmapped ``.tolf`` pack or a
+``multiprocessing.shared_memory`` segment (see
+:func:`repro.core.serialize.unpack_frozen` and :mod:`repro.shm`) —
 queries only need ``len``/indexing/``bisect``, which both support
 identically.  Freezing drops the inverted lists and the per-vertex
 array objects, so it still shrinks resident memory versus the live index
@@ -47,6 +40,7 @@ from typing import Optional
 from ..errors import UnknownVertexError
 from ..graph.digraph import DiGraph
 from .index import TOLIndex
+from .intern import VertexInterner
 from .labeling import TOLLabeling
 from .order import LevelOrder
 
@@ -54,11 +48,15 @@ __all__ = ["FrozenTOLIndex", "freeze"]
 
 Vertex = Hashable
 
+#: Marks a free-listed id in the id -> vertex table (``None`` is a vertex).
+_HOLE = object()
+
 
 class FrozenTOLIndex:
     """Read-only TOL index over flat arrays (see module docstring).
 
-    Build one with :func:`freeze` / :meth:`from_index`.
+    Build one with :func:`freeze` / :meth:`from_index`.  *id_of* maps
+    each vertex to its interned id; *vertex_of* is the level order.
 
     Examples
     --------
@@ -69,7 +67,7 @@ class FrozenTOLIndex:
     """
 
     __slots__ = (
-        "_id_of", "_vertex_of", "_in_offsets", "_in_labels",
+        "_id_of", "_vertex_of", "_by_id", "_in_offsets", "_in_labels",
         "_out_offsets", "_out_labels", "_edges",
     )
 
@@ -85,6 +83,7 @@ class FrozenTOLIndex:
     ) -> None:
         self._id_of = id_of
         self._vertex_of = vertex_of
+        self._by_id: Optional[list] = None  # see _table()
         self._in_offsets = in_offsets
         self._in_labels = in_labels
         self._out_offsets = out_offsets
@@ -101,31 +100,24 @@ class FrozenTOLIndex:
     ) -> "FrozenTOLIndex":
         """Snapshot a live :class:`TOLIndex` (which stays usable).
 
-        A rank-translation repack: interned ids are mapped to level ranks
-        through one flat table, and each vertex's already-sorted id buffer
-        becomes a sorted rank slice after a small per-vertex sort.
+        Each id slot's live buffer is copied as it is: the labels keep
+        their interned ids, and a free id gets an empty slice.
 
         ``edges=False`` leaves out the DAG edge list, skipping a copy of
-        the graph and a sort of its |E| edges.  The snapshot answers
-        queries the same but cannot be thawed back into a live index;
-        shared-memory publishing wants exactly that.
+        the graph.  The snapshot answers queries the same but cannot be
+        thawed back into a live index; shared-memory publishing wants
+        exactly that.
         """
         labeling = index.labeling
-        vertex_of = list(labeling.order)  # highest level first -> id 0
-        id_of = {v: i for i, v in enumerate(vertex_of)}
-        # intern id -> level rank, one slot per id (holes stay 0; unused).
-        intern_ids = labeling.interner.ids
-        rank_of = [0] * labeling.interner.capacity
-        for rank, v in enumerate(vertex_of):
-            rank_of[intern_ids[v]] = rank
-        rank = rank_of.__getitem__
+        id_of = dict(labeling.interner.ids)
 
         def pack(buffers) -> tuple[array, array]:
             """CSR-pack one side's id buffers into (offsets, labels)."""
             offsets = array("l", [0])
             labels = array("i")
-            for v in vertex_of:
-                labels.extend(sorted(map(rank, buffers[intern_ids[v]])))
+            for ids in buffers:
+                if ids:  # None for a free id
+                    labels.extend(ids)
                 offsets.append(len(labels))
             return offsets, labels
 
@@ -133,41 +125,47 @@ class FrozenTOLIndex:
         out_offsets, out_labels = pack(labeling.out_ids)
         edge_ids = None
         if edges:
-            edge_ids = tuple(sorted(
+            edge_ids = tuple(
                 (id_of[t], id_of[h]) for t, h in index.graph_copy().edges()
-            ))
+            )
         return cls(
-            id_of, vertex_of, in_offsets, in_labels, out_offsets, out_labels,
-            edge_ids,
+            id_of, list(labeling.order), in_offsets, in_labels,
+            out_offsets, out_labels, edge_ids,
         )
 
     def thaw(self) -> TOLIndex:
-        """Rebuild a mutable :class:`TOLIndex` carrying the same state."""
-        return self._thaw_into(
-            TOLLabeling(LevelOrder(self._vertex_of)), self._dag()
-        )
+        """Rebuild a mutable :class:`TOLIndex` carrying the same state
+        (the same ids; the free ids become the interner's free list)."""
+        holes = [i for i, v in enumerate(self._table()) if v is _HOLE]
+        interner = VertexInterner.restore(self._id_of, holes)
+        labeling = TOLLabeling(LevelOrder(self._vertex_of), interner=interner)
+        return self._thaw_into(labeling, self._dag())
+
+    def _table(self) -> list:
+        """The id -> vertex table (``_HOLE`` at free ids), built on first use."""
+        if self._by_id is None:
+            self._by_id = [_HOLE] * (len(self._in_offsets) - 1)
+            for v, i in self._id_of.items():
+                self._by_id[i] = v
+        return self._by_id
 
     def _dag(self) -> DiGraph:
         """The indexed DAG, rebuilt from the snapshot's edge list."""
-        vertex_of = self._vertex_of
-        graph = DiGraph(vertices=vertex_of)
+        by_id = self._table()
+        graph = DiGraph(vertices=self._vertex_of)
         for tid, hid in self._edges:
-            graph.add_edge(vertex_of[tid], vertex_of[hid])
+            graph.add_edge(by_id[tid], by_id[hid])
         return graph
 
     def _thaw_into(self, labeling: TOLLabeling, graph: DiGraph) -> TOLIndex:
-        """Fill the empty *labeling* (over this index's vertices, ids from
-        its own interner) from the buffers and pair it with *graph*, the
-        DAG over the same vertices."""
-        vertex_of = self._vertex_of
-        ids = list(map(labeling.interner.ids.__getitem__, vertex_of))
+        """Fill the empty *labeling* (its interner holds this snapshot's
+        ids) from the buffers; *graph* is the DAG over the same vertices."""
         for fill, offsets, labels in (
             (labeling.fill_in_ids, self._in_offsets, self._in_labels),
             (labeling.fill_out_ids, self._out_offsets, self._out_labels),
         ):
-            for rank, vid in enumerate(ids):
-                lo, hi = offsets[rank], offsets[rank + 1]
-                fill(vid, sorted(map(ids.__getitem__, labels[lo:hi])))
+            for vid in self._id_of.values():
+                fill(vid, labels[offsets[vid]:offsets[vid + 1]])
         return TOLIndex(graph, labeling)
 
     # ------------------------------------------------------------------
@@ -214,7 +212,7 @@ class FrozenTOLIndex:
         if pos < in_hi and in_labels[pos] == sid:
             return s
         w = self._intersect(out_lo, out_hi, in_lo, in_hi)
-        return None if w < 0 else self._vertex_of[w]
+        return None if w < 0 else self._table()[w]
 
     def _intersect(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
         """Sorted-slice intersection: return a common id, or -1.
@@ -294,13 +292,13 @@ class FrozenTOLIndex:
         """``Lin(v)`` mapped back to vertex objects."""
         i = self._id_of[v]
         lo, hi = self._in_offsets[i], self._in_offsets[i + 1]
-        return frozenset(self._vertex_of[u] for u in self._in_labels[lo:hi])
+        return frozenset(map(self._table().__getitem__, self._in_labels[lo:hi]))
 
     def out_labels(self, v: Vertex) -> frozenset[Vertex]:
         """``Lout(v)`` mapped back to vertex objects."""
         i = self._id_of[v]
         lo, hi = self._out_offsets[i], self._out_offsets[i + 1]
-        return frozenset(self._vertex_of[u] for u in self._out_labels[lo:hi])
+        return frozenset(map(self._table().__getitem__, self._out_labels[lo:hi]))
 
     def __repr__(self) -> str:
         return (

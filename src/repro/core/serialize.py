@@ -11,11 +11,13 @@ one CRC32.  A reader ``mmap``s the bytes (or attaches a
 
 Each kind of content has one section encoding, shared by every writer:
 
-* **labels** — the frozen CSR buffers (``in_off``/``out_off`` i64,
-  ``in_lab``/``out_lab`` i32) with the level-order vertex table
-  ``vertex_of``, plus the optional DAG edge section ``dag_edge``;
-* **interner** — ``intern_ids`` (the id of each vertex, in level order)
-  and ``free_ids`` (the LIFO free list), so a reload keeps id assignment;
+* **labels** — the frozen CSR buffers in the live index's id space
+  (``in_id_off``/``out_id_off`` i64, one slice per id;
+  ``in_id_lab``/``out_id_lab`` i32 ids), the level-order vertex table
+  ``vertex_of`` with each vertex's id ``vertex_id``, and the optional
+  ``dag_edge`` (id pairs).  Older packs with level-rank labels are refused;
+* **free list** — ``free_ids`` (the interner's LIFO free list), so with
+  ``vertex_id`` a reload keeps id assignment;
 * **graph** — the original graph's vertex table ``vertices`` and its
   ``edges`` as position pairs; a served index adds ``component_of``
   (aligned to ``vertices``) and ``next_component``, the condensation's
@@ -26,7 +28,7 @@ JSON array under the same key in meta otherwise (tuples come back as
 tuples, see :func:`repro.core.ops.hashable_vertex`).  The writers:
 
 * :func:`save_index` / :func:`pack_index` — a live index: labels, DAG
-  edges and interner, plus the graph sections for a
+  edges and free list, plus the graph sections for a
   :class:`~repro.core.index.ReachabilityIndex`;
 * :func:`pack_graph` — a service checkpoint: the graph sections only;
 * :func:`pack_snapshot` — a shared-memory publish: labels and the
@@ -107,36 +109,21 @@ def index_to_dict(index: TOLIndex) -> dict:
     """
     labeling = index.labeling
     order = list(labeling.order)
-    position = {v: i for i, v in enumerate(order)}
-    graph = index.graph_copy()
     try:
         vertex_table = [json.loads(json.dumps(v)) for v in order]
     except (TypeError, ValueError) as exc:
         raise IndexStateError(
             f"vertices are not JSON-serializable: {exc}"
         ) from None
-    # Translate interned ids to order positions through one flat table
-    # (avoids re-hashing vertex objects per label).
-    intern_ids = labeling.interner.ids
-    pos_of_id = [0] * labeling.interner.capacity
-    for v, i in intern_ids.items():
-        pos_of_id[i] = position[v]
+    # Edges and labels reference vertices by interned id, as the packs do.
+    ids = labeling.interner.ids
     return {
         "format": "tol-index",
         "vertices": vertex_table,
-        # Edges and labels reference vertices by their order position.
-        "edges": sorted(
-            (position[t], position[h]) for t, h in graph.edges()
-        ),
-        "labels_in": [
-            sorted(pos_of_id[u] for u in labeling.in_ids[intern_ids[v]])
-            for v in order
-        ],
-        "labels_out": [
-            sorted(pos_of_id[u] for u in labeling.out_ids[intern_ids[v]])
-            for v in order
-        ],
-        "intern_ids": [intern_ids[v] for v in order],
+        "intern_ids": [ids[v] for v in order],
+        "edges": sorted((ids[t], ids[h]) for t, h in index.graph_copy().edges()),
+        "labels_in": [labeling.in_ids[ids[v]].tolist() for v in order],
+        "labels_out": [labeling.out_ids[ids[v]].tolist() for v in order],
         "free_ids": list(labeling.interner.free_ids),
     }
 
@@ -281,29 +268,39 @@ def _pairs(flat) -> tuple:
 
 
 def _put_frozen(sections: dict, meta: dict, frozen, edges: bool) -> None:
-    sections["in_off"] = frozen._in_offsets
-    sections["out_off"] = frozen._out_offsets
-    sections["in_lab"] = frozen._in_labels
-    sections["out_lab"] = frozen._out_labels
+    sections["in_id_off"] = frozen._in_offsets
+    sections["out_id_off"] = frozen._out_offsets
+    sections["in_id_lab"] = frozen._in_labels
+    sections["out_id_lab"] = frozen._out_labels
     if edges:
         sections["dag_edge"] = array("i", chain.from_iterable(frozen._edges))
     _put_vertices(sections, meta, "vertex_of", frozen._vertex_of)
+    sections["vertex_id"] = array(
+        "q", map(frozen._id_of.__getitem__, frozen._vertex_of)
+    )
 
 
 def _get_frozen(sections: dict, meta: dict):
     try:
-        in_off, out_off = sections["in_off"], sections["out_off"]
-        in_lab, out_lab = sections["in_lab"], sections["out_lab"]
+        in_off, out_off = sections["in_id_off"], sections["out_id_off"]
+        in_lab, out_lab = sections["in_id_lab"], sections["out_id_lab"]
+        ids = sections["vertex_id"].tolist()
     except KeyError:
-        raise SerializationError("pack has no label sections") from None
+        raise SerializationError(
+            "pack has no interned-id label sections (labels packed in level "
+            "ranks must be rebuilt with `repro build`)"
+        ) from None
     vertex_of = _get_vertices(sections, meta, "vertex_of")
-    if vertex_of is None or not (
-        len(in_off) == len(out_off) == len(vertex_of) + 1
-    ):
-        raise SerializationError("TOLF pack vertex table does not match n")
-    id_of = {v: i for i, v in enumerate(vertex_of)}
+    if vertex_of is None or len(vertex_of) != len(ids) or len(out_off) != len(in_off):
+        raise SerializationError("TOLF pack vertex table does not match its ids")
+    id_of = dict(zip(vertex_of, ids))
     if len(id_of) != len(vertex_of):
         raise SerializationError("pack vertex table contains duplicates")
+    capacity = len(in_off) - 1
+    if ids and (len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= capacity):
+        raise SerializationError(
+            "pack vertex ids are not distinct ids below the label capacity"
+        )
     edges = _pairs(sections["dag_edge"]) if "dag_edge" in sections else ()
     return FrozenTOLIndex(
         id_of, vertex_of, in_off, in_lab, out_off, out_lab, edges
@@ -409,15 +406,10 @@ def pack_index(index) -> bytes:
     """A live index (either facade) as TOLF pack bytes."""
     served = isinstance(index, ReachabilityIndex)
     tol = index.tol if served else index
-    frozen = FrozenTOLIndex.from_index(tol)
     sections: dict = {}
     meta: dict = {}
-    _put_frozen(sections, meta, frozen, True)
-    interner = tol.labeling.interner
-    sections["intern_ids"] = array(
-        "q", map(interner.ids.__getitem__, frozen._vertex_of)
-    )
-    sections["free_ids"] = array("q", interner.free_ids)
+    _put_frozen(sections, meta, FrozenTOLIndex.from_index(tol), True)
+    sections["free_ids"] = array("q", tol.labeling.interner.free_ids)
     if served:
         condensation = index.condensation
         vertices = _put_graph(sections, meta, condensation.graph)
@@ -436,18 +428,17 @@ def unpack_index(buf):
     """
     sections, meta = decode_pack(buf)
     frozen = _get_frozen(sections, meta)
-    if "dag_edge" not in sections or "intern_ids" not in sections:
+    if "dag_edge" not in sections or "free_ids" not in sections:
         raise SerializationError(
-            "pack holds a query-only snapshot (no DAG edges or interner) "
+            "pack holds a query-only snapshot (no DAG edges or free list) "
             "and cannot be thawed; write the index with `repro build`"
         )
     vertex_of = frozen._vertex_of
     try:
         interner = VertexInterner.restore(
-            zip(vertex_of, sections["intern_ids"].tolist()),
-            sections["free_ids"].tolist(),
+            frozen._id_of, sections["free_ids"].tolist()
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise SerializationError(f"pack interner is malformed: {exc}") from None
     labeling = TOLLabeling(LevelOrder(vertex_of), interner=interner)
     if "component_of" not in sections:

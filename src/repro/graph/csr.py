@@ -23,11 +23,11 @@ sweeps become integer loops over contiguous memory (mirroring the layout
 Snapshot caching
 ----------------
 :meth:`DiGraph.csr() <repro.graph.digraph.DiGraph.csr>` caches the
-snapshot on the graph and invalidates it with the graph's mutation
-counter (:attr:`DiGraph.version`), so repeated builds over an unchanged
-graph — an order computation followed by a Butterfly build, or every
-``bench_fig*`` ablation rebuilding indices — share one packing pass.
-The update kernels never pack a snapshot: they walk the live adjacency.
+snapshot on the graph until the next mutation drops it, so an order
+computation followed by a Butterfly build shares one packing pass.  The
+build, its last user, releases it (:meth:`DiGraph.release_csr`), so an
+indexed graph holds no snapshot.  The update kernels never pack one:
+they walk the live adjacency.
 """
 
 from __future__ import annotations

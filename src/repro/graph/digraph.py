@@ -18,9 +18,8 @@ Design notes
 * Iteration order over vertices is insertion order (a ``dict`` is the vertex
   registry), which keeps generators and tests deterministic.
 * Every mutation bumps a monotonically increasing :attr:`DiGraph.version`
-  counter.  The counter keys the cached :meth:`DiGraph.csr` snapshot (see
-  :mod:`repro.graph.csr`) and lets any derived structure detect staleness
-  cheaply.
+  counter, which lets any derived structure detect staleness cheaply, and
+  drops the cached :meth:`DiGraph.csr` snapshot (see :mod:`repro.graph.csr`).
 """
 
 from __future__ import annotations
@@ -104,8 +103,7 @@ class DiGraph:
         """Mutation counter: increments on every structural change.
 
         Two reads returning the same value guarantee the graph was not
-        mutated in between; used to invalidate the cached :meth:`csr`
-        snapshot.
+        mutated in between.
         """
         return self._version
 
@@ -114,19 +112,23 @@ class DiGraph:
 
         The first call packs the adjacency into a
         :class:`~repro.graph.csr.CSRGraph` (one O(|V|+|E|) pass); later
-        calls return the same object until :attr:`version` changes.  The
-        snapshot is immutable — it never reflects mutations made after
-        it was taken.  The build pipeline (order strategies, Butterfly)
-        shares it; the update kernels walk the live adjacency instead.
+        calls return the same object until a mutation or
+        :meth:`release_csr` drops it.  The snapshot is immutable — it
+        never reflects mutations made after it was taken.  The build
+        pipeline (order strategy, then Butterfly) shares it; the update
+        kernels walk the live adjacency instead.
         """
-        cache = self._csr_cache
-        if cache is not None and cache[0] == self._version:
-            return cache[1]
-        from .csr import csr_snapshot
+        snap = self._csr_cache
+        if snap is None:
+            from .csr import csr_snapshot
 
-        snap = csr_snapshot(self)
-        self._csr_cache = (self._version, snap)
+            snap = self._csr_cache = csr_snapshot(self)
         return snap
+
+    def release_csr(self) -> None:
+        """Drop the cached :meth:`csr` snapshot (its last user, the
+        Butterfly build, calls this once it holds the snapshot)."""
+        self._csr_cache = None
 
     def __len__(self) -> int:
         return len(self._succ)
@@ -213,6 +215,7 @@ class DiGraph:
         self._succ[vertex] = set()
         self._pred[vertex] = set()
         self._version += 1
+        self._csr_cache = None
 
     def add_vertex_if_absent(self, vertex: Vertex) -> bool:
         """Add *vertex* if missing; return ``True`` if it was added."""
@@ -221,6 +224,7 @@ class DiGraph:
         self._succ[vertex] = set()
         self._pred[vertex] = set()
         self._version += 1
+        self._csr_cache = None
         return True
 
     def add_edge(self, tail: Vertex, head: Vertex) -> None:
@@ -242,6 +246,7 @@ class DiGraph:
         self._pred[head].add(tail)
         self._num_edges += 1
         self._version += 1
+        self._csr_cache = None
 
     def add_edge_if_absent(self, tail: Vertex, head: Vertex) -> bool:
         """Add the edge if missing; return ``True`` if it was added."""
@@ -253,6 +258,7 @@ class DiGraph:
         self._pred[head].add(tail)
         self._num_edges += 1
         self._version += 1
+        self._csr_cache = None
         return True
 
     def remove_edge(self, tail: Vertex, head: Vertex) -> None:
@@ -270,6 +276,7 @@ class DiGraph:
         self._pred[head].remove(tail)
         self._num_edges -= 1
         self._version += 1
+        self._csr_cache = None
 
     def discard_edge(self, tail: Vertex, head: Vertex) -> bool:
         """Remove the edge if present; return ``True`` if it was removed."""
@@ -280,6 +287,7 @@ class DiGraph:
         self._pred[head].remove(tail)
         self._num_edges -= 1
         self._version += 1
+        self._csr_cache = None
         return True
 
     def remove_vertex(self, vertex: Vertex) -> None:
@@ -308,6 +316,7 @@ class DiGraph:
         del self._succ[vertex]
         del self._pred[vertex]
         self._version += 1
+        self._csr_cache = None
 
     def discard_vertex(self, vertex: Vertex) -> bool:
         """Remove *vertex* if present; return ``True`` if it was removed."""

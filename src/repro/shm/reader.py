@@ -3,9 +3,9 @@
 A reader holds one :class:`AttachedSnapshot` at a time: a
 :class:`~repro.core.frozen.FrozenTOLIndex` whose buffers are
 ``memoryview.cast`` views straight into the shared data segment (zero
-copies — the only materialized state is the vertex table and the
-``component_of`` dict, rebuilt from the pack's int sections), plus the
-epoch and generation it was published at.
+copies — the labels are the writer's interned ids, read as they are;
+only the vertex table with its ids and the ``component_of`` dict are
+rebuilt from the pack's sections), plus its epoch and generation.
 
 The per-request fast path is :meth:`SnapshotReader.current`: one racy
 i64 read of the control block's generation cell; only when it moved does

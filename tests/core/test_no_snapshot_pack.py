@@ -47,8 +47,7 @@ def test_tol_edge_ops_pack_nothing(packs):
 def test_tol_reduce_labels_packs_nothing(packs):
     graph = random_dag(60, 200, seed=2)
     idx = TOLIndex.build(graph, order="topological")
-    # An update after the build leaves the build's cached pack stale, as
-    # it is whenever a served index is reduced.
+    # Reduce after an update, as a served index is reduced.
     tail, head = sorted(graph.edges())[0]
     idx.insert_vertex("new", [tail], [head])
     calls = packs()

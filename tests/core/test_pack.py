@@ -4,13 +4,16 @@ The pack is the repo's one file format: ``repro build`` writes it, ``repro serve
 publisher ships it between processes.  These tests cover byte-level
 round trips, zero-copy attach over mmap and ``SharedMemory``, the
 galloping intersection over memoryview-backed buffers, corruption
-detection, and the full ``ReachabilityIndex`` restore path (including
+detection, the interned-id label layout (free and recycled ids, the
+checks on the ids a pack carries, the refusal of level-rank label
+packs), and the full ``ReachabilityIndex`` restore path (including
 applying updates *after* a restore).
 """
 
 import gc
 import random
 from array import array
+from itertools import chain
 
 import pytest
 
@@ -18,12 +21,16 @@ from repro.core.frozen import FrozenTOLIndex, freeze
 from repro.core.index import ReachabilityIndex, TOLIndex
 from repro.core.ops import hashable_vertex
 from repro.core.serialize import (
+    decode_pack,
+    encode_pack,
     load_index,
     pack_frozen,
     pack_index,
+    pack_snapshot,
     save_index,
     unpack_frozen,
     unpack_index,
+    unpack_snapshot,
 )
 from repro.errors import SerializationError
 from repro.graph.digraph import DiGraph
@@ -346,3 +353,179 @@ class TestReachabilityIndexFromPack:
         blob = pack_frozen(fig1_frozen, {"epoch": 2}, include_edges=False)
         with pytest.raises(SerializationError, match="repro build"):
             unpack_index(blob)
+
+
+def churned_index():
+    """A TOL index whose interner has free ids and recycled ones."""
+    index = TOLIndex.build(random_dag(40, 110, seed=12), order="butterfly-u")
+    interner = index.labeling.interner
+    freed = {interner.id_of(v) for v in (3, 17, 25, 31)}
+    for v in (3, 17, 25, 31):
+        index.delete_vertex(v)
+    index.insert_vertex("r1", [0, 1], [])
+    index.insert_vertex("r2", ["r1"], [])
+    assert interner.free_count == 2
+    assert {interner.id_of("r1"), interner.id_of("r2")} < freed
+    return index
+
+
+class TestIdSpace:
+    """Frozen labels and packs keep the live interner's ids."""
+
+    def test_frozen_keeps_the_interner_ids(self):
+        index = churned_index()
+        frozen = freeze(index)
+        interner = index.labeling.interner
+        assert frozen._id_of == interner.ids
+        assert len(frozen._in_offsets) == interner.capacity + 1
+        for i in interner.free_ids:  # a free id has an empty slice
+            assert frozen._in_offsets[i] == frozen._in_offsets[i + 1]
+            assert frozen._out_offsets[i] == frozen._out_offsets[i + 1]
+        vid = interner.id_of("r1")
+        lo, hi = frozen._out_offsets[vid], frozen._out_offsets[vid + 1]
+        assert frozen._out_labels[lo:hi] == index.labeling.out_ids[vid]
+
+    def test_answers_match_live_before_and_after_snapshot_pack(self):
+        index = churned_index()
+        frozen = freeze(index, edges=False)
+        vertices = list(index.labeling.order)
+        reader, _, _ = unpack_snapshot(
+            pack_snapshot(frozen, dict.fromkeys(vertices, 0), {"epoch": 1})
+        )
+        for s, t in all_pairs(vertices):
+            expected = index.query(s, t)
+            assert frozen.query(s, t) == expected, (s, t)
+            assert reader.query(s, t) == expected, (s, t)
+            assert reader.witness(s, t) == frozen.witness(s, t)
+
+    def test_pack_index_round_trip_keeps_ids_and_free_list(self):
+        index = churned_index()
+        restored = unpack_index(pack_index(index))
+        assert restored.labeling.equals_labels(index.labeling)
+        assert restored.labeling.interner.ids == index.labeling.interner.ids
+        assert (restored.labeling.interner.free_ids
+                == index.labeling.interner.free_ids)
+        assert list(restored.order) == list(index.order)
+        restored.labeling.check_invariants()
+        # The next insert takes the same recycled id on both sides.
+        for idx in (index, restored):
+            idx.insert_vertex("r3", [], ["r2"])
+        assert restored.labeling.id_of("r3") == index.labeling.id_of("r3")
+
+    def test_thaw_turns_holes_into_the_free_list(self):
+        index = churned_index()
+        live = freeze(index).thaw()
+        assert live.labeling.interner.ids == index.labeling.interner.ids
+        assert (sorted(live.labeling.interner.free_ids)
+                == sorted(index.labeling.interner.free_ids))
+        assert live.labeling.equals_labels(index.labeling)
+        live.labeling.check_invariants()
+
+
+def _repacked(frozen, change):
+    """*frozen*'s pack with its ``vertex_id`` section passed through
+    *change*."""
+    sections, meta = decode_pack(pack_frozen(frozen))
+    ids = sections["vertex_id"].tolist()
+    change(ids)
+    sections["vertex_id"] = array("q", ids)
+    return encode_pack(sections, meta)
+
+
+class TestVertexIdChecks:
+    """The ids a pack carries are outside input: bad ones are refused."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ids: ids.pop(),
+            lambda ids: ids.append(ids[0]),
+        ],
+        ids=["short", "long"],
+    )
+    def test_misaligned_ids(self, change):
+        frozen = freeze(churned_index())
+        with pytest.raises(SerializationError, match="does not match"):
+            unpack_frozen(_repacked(frozen, change))
+
+    def test_duplicate_ids(self):
+        def duplicate(ids):
+            ids[1] = ids[0]
+
+        frozen = freeze(churned_index())
+        with pytest.raises(SerializationError, match="distinct"):
+            unpack_frozen(_repacked(frozen, duplicate))
+
+    @pytest.mark.parametrize("bad", [-1, "capacity"])
+    def test_out_of_range_ids(self, bad):
+        frozen = freeze(churned_index())
+        capacity = len(frozen._in_offsets) - 1
+
+        def out_of_range(ids):
+            ids[0] = capacity if bad == "capacity" else bad
+
+        with pytest.raises(SerializationError, match="capacity"):
+            unpack_frozen(_repacked(frozen, out_of_range))
+
+    def test_missing_ids(self, fig1_frozen):
+        sections, meta = decode_pack(pack_frozen(fig1_frozen))
+        del sections["vertex_id"]
+        with pytest.raises(SerializationError, match="repro build"):
+            unpack_frozen(encode_pack(sections, meta))
+
+
+def level_rank_pack(index):
+    """*index* packed, byte for byte, as ``pack_index`` wrote it before
+    labels kept interned ids: rows and labels in level ranks under
+    ``in_off``/``in_lab`` (and ``out_*``), ``dag_edge`` as sorted rank
+    pairs, then ``intern_ids`` (each vertex's id, in level order) and
+    ``free_ids``."""
+    labeling = index.labeling
+    order = list(labeling.order)
+    ids = labeling.interner.ids
+    rank = {ids[v]: r for r, v in enumerate(order)}
+    rows = {}
+    for side, buffers in (("in", labeling.in_ids), ("out", labeling.out_ids)):
+        offsets, labels = array("q", [0]), array("i")
+        for v in order:
+            labels.extend(sorted(rank[u] for u in buffers[ids[v]]))
+            offsets.append(len(labels))
+        rows[side] = offsets, labels
+    position = {v: r for r, v in enumerate(order)}
+    sections = {
+        "in_off": rows["in"][0],
+        "out_off": rows["out"][0],
+        "in_lab": rows["in"][1],
+        "out_lab": rows["out"][1],
+        "dag_edge": array("i", chain.from_iterable(sorted(
+            (position[t], position[h]) for t, h in index.graph_copy().edges()
+        ))),
+    }
+    meta = {}
+    if all(type(v) is int for v in order):
+        sections["vertex_of"] = array("q", order)
+    else:
+        meta["vertex_of"] = order
+    sections["intern_ids"] = array("q", [ids[v] for v in order])
+    sections["free_ids"] = array("q", labeling.interner.free_ids)
+    return encode_pack(sections, meta)
+
+
+class TestLevelRankPacksRefused:
+    """A label pack in the level-rank layout is refused, never misread:
+    with no free ids its rank labels would parse as ids."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: TOLIndex.build(random_dag(30, 80, seed=2)),
+        lambda: TOLIndex.build(figure1_dag()),
+        churned_index,
+    ], ids=["int-vertices", "str-vertices", "free-ids"])
+    def test_every_reader_refuses(self, make, tmp_path):
+        blob = level_rank_pack(make())
+        for read in (unpack_index, unpack_frozen, unpack_snapshot):
+            with pytest.raises(SerializationError, match="repro build"):
+                read(blob)
+        path = tmp_path / "old.tolf"
+        path.write_bytes(blob)
+        with pytest.raises(SerializationError, match="repro build"):
+            load_index(path)

@@ -4,8 +4,10 @@ Every query surface funnels into ``TOLLabeling.query_many``: the
 single-pair ``TOLLabeling.query``, ``ReachabilityIndex.query_many`` (one
 component mapping pass, one kernel call) and the service's batch path
 (one kernel call for the cache misses).  Generated traces of vertex and
-edge inserts and deletes drive all of them, plus ``freeze(tol).query``,
-and after every step each must agree with BFS on every pair.
+edge inserts and deletes drive all of them, plus ``freeze(tol).query``
+and a reader's snapshot unpacked from ``pack_snapshot`` bytes (free and
+recycled ids included), and after every step each must agree with BFS
+on every pair.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.bench.trace import generate_trace
 from repro.core.frozen import freeze
 from repro.core.index import ReachabilityIndex
 from repro.core.ops import UpdateOp
+from repro.core.serialize import pack_snapshot, unpack_snapshot
 from repro.errors import VertexNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
@@ -45,6 +48,14 @@ def check_all_pairs(model, index, service):
     assert [labeling.query(cs, ct) for cs, ct in components] == truth
     assert labeling.query_many(components) == truth
     assert [frozen.query(cs, ct) for cs, ct in components] == truth
+    # A reader's snapshot: memoryview buffers over the packed bytes.
+    reader, reader_components, _ = unpack_snapshot(
+        pack_snapshot(frozen, component_of, {})
+    )
+    assert [
+        reader.query(reader_components[s], reader_components[t])
+        for s, t in pairs
+    ] == truth
     assert index.query_many(pairs) == truth
     assert service.query_batch(pairs) == truth
     return components
@@ -162,6 +173,7 @@ def test_replayed_trace_covers_every_kernel_case():
     service = ReachabilityService(model.copy(), cache_size=64)
     trace = generate_trace(model, 40, seed=5, query_fraction=0.0)
     cases = kernel_cases(index.tol.labeling, check_all_pairs(model, index, service))
+    free_ids = recycled = False
     for trace_op in trace:
         if trace_op.kind == "addv":
             op = UpdateOp.insert_vertex(trace_op.vertex, trace_op.ins, trace_op.outs)
@@ -171,9 +183,15 @@ def test_replayed_trace_covers_every_kernel_case():
             op = UpdateOp.insert_edge(trace_op.tail, trace_op.head)
         else:
             op = UpdateOp.delete_edge(trace_op.tail, trace_op.head)
+        free_before = index.tol.labeling.interner.free_count
         apply_to_all(op, model, index, service)
+        free_after = index.tol.labeling.interner.free_count
+        free_ids |= free_after > 0
+        recycled |= free_after < free_before
         components = check_all_pairs(model, index, service)
         cases |= kernel_cases(index.tol.labeling, components)
+    # The packed snapshots checked above held free and recycled ids.
+    assert free_ids and recycled
     assert cases == {
         "same component",
         "Lout(s) longer",

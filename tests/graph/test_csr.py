@@ -144,6 +144,43 @@ class TestCache:
         assert clone.csr() is not snap
         _assert_matches(clone, clone.csr())
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_vertex("zz"),
+            lambda g: g.add_edge("zz1", "zz2"),
+            lambda g: g.discard_edge("a", "b"),
+            lambda g: g.discard_vertex("a"),
+        ],
+        ids=["add_vertex", "add_edge", "discard_edge", "discard_vertex"],
+    )
+    def test_mutation_releases_the_snapshot(self, mutate):
+        graph = figure1_dag()
+        graph.csr()
+        mutate(graph)
+        assert graph._csr_cache is None
+
+    def test_build_packs_once_and_leaves_no_snapshot(self, monkeypatch):
+        import repro.graph.csr as csr_module
+        from repro.core.index import ReachabilityIndex, TOLIndex
+
+        packed = []
+        real = csr_module.csr_snapshot
+
+        def counting(graph):
+            packed.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(csr_module, "csr_snapshot", counting)
+        index = ReachabilityIndex(random_dag(60, 200, seed=4))
+        tol = TOLIndex.build(figure1_dag(), order="butterfly-u")
+        # The order strategy and Butterfly share one pack per build ...
+        assert packed == [index.condensation.dag, tol._graph]
+        # ... and no graph keeps it once the build is done.
+        for graph in (index.condensation.graph, index.condensation.dag,
+                      tol._graph):
+            assert graph._csr_cache is None
+
 
 class TestInternDense:
     def test_assigns_consecutive_ids(self):

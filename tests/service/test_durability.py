@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core.serialize import encode_pack, pack_graph
 from repro.errors import SerializationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
@@ -413,6 +414,67 @@ class TestCheckpointFallback:
         self.flip_a_byte(newest)
         graph, meta, _ = store.load_latest()
         assert meta["wal_seq"] == 1 and list(graph.vertices()) == ["old"]
+
+
+class TestCheckpointLayout:
+    """Checkpoints are graph-only TOLF packs whose layout has not changed
+    since checkpoints became packs (label packs changed theirs), so every
+    durability directory written since then still recovers."""
+
+    @staticmethod
+    def graph_only_pack(graph, meta):
+        """The checkpoint layout, section by section: ``vertices`` (i64
+        for plain ints, a JSON list in meta otherwise) and ``edges`` as
+        i32 position pairs."""
+        from array import array
+
+        vertices = list(graph.vertices())
+        position = {v: i for i, v in enumerate(vertices)}
+        sections = {}
+        doc = dict(meta)
+        if all(type(v) is int for v in vertices):
+            sections["vertices"] = array("q", vertices)
+        else:
+            doc["vertices"] = vertices
+        sections["edges"] = array(
+            "i", [position[x] for edge in graph.edges() for x in edge]
+        )
+        return encode_pack(sections, doc)
+
+    @pytest.mark.parametrize("names", [int, str], ids=["int", "str"])
+    def test_checkpoint_plus_wal_suffix_recovers(self, tmp_path, names):
+        graph = DiGraph()
+        for tail, head in random_dag(25, 60, seed=4).edges():
+            graph.add_edge(names(tail), names(head))
+        mgr = DurabilityManager(tmp_path, checkpoint_every=0, fsync="never")
+        for i in range(3):  # covered by the checkpoint below
+            mgr.wal.append(UpdateOp.insert_vertex(names(100 + i)))
+            graph.add_vertex(names(100 + i))
+        meta = {"wal_seq": 3, "epoch": 3}
+        blob = self.graph_only_pack(graph, meta)
+        assert blob == pack_graph(graph, meta)  # writers keep this layout
+        (mgr.checkpoints.directory / "ckpt-000000000003.tolf").write_bytes(blob)
+        suffix = [
+            UpdateOp.insert_edge(names(100), names(101)),
+            UpdateOp.insert_vertex(names(103), in_neighbors=[names(101)]),
+        ]
+        for op in suffix:
+            mgr.wal.append(op)
+            op.apply_to_graph(graph)
+        mgr.close()
+
+        recovered = ReachabilityService.recover(tmp_path, fsync="never")
+        try:
+            assert recovered.last_recovery.checkpoint_seq == 3
+            assert recovered.last_recovery.replayed == 2
+            assert recovered.last_recovery.graph == graph
+            vertices = list(graph.vertices())
+            pairs = [(s, t) for s in vertices for t in vertices]
+            assert recovered.query_batch(pairs) == [
+                bidirectional_reachable(graph, s, t) for s, t in pairs
+            ]
+        finally:
+            recovered.durability.close()
 
 
 class TestWalOsFailures:
