@@ -34,7 +34,9 @@ a time, and one publish covers every epoch reached before its freeze.
 After each publish the thread rests as long as that publish took, so
 under a steady write stream publishing takes at most half the writer's
 time and the updates that land meanwhile coalesce into the next
-publish; an update after a quiet spell is published at once.  The
+publish; an update after a quiet spell is published at once.  It runs
+at :data:`PUBLISH_NICE`: on a busy CPU a publish should not hold up the
+replies and reads that the server's other processes handle.  The
 thread also mirrors the degraded flag into the control block so readers
 route queries to the writer while the index is rebuilding; it clears
 the flag only after the rebuilt index's generation is live.  Between
@@ -59,6 +61,9 @@ Failover attach details:
 
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
 import threading
 import time
 from typing import Optional
@@ -73,7 +78,11 @@ from .control import (
     unlink_segment,
 )
 
-__all__ = ["MAX_RETIRED", "SnapshotPublisher"]
+__all__ = ["MAX_RETIRED", "PUBLISH_NICE", "SnapshotPublisher"]
+
+#: Nice increment of the publisher thread (on Linux; elsewhere nice is
+#: per process, and the thread keeps the process's priority).
+PUBLISH_NICE = 10
 
 #: Superseded generations kept linked at most; older ones are unlinked
 #: before their grace period ends.  Bounds the publisher's ``/dev/shm``
@@ -324,6 +333,11 @@ class SnapshotPublisher:
         tick = max(self.grace_period / 4, 0.01)
 
         def loop() -> None:
+            if sys.platform.startswith("linux"):
+                tid = threading.get_native_id()
+                with contextlib.suppress(OSError):  # e.g. a seccomp filter
+                    niceness = os.getpriority(os.PRIO_PROCESS, tid)
+                    os.setpriority(os.PRIO_PROCESS, tid, niceness + PUBLISH_NICE)
             seen = -1  # publish-check at once
             while not self._stop.is_set():
                 seen = self.service.wait_changed(seen, self._idle_timeout(tick))

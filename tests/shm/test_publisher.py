@@ -7,6 +7,7 @@ tests assert the whole lifecycle — publish, agree with the live index,
 republish on update, grace-period unlink, health reporting.
 """
 
+import os
 import random
 import sys
 import threading
@@ -20,7 +21,7 @@ from repro.graph.traversal import bidirectional_reachable
 from repro.service.server import ReachabilityService
 from repro.shm.control import attach_segment, create_segment, segment_name
 from repro.shm.janitor import sweep_family
-from repro.shm.publisher import MAX_RETIRED, SnapshotPublisher
+from repro.shm.publisher import MAX_RETIRED, PUBLISH_NICE, SnapshotPublisher
 from repro.shm.reader import SnapshotReader
 
 
@@ -535,6 +536,29 @@ class TestBackgroundThread:
             # The second update landed right after the first publish; its
             # publish still waited out a rest as long as that publish.
             assert starts[2] - starts[1] >= 0.2
+        finally:
+            publisher.close()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="nice is per thread on Linux"
+    )
+    def test_thread_runs_below_the_callers_priority(self, service):
+        own = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        publisher = SnapshotPublisher(service, grace_period=30.0)
+        try:
+            publisher.start()
+            deadline = time.monotonic() + 5.0
+            while publisher.generation < 1:  # the thread's first publish
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            tid = publisher._thread.native_id
+            assert os.getpriority(os.PRIO_PROCESS, tid) == min(
+                own + PUBLISH_NICE, 19
+            )
+            # The nice value is the thread's own: the caller keeps its.
+            assert os.getpriority(
+                os.PRIO_PROCESS, threading.get_native_id()
+            ) == own
         finally:
             publisher.close()
 
