@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test faults bench bench-smoke bench-update profile ruff reproduce examples serve serve-demo loadgen serve-smoke metrics-demo health-demo recover-demo lint-docs clean
+.PHONY: install test faults bench bench-smoke bench-update bench-publish profile ruff reproduce examples serve serve-demo loadgen serve-smoke metrics-demo health-demo recover-demo lint-docs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -30,6 +30,12 @@ bench-smoke:
 # insert/delete at <= 1/4 of a full rebuild of the graph.
 bench-update:
 	$(PYTHON) -m pytest benchmarks/bench_update_kernels.py -q
+
+# Publish and per-pair query cost at full scale: refreshes
+# BENCH_publish.json (and appends a sha + host row to its history);
+# fails if the live labels and a reader's snapshot disagree on a pair.
+bench-publish:
+	$(PYTHON) -m pytest benchmarks/bench_frozen.py::test_publish_cost -q
 
 # cProfile of butterfly_build on random_dag(5000, 20000), top 25 by
 # cumulative time (see benchmarks/profile_build.py for --order/--prune).

@@ -1,57 +1,54 @@
-"""Frozen snapshots: serving ablation and publish cost.
+"""Frozen snapshots: label memory, publish cost and per-pair query cost.
 
 The live index keeps each label set as a sorted ``array('i')`` of
 interned ids, shaped for the paper's update algorithms; the frozen
 snapshot packs the same ids into two flat label arrays plus CSR offsets,
-shaped for read-only serving.  Two measurements:
+shaped for read-only serving.  Both answer through the one Equation-1
+kernel, :func:`repro.core.labeling.witness_id`.  Two measurements:
 
-* ``test_render_frozen_ablation`` — query time and label memory of both
-  over the same labels on 900-vertex stand-ins: the live label arrays
-  (the per-vertex ``array`` objects and the two lists holding them)
-  against the frozen buffers (labels and offsets).  Writes
-  ``results/ablation_frozen.txt``.
-* ``test_publish_cost`` — the three steps one shared-memory publish
-  pays per snapshot: ``freeze(tol, edges=False)`` and
+* ``test_render_frozen_ablation`` — label memory of both over the same
+  labels on 900-vertex stand-ins: the live label arrays (the per-vertex
+  ``array`` objects and the two lists holding them) against the frozen
+  buffers (labels and offsets).  Writes ``results/ablation_frozen.txt``.
+* ``test_publish_cost`` — on the go-uniprot and RG5 stand-ins at 10k
+  vertices (2000 under ``--quick``), the graphs of servebench's
+  read-cold and churn workloads, best of ``PUBLISH_REPS`` with gc
+  paused: the three steps one shared-memory publish pays per snapshot
+  (``freeze(tol, edges=False)`` and
   :func:`~repro.core.serialize.pack_snapshot` on the writer,
   :func:`~repro.core.serialize.unpack_snapshot` on each reader's
-  attach.  Best of ``PUBLISH_REPS`` with gc paused, on the go-uniprot
-  and RG5 stand-ins at 10k vertices (2000 under ``--quick``), the
-  graphs of servebench's read-cold and churn workloads.  Writes
-  ``BENCH_publish.json`` (repo root at full scale, ``results-smoke/``
-  under ``--quick``): the latest view plus a ``{sha, host, headline}``
-  history row per run (see :mod:`_provenance`).
+  attach), and the per-pair query cost over ``QUERY_PAIRS`` uniform
+  component pairs of the live labels (one ``query_many`` batch) and of
+  the unpacked snapshot a reader serves from (``query`` per pair, as
+  the reader workers call it).  The two sides' answers must agree.
+  Writes ``BENCH_publish.json`` (repo root at full scale,
+  ``results-smoke/`` under ``--quick``): the latest view plus a
+  ``{sha, host, headline}`` history row per run (see
+  :mod:`_provenance`).
 """
 
 import gc
+import random
 import sys
 import time
 
-import pytest
-
 from repro import datasets as ds
-from repro.bench.tables import format_bytes, format_millis, format_table
-from repro.bench.workloads import generate_queries
+from repro.bench.tables import format_bytes, format_table
 from repro.core.frozen import freeze
 from repro.core.index import ReachabilityIndex, TOLIndex
 from repro.core.serialize import pack_snapshot, unpack_snapshot
 
-from _config import QUICK, RESULTS_DIR, cached
+from _config import QUICK, RESULTS_DIR
 from _provenance import write_headline
 
 DATASETS = ["RG10", "citeseerx", "go-uniprot"]
 NUM_VERTICES = 900
-NUM_QUERIES = 2000
 
 BENCH_PUBLISH = "BENCH_publish.json"
 PUBLISH_GRAPHS = ("go-uniprot", "RG5")
 PUBLISH_VERTICES = 2_000 if QUICK else 10_000
 PUBLISH_REPS = 5
-
-
-def _pair(dataset: str):
-    graph = ds.load(dataset, num_vertices=NUM_VERTICES)
-    live = TOLIndex.build(graph, order="butterfly-u")
-    return live, freeze(live)
+QUERY_PAIRS = 50_000
 
 
 def _live_label_bytes(labeling) -> int:
@@ -62,55 +59,27 @@ def _live_label_bytes(labeling) -> int:
     )
 
 
-@pytest.mark.parametrize("backend", ["live", "frozen"])
-@pytest.mark.parametrize("dataset", DATASETS)
-def test_query_throughput(benchmark, dataset, backend):
-    live, frozen = cached(("frozen-pair", dataset), lambda: _pair(dataset))
-    index = live if backend == "live" else frozen
-    graph = ds.load(dataset, num_vertices=NUM_VERTICES)
-    queries = generate_queries(graph, NUM_QUERIES, seed=8)
-
-    def run():
-        query = index.query
-        for s, t in queries.pairs:
-            query(s, t)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["index_bytes"] = index.size_bytes()
-
-
 def test_render_frozen_ablation(benchmark):
     rows = []
     for dataset in DATASETS:
-        live, frozen = cached(("frozen-pair", dataset), lambda d=dataset: _pair(d))
         graph = ds.load(dataset, num_vertices=NUM_VERTICES)
-        queries = generate_queries(graph, NUM_QUERIES, seed=8)
-        timings = {}
-        for name, index in (("live", live), ("frozen", frozen)):
-            start = time.perf_counter()
-            for s, t in queries.pairs:
-                index.query(s, t)
-            timings[name] = time.perf_counter() - start
-        answers_live = [live.query(s, t) for s, t in queries.pairs]
-        answers_frozen = [frozen.query(s, t) for s, t in queries.pairs]
-        assert answers_live == answers_frozen
+        live = TOLIndex.build(graph, order="butterfly-u")
+        frozen = freeze(live)
         live_bytes = _live_label_bytes(live.labeling)
         rows.append([
             dataset,
-            format_millis(timings["live"]),
-            format_millis(timings["frozen"]),
             format_bytes(live_bytes),
             format_bytes(frozen.buffer_bytes()),
         ])
         assert frozen.buffer_bytes() < live_bytes
     table = format_table(
         "Serving ablation: live (label arrays) vs frozen (CSR buffers)",
-        ["dataset", "live query", "frozen query", "live labels", "frozen buffers"],
+        ["dataset", "live labels", "frozen buffers"],
         rows,
         note=(
-            f"{NUM_QUERIES} queries, {NUM_VERTICES}-vertex stand-ins.  Live "
-            "labels: the in/out id lists and their per-vertex arrays "
-            "(inverted lists excluded); frozen buffers: labels and offsets."
+            f"{NUM_VERTICES}-vertex stand-ins.  Live labels: the in/out id "
+            "lists and their per-vertex arrays (inverted lists excluded); "
+            "frozen buffers: labels and offsets."
         ),
     )
     benchmark(lambda: table)
@@ -135,6 +104,13 @@ def test_publish_cost():
         graph = ds.load(name, num_vertices=PUBLISH_VERTICES, seed=0)
         index = ReachabilityIndex(graph)
         component_of = dict(index.condensation.component_of)
+        labeling = index.tol.labeling
+        components = list(labeling.order)
+        rng = random.Random(0)
+        pairs = [
+            (rng.choice(components), rng.choice(components))
+            for _ in range(QUERY_PAIRS)
+        ]
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -145,19 +121,23 @@ def test_publish_cost():
                 lambda: pack_snapshot(frozen, component_of, {"epoch": 0})
             )
             unpack_ms, (reader, _, _) = _best_ms(lambda: unpack_snapshot(blob))
+            live_ms, live_answers = _best_ms(
+                lambda: labeling.query_many(pairs)
+            )
+            frozen_ms, frozen_answers = _best_ms(
+                lambda: [reader.query(s, t) for s, t in pairs]
+            )
         finally:
             if gc_was_enabled:
                 gc.enable()
-        components = list(index.tol.labeling.order)[:200]
-        pairs = [(s, t) for s in components[:20] for t in components]
-        assert [reader.query(s, t) for s, t in pairs] == [
-            index.tol.query(s, t) for s, t in pairs
-        ]
+        assert frozen_answers == live_answers
         key = f"{name}-{PUBLISH_VERTICES}"
         headline[key] = {
             "freeze_ms": freeze_ms,
             "pack_snapshot_ms": pack_ms,
             "unpack_snapshot_ms": unpack_ms,
+            "live_query_us": round(live_ms * 1e3 / QUERY_PAIRS, 4),
+            "frozen_query_us": round(frozen_ms * 1e3 / QUERY_PAIRS, 4),
         }
         graphs[key] = {
             **headline[key],
@@ -173,8 +153,12 @@ def test_publish_cost():
             f'datasets.load(name, num_vertices={PUBLISH_VERTICES}, seed=0); '
             "ReachabilityIndex(graph); best of "
             f"{PUBLISH_REPS} calls each, gc paused, of freeze(index.tol, "
-            "edges=False), pack_snapshot(frozen, component_of, meta) and "
-            "unpack_snapshot(blob); one history row per run"
+            "edges=False), pack_snapshot(frozen, component_of, meta), "
+            "unpack_snapshot(blob), and, over "
+            f"{QUERY_PAIRS} uniform component pairs (random.Random(0)), "
+            "index.tol.labeling.query_many(pairs) (live_query_us) and "
+            "reader.query per pair on the unpacked snapshot "
+            "(frozen_query_us), per pair; one history row per run"
         ),
         "graphs": graphs,
         "headline": headline,

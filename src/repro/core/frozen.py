@@ -8,17 +8,18 @@ buffers in CSR layout, indexed by interned id over ``0..capacity`` (a
 free id has an empty slice).  The level-order vertex table and each
 vertex's id travel with the buffers, so :meth:`FrozenTOLIndex.thaw`
 rebuilds the order and the interner.  Freezing is one ``extend`` per id
-slot, with no translation and no sort; a query intersects two sorted
-slices with a linear merge (or a galloping probe when one side is much
-shorter).  The four buffers may be ``array`` objects (a local freeze) or
-``memoryview.cast`` views into an mmapped ``.tolf`` pack or a
+slot, with no translation and no sort; a query slices ``Lout(s)`` and
+``Lin(t)`` out of the buffers and hands them to the live index's
+Equation-1 kernel, :func:`~repro.core.labeling.witness_id`.  The four
+buffers may be ``array`` objects (a local freeze) or ``memoryview.cast``
+views into an mmapped ``.tolf`` pack or a
 ``multiprocessing.shared_memory`` segment (see
 :func:`repro.core.serialize.unpack_frozen` and :mod:`repro.shm`) —
-queries only need ``len``/indexing/``bisect``, which both support
-identically.  Freezing drops the inverted lists and the per-vertex
-array objects, so it still shrinks resident memory versus the live index
-(measured in ``benchmarks/bench_frozen.py``); updates are intentionally
-unsupported — thaw back into a :class:`TOLIndex` via
+queries only need slicing, ``len``, indexing, ``in`` and ``bisect``,
+which both support identically.  Freezing drops the inverted lists and
+the per-vertex array objects, so it still shrinks resident memory versus
+the live index (measured in ``benchmarks/bench_frozen.py``); updates are
+intentionally unsupported — thaw back into a :class:`TOLIndex` via
 :meth:`FrozenTOLIndex.thaw` to mutate.
 
 Size accounting: :meth:`FrozenTOLIndex.size_bytes` reports label payload
@@ -33,7 +34,6 @@ arrays (the number an mmap of the packed buffers would occupy).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Hashable, Iterable
 from typing import Optional
 
@@ -41,7 +41,7 @@ from ..errors import UnknownVertexError
 from ..graph.digraph import DiGraph
 from .index import TOLIndex
 from .intern import VertexInterner
-from .labeling import TOLLabeling
+from .labeling import TOLLabeling, witness_id
 from .order import LevelOrder
 
 __all__ = ["FrozenTOLIndex", "freeze"]
@@ -103,10 +103,10 @@ class FrozenTOLIndex:
         Each id slot's live buffer is copied as it is: the labels keep
         their interned ids, and a free id gets an empty slice.
 
-        ``edges=False`` leaves out the DAG edge list, skipping a copy of
-        the graph.  The snapshot answers queries the same but cannot be
-        thawed back into a live index; shared-memory publishing wants
-        exactly that.
+        ``edges=False`` leaves out the DAG edge list, skipping a walk
+        over the DAG's edges.  The snapshot answers queries the same but
+        cannot be thawed back into a live index; shared-memory publishing
+        wants exactly that.
         """
         labeling = index.labeling
         id_of = dict(labeling.interner.ids)
@@ -125,9 +125,7 @@ class FrozenTOLIndex:
         out_offsets, out_labels = pack(labeling.out_ids)
         edge_ids = None
         if edges:
-            edge_ids = tuple(
-                (id_of[t], id_of[h]) for t, h in index.graph_copy().edges()
-            )
+            edge_ids = tuple((id_of[t], id_of[h]) for t, h in index.edges())
         return cls(
             id_of, list(labeling.order), in_offsets, in_labels,
             out_offsets, out_labels, edge_ids,
@@ -173,77 +171,30 @@ class FrozenTOLIndex:
     # ------------------------------------------------------------------
 
     def query(self, s: Vertex, t: Vertex) -> bool:
-        """Answer ``s -> t`` (Equation 1 over the packed arrays)."""
-        try:
-            sid = self._id_of[s]
-            tid = self._id_of[t]
-        except KeyError as missing:
-            raise UnknownVertexError(missing.args[0]) from None
-        if sid == tid:
-            return True
-        out_lo, out_hi = self._out_offsets[sid], self._out_offsets[sid + 1]
-        in_lo, in_hi = self._in_offsets[tid], self._in_offsets[tid + 1]
-        out_labels, in_labels = self._out_labels, self._in_labels
-        # Endpoint hits: t ∈ Lout(s) / s ∈ Lin(t) via binary search.
-        pos = bisect_left(out_labels, tid, out_lo, out_hi)
-        if pos < out_hi and out_labels[pos] == tid:
-            return True
-        pos = bisect_left(in_labels, sid, in_lo, in_hi)
-        if pos < in_hi and in_labels[pos] == sid:
-            return True
-        return self._intersect(out_lo, out_hi, in_lo, in_hi) >= 0
+        """Answer ``s -> t`` (Equation 1 over the packed slices)."""
+        return self._witness_id(s, t) >= 0
 
     def witness(self, s: Vertex, t: Vertex) -> Optional[Vertex]:
-        """Return one element of ``W(s, t)``, or ``None`` if unreachable."""
+        """Return one element of ``W(s, t)``, or ``None`` if unreachable
+        (which one: see :func:`~repro.core.labeling.witness_id`)."""
+        w = self._witness_id(s, t)
+        return None if w < 0 else self._table()[w]
+
+    def _witness_id(self, s: Vertex, t: Vertex) -> int:
+        """:func:`~repro.core.labeling.witness_id` over the slices
+        ``Lout(s)`` and ``Lin(t)`` of the packed buffers."""
         try:
             sid = self._id_of[s]
             tid = self._id_of[t]
         except KeyError as missing:
             raise UnknownVertexError(missing.args[0]) from None
-        if sid == tid:
-            return s
-        out_lo, out_hi = self._out_offsets[sid], self._out_offsets[sid + 1]
-        in_lo, in_hi = self._in_offsets[tid], self._in_offsets[tid + 1]
-        out_labels, in_labels = self._out_labels, self._in_labels
-        pos = bisect_left(out_labels, tid, out_lo, out_hi)
-        if pos < out_hi and out_labels[pos] == tid:
-            return t
-        pos = bisect_left(in_labels, sid, in_lo, in_hi)
-        if pos < in_hi and in_labels[pos] == sid:
-            return s
-        w = self._intersect(out_lo, out_hi, in_lo, in_hi)
-        return None if w < 0 else self._table()[w]
-
-    def _intersect(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
-        """Sorted-slice intersection: return a common id, or -1.
-
-        Linear merge, galloping when one side is much shorter.
-        """
-        a, b = self._out_labels, self._in_labels
-        len_a, len_b = a_hi - a_lo, b_hi - b_lo
-        if len_a == 0 or len_b == 0:
-            return -1
-        if len_a * 16 < len_b:
-            for i in range(a_lo, a_hi):
-                pos = bisect_left(b, a[i], b_lo, b_hi)
-                if pos < b_hi and b[pos] == a[i]:
-                    return a[i]
-            return -1
-        if len_b * 16 < len_a:
-            for j in range(b_lo, b_hi):
-                pos = bisect_left(a, b[j], a_lo, a_hi)
-                if pos < a_hi and a[pos] == b[j]:
-                    return b[j]
-            return -1
-        i, j = a_lo, b_lo
-        while i < a_hi and j < b_hi:
-            if a[i] == b[j]:
-                return a[i]
-            if a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return -1
+        out_off = self._out_offsets
+        in_off = self._in_offsets
+        return witness_id(
+            self._out_labels[out_off[sid]:out_off[sid + 1]],
+            self._in_labels[in_off[tid]:in_off[tid + 1]],
+            sid, tid,
+        )
 
     def query_many(self, pairs: Iterable[tuple[Vertex, Vertex]]) -> list[bool]:
         """Answer a batch of queries (convenience for serving loops)."""

@@ -18,7 +18,7 @@ Two layers:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional, Union
 
 from ..errors import IndexStateError, NotADagError, VertexNotFoundError
@@ -174,6 +174,18 @@ class TOLIndex:
     def graph_copy(self) -> DiGraph:
         """Return a copy of the indexed DAG."""
         return self._graph.copy()
+
+    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Iterate the indexed DAG's edges without copying the graph.
+
+        The DAG must not change meanwhile.  Heads come in the order of a
+        graph copy (each vertex's ``out_neighbors`` snapshot), the order
+        packs store their edges in.
+        """
+        graph = self._graph
+        return (
+            (tail, head) for tail in graph for head in graph.out_neighbors(tail)
+        )
 
     def in_labels(self, v: Vertex) -> frozenset[Vertex]:
         """``Lin(v)`` as an immutable snapshot."""

@@ -28,10 +28,11 @@ API (:meth:`add_in_id` et al.), so aliases held across mutations stay
 valid.
 
 Queries read the same arrays through one Equation-1 kernel,
-:meth:`query_many` (:meth:`query` is a one-pair batch).  No query-side
-copy of the labels is kept, so the arrays are the whole resident label
-store.  :meth:`witness` runs the ordered two-pointer merge to return the
-lowest-id witness deterministically.
+:func:`witness_id`, which :meth:`query_many` (:meth:`query` is a
+one-pair batch) and :meth:`witness` call per pair, and which
+:class:`~repro.core.frozen.FrozenTOLIndex` calls over slices of its
+packed buffers.  No query-side copy of the labels is kept, so the arrays
+are the whole resident label store.
 
 The public API still speaks user vertex objects at the boundary
 (:meth:`add_in_label`, :meth:`query`, ...); the dict-like views
@@ -61,7 +62,7 @@ from ..errors import IndexStateError, UnknownVertexError
 from .intern import VertexInterner
 from .order import LevelOrder
 
-__all__ = ["TOLLabeling", "ids_intersect", "first_common_id", "common_ids"]
+__all__ = ["TOLLabeling", "ids_intersect", "witness_id", "common_ids"]
 
 Vertex = Hashable
 
@@ -121,28 +122,44 @@ def ids_intersect(a, b) -> bool:
             return True
 
 
-def first_common_id(a, b) -> int:
-    """Smallest id shared by two sorted int sequences, or ``-1``."""
+def witness_id(a, b, sid: int, tid: int) -> int:
+    """Equation 1 over two sorted id sequences: a witness id, or ``-1``.
+
+    ``a = Lout(s)`` and ``b = Lin(t)`` are sorted, duplicate-free int
+    sequences (live ``array('i')`` buffers or slices of a snapshot's
+    buffers); *sid* and *tid* are the ids of ``s`` and ``t``.  Returns
+    *sid* if ``s == t``, *tid* if ``t ∈ a``, *sid* if ``s ∈ b``, otherwise
+    the smallest id of ``a ∩ b``, and ``-1`` iff ``W(s, t)`` is empty.
+
+    Each endpoint is looked up by ``bisect_left``, skipped when it lies
+    outside its side's range.  Unless the two ranges are disjoint, every
+    id of the shorter side is then probed into the longer one by
+    ``bisect_left``, each probe starting where the last one stopped.
+    ``in`` is never used: it boxes every element it passes, and even over
+    the shorter side it measured slower than a bisect, on arrays and on
+    ``memoryview`` slices alike.
+    """
+    if sid == tid:
+        return sid
     la = len(a)
     lb = len(b)
-    if not la or not lb or a[-1] < b[0] or b[-1] < a[0]:
+    if la and a[0] <= tid <= a[-1] and a[bisect_left(a, tid)] == tid:
+        return tid
+    if lb and b[0] <= sid <= b[-1] and b[bisect_left(b, sid)] == sid:
+        return sid
+    if la < lb:
+        # Equation 1 is symmetric in the two sides: make a the longer.
+        a, b, la, lb = b, a, lb, la
+    if not lb or b[0] > a[-1] or a[0] > b[-1]:
         return -1
-    i = j = 0
-    x = a[0]
-    y = b[0]
-    while True:
-        if x < y:
-            i += 1
-            if i == la:
-                return -1
-            x = a[i]
-        elif x > y:
-            j += 1
-            if j == lb:
-                return -1
-            y = b[j]
-        else:
+    j = 0
+    for x in b:
+        j = bisect_left(a, x, j)
+        if j == la:
+            return -1
+        if a[j] == x:
             return x
+    return -1
 
 
 def common_ids(a, b, out) -> int:
@@ -522,17 +539,8 @@ class TOLLabeling:
     def query_many(
         self, pairs: Iterable[tuple[Vertex, Vertex]]
     ) -> list[bool]:
-        """Answer a batch of queries, in input order.
-
-        The one Equation-1 kernel over the sorted label arrays: with
-        ``a = Lout(s)`` and ``b = Lin(t)``, ``W(s, t)`` is non-empty iff
-        ``t ∈ a``, ``s ∈ b`` or ``a ∩ b ≠ ∅``.  The endpoint witness of
-        the shorter array is found by a C scan (``array.__contains__``),
-        that of the longer one by ``bisect_left``; then every id of the
-        shorter array is probed into the longer one by ``bisect_left``,
-        each probe starting where the last one stopped.  ``in`` never
-        runs over the longer side: it boxes every element it passes.
-        """
+        """Answer a batch of queries, in input order, each by
+        :func:`witness_id` over ``Lout(s)`` and ``Lin(t)``."""
         ids = self._vids
         out_ids = self.out_ids
         in_ids = self.in_ids
@@ -544,60 +552,19 @@ class TOLLabeling:
                 tid = ids[t]
             except KeyError as missing:
                 raise UnknownVertexError(missing.args[0]) from None
-            if sid == tid:
-                append(True)
-                continue
-            a = out_ids[sid]  # t witnesses s -> t iff tid in a
-            b = in_ids[tid]  # s witnesses s -> t iff sid in b
-            if len(a) < len(b):
-                # Equation 1 is symmetric in the two sides: make a the
-                # longer one by swapping the ends' roles with it.
-                a, b, sid, tid = b, a, tid, sid
-            if sid in b:
-                append(True)
-                continue
-            if not a:
-                append(False)
-                continue
-            first = a[0]
-            last = a[-1]
-            if first <= tid <= last and a[bisect_left(a, tid)] == tid:
-                append(True)
-                continue
-            if not b or b[0] > last or first > b[-1]:
-                append(False)
-                continue
-            n = len(a)
-            j = 0
-            for x in b:
-                j = bisect_left(a, x, j)
-                if j == n:
-                    append(False)
-                    break
-                if a[j] == x:
-                    append(True)
-                    break
-            else:
-                append(False)
+            append(witness_id(out_ids[sid], in_ids[tid], sid, tid) >= 0)
         return answers
 
     def witness(self, s: Vertex, t: Vertex) -> Optional[Vertex]:
-        """Return one element of ``W(s, t)``, or ``None`` if unreachable."""
-        ids = self.interner.ids
+        """Return one element of ``W(s, t)``, or ``None`` if unreachable
+        (which one: see :func:`witness_id`)."""
+        ids = self._vids
         try:
             sid = ids[s]
             tid = ids[t]
         except KeyError as missing:
             raise UnknownVertexError(missing.args[0]) from None
-        if sid == tid:
-            return s
-        out_s = self.out_ids[sid]
-        in_t = self.in_ids[tid]
-        if tid in out_s:
-            return t
-        if sid in in_t:
-            return s
-        w = first_common_id(out_s, in_t)
+        w = witness_id(self.out_ids[sid], self.in_ids[tid], sid, tid)
         return None if w < 0 else self.interner.table[w]
 
     # ------------------------------------------------------------------

@@ -121,7 +121,7 @@ def index_to_dict(index: TOLIndex) -> dict:
         "format": "tol-index",
         "vertices": vertex_table,
         "intern_ids": [ids[v] for v in order],
-        "edges": sorted((ids[t], ids[h]) for t, h in index.graph_copy().edges()),
+        "edges": sorted((ids[t], ids[h]) for t, h in index.edges()),
         "labels_in": [labeling.in_ids[ids[v]].tolist() for v in order],
         "labels_out": [labeling.out_ids[ids[v]].tolist() for v in order],
         "free_ids": list(labeling.interner.free_ids),

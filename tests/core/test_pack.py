@@ -3,7 +3,7 @@
 The pack is the repo's one file format: ``repro build`` writes it, ``repro serve --snapshot`` mmaps it, and the shared-memory
 publisher ships it between processes.  These tests cover byte-level
 round trips, zero-copy attach over mmap and ``SharedMemory``, the
-galloping intersection over memoryview-backed buffers, corruption
+Equation-1 kernel over memoryview-backed buffers, corruption
 detection, the interned-id label layout (free and recycled ids, the
 checks on the ids a pack carries, the refusal of level-rank label
 packs), and the full ``ReachabilityIndex`` restore path (including
@@ -16,9 +16,12 @@ from array import array
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.frozen import FrozenTOLIndex, freeze
+from repro.core.frozen import freeze
 from repro.core.index import ReachabilityIndex, TOLIndex
+from repro.core.labeling import witness_id
 from repro.core.ops import hashable_vertex
 from repro.core.serialize import (
     decode_pack,
@@ -173,62 +176,140 @@ class TestNonIntVertices:
         assert meta_len == len(expected)
 
 
-def _bare(out_labels, in_labels):
-    """A minimal frozen index exposing raw label slices to _intersect."""
-    return FrozenTOLIndex(
-        {0: 0},
-        [0],
-        array("q", [0, len(in_labels)]),
-        array("i", in_labels),
-        array("q", [0, len(out_labels)]),
-        array("i", out_labels),
-        (),
-    )
+def _both_buffers(a, b):
+    """``(a, b)`` as live ``array('i')``s, then as slices of one
+    ``memoryview(...).cast('i')`` buffer, the way a reader holds them."""
+    yield array("i", a), array("i", b)
+    view = memoryview(array("i", [*a, *b]).tobytes()).cast("i")
+    yield view[:len(a)], view[len(a):]
+
+
+# Ids of s and t that appear in no list unless a test puts them there.
+S, T = 1000, 1001
 
 
 class TestGallopingIntersect:
-    """The three `_intersect` regimes, over both array and view buffers."""
+    """`witness_id`, the one Equation-1 kernel, over array and view buffers.
+
+    Every branch: an endpoint witness found in the shorter or in the
+    longer side (or its bisect skipped outside the side's range), the
+    disjoint-range bail-out, the shorter side's probes into the longer
+    one hitting or missing, empty sides, and ``a`` shorter than ``b``
+    (the sides swapped so that ``a`` is the longer).
+    """
 
     def test_short_a_gallops_into_long_b(self):
-        out = [7]
-        ins = sorted(set(range(0, 200, 3)))  # 7 not in it
-        f = _bare(out, ins)
-        assert f._intersect(0, len(out), 0, len(ins)) == -1
-        out_hit = [9]
-        f = _bare(out_hit, ins)
-        assert f._intersect(0, 1, 0, len(ins)) == 9
+        ins = list(range(0, 200, 3))
+        for a, b in _both_buffers([7], ins):
+            assert witness_id(a, b, S, T) == -1
+        for a, b in _both_buffers([9], ins):
+            assert witness_id(a, b, S, T) == 9
 
     def test_short_b_gallops_into_long_a(self):
-        outs = sorted(set(range(1, 400, 5)))
-        ins = [11]
-        f = _bare(outs, ins)
-        assert f._intersect(0, len(outs), 0, 1) == 11
-        f = _bare(outs, [12])
-        assert f._intersect(0, len(outs), 0, 1) == -1
+        outs = list(range(1, 400, 5))
+        for a, b in _both_buffers(outs, [11]):
+            assert witness_id(a, b, S, T) == 11
+        for a, b in _both_buffers(outs, [12]):
+            assert witness_id(a, b, S, T) == -1
 
     def test_balanced_linear_merge(self):
-        outs = [1, 4, 9, 16, 25]
-        ins = [2, 4, 8, 16, 32]
-        f = _bare(outs, ins)
-        assert f._intersect(0, 5, 0, 5) in (4, 16)
-        f = _bare([1, 3, 5, 7], [2, 4, 6, 8])
-        assert f._intersect(0, 4, 0, 4) == -1
+        # Balanced sides probe like skewed ones; the smallest common id wins.
+        for a, b in _both_buffers([1, 4, 9, 16, 25], [2, 4, 8, 16, 32]):
+            assert witness_id(a, b, S, T) == 4
+        for a, b in _both_buffers([1, 3, 5, 7], [2, 4, 6, 8]):
+            assert witness_id(a, b, S, T) == -1
 
     def test_empty_sides(self):
-        f = _bare([], [1, 2, 3])
-        assert f._intersect(0, 0, 0, 3) == -1
-        f = _bare([1, 2, 3], [])
-        assert f._intersect(0, 3, 0, 0) == -1
+        for a, b in _both_buffers([], [1, 2, 3]):
+            assert witness_id(a, b, S, T) == -1
+            assert witness_id(b, a, S, T) == -1
+            assert witness_id(a, a, S, T) == -1
+        for a, b in _both_buffers([], [S]):
+            assert witness_id(a, b, S, T) == S  # s ∈ Lin(t), Lout(s) empty
+        for a, b in _both_buffers([T], []):
+            assert witness_id(a, b, S, T) == T  # t ∈ Lout(s), Lin(t) empty
 
     def test_gallops_agree_over_memoryview_buffers(self):
-        # The serving path runs _intersect over memoryview.cast slices;
-        # round-trip through the pack and re-check every regime.
+        # The serving path runs the kernel over memoryview.cast slices;
+        # round-trip through the pack and re-check every pair.
         graph = random_dag(40, 160, seed=9)
         frozen = freeze(TOLIndex.build(graph, order="butterfly-u"))
         thawed, _ = unpack_frozen(pack_frozen(frozen))
         for s in graph.vertices():
             for t in graph.vertices():
                 assert thawed.query(s, t) == frozen.query(s, t), (s, t)
+                assert thawed.witness(s, t) == frozen.witness(s, t), (s, t)
+
+    def test_same_id_is_its_own_witness(self):
+        for a, b in _both_buffers([], []):
+            assert witness_id(a, b, S, S) == S
+
+    def test_endpoint_in_the_shorter_side(self):
+        long = list(range(0, 100, 2))
+        for a, b in _both_buffers([5, T], long):  # Lout(s) shorter
+            assert witness_id(a, b, S, T) == T
+        for a, b in _both_buffers(long, [5, S]):  # Lin(t) shorter
+            assert witness_id(a, b, S, T) == S
+
+    def test_endpoint_in_the_longer_side(self):
+        for a, b in _both_buffers([*range(0, 100, 2), T], [5]):
+            assert witness_id(a, b, S, T) == T
+        for a, b in _both_buffers([5], [*range(0, 100, 2), S]):
+            assert witness_id(a, b, S, T) == S
+
+    def test_endpoint_outside_the_longer_sides_range(self):
+        # t below Lout(s)'s first id, s above Lin(t)'s last: both
+        # endpoint bisects are skipped, and the probes decide.
+        for a, b in _both_buffers([10, 20, 30, 40], [5, 20]):
+            assert witness_id(a, b, 999, 3) == 20
+        for a, b in _both_buffers([20, 60], [10, 20, 30, 40]):
+            assert witness_id(a, b, 50, 3) == 20
+
+    def test_disjoint_ranges(self):
+        for a, b in _both_buffers([1, 2, 3, 4], [10, 11]):
+            assert witness_id(a, b, S, T) == -1
+            assert witness_id(b, a, S, T) == -1
+
+    def test_probe_hit_and_miss(self):
+        long = list(range(0, 300, 3))
+        for a, b in _both_buffers(long, [1, 4, 151, 299]):
+            assert witness_id(a, b, S, T) == -1  # every probe misses
+        for a, b in _both_buffers(long, [1, 4, 150, 297]):
+            assert witness_id(a, b, S, T) == 150  # first hit
+        for a, b in _both_buffers(long, [1, 400]):
+            assert witness_id(a, b, S, T) == -1  # probe runs off the end
+
+    def test_swapped_sides(self):
+        # a shorter than b swaps roles; the answer follows Equation 1,
+        # and t ∈ Lout(s) outranks s ∈ Lin(t) in both length orders.
+        for a, b in _both_buffers([3, 8], [1, 2, 8, 9, 12]):
+            assert witness_id(a, b, S, T) == 8
+            assert witness_id(b, a, S, T) == 8
+        for a, b in _both_buffers([T], [1, S]):
+            assert witness_id(a, b, S, T) == T
+        for a, b in _both_buffers([1, T], [S]):
+            assert witness_id(a, b, S, T) == T
+
+
+SORTED_IDS = st.lists(st.integers(0, 40), unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SORTED_IDS, b=SORTED_IDS, sid=st.integers(0, 40), tid=st.integers(0, 40))
+def test_witness_id_is_equation_1(a, b, sid, tid):
+    witnesses = ({*a, sid} & {*b, tid})
+    if sid == tid:
+        expected = sid
+    elif tid in a:
+        expected = tid
+    elif sid in b:
+        expected = sid
+    else:
+        expected = min(set(a) & set(b), default=-1)
+    for a_buf, b_buf in _both_buffers(a, b):
+        w = witness_id(a_buf, b_buf, sid, tid)
+        assert w == expected
+        assert (w == -1) == (not witnesses)
 
 
 class TestPackFiles:

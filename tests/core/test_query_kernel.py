@@ -1,13 +1,16 @@
 """Differential tests of the Equation-1 query kernel over the label arrays.
 
-Every query surface funnels into ``TOLLabeling.query_many``: the
-single-pair ``TOLLabeling.query``, ``ReachabilityIndex.query_many`` (one
-component mapping pass, one kernel call) and the service's batch path
-(one kernel call for the cache misses).  Generated traces of vertex and
-edge inserts and deletes drive all of them, plus ``freeze(tol).query``
-and a reader's snapshot unpacked from ``pack_snapshot`` bytes (free and
-recycled ids included), and after every step each must agree with BFS
-on every pair.
+Every query surface funnels into one kernel, ``labeling.witness_id``:
+the live ``TOLLabeling.query``/``query_many``/``witness`` over the
+label arrays, ``ReachabilityIndex.query_many`` (one component mapping
+pass, one ``query_many`` call), the service's batch path (one
+``query_many`` call for the cache misses), and ``freeze(tol)`` and a
+reader's snapshot unpacked from ``pack_snapshot`` bytes over slices of
+their packed buffers.  Generated traces of vertex and edge inserts and
+deletes drive all of them (free and recycled ids included), and after
+every step each must agree with BFS on every pair, and every surface's
+witness of each component pair must be the same vertex: ``None`` iff
+the pair is unreachable, otherwise one on an ``s ⇝ w ⇝ t`` path.
 """
 
 import random
@@ -58,6 +61,16 @@ def check_all_pairs(model, index, service):
     ] == truth
     assert index.query_many(pairs) == truth
     assert service.query_batch(pairs) == truth
+    dag = index.tol.graph_copy()
+    reach = {c: forward_reachable(dag, c, include_source=True) for c in dag}
+    for cs in dag:
+        for ct in dag:
+            w = index.tol.witness(cs, ct)
+            assert frozen.witness(cs, ct) == w == reader.witness(cs, ct)
+            if ct in reach[cs]:
+                assert w in reach[cs] and ct in reach[w], (cs, w, ct)
+            else:
+                assert w is None, (cs, w, ct)
     return components
 
 
